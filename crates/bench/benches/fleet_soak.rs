@@ -80,7 +80,6 @@ fn soak(jobs_total: usize, policy: PolicyKind) -> (FleetStats, f64) {
         .collect();
     let cfg = FleetConfig::new(devices, PlacementKind::ReuseAffinity)
         .with_quota(QUOTA)
-        .with_seed(SEQUENCE_SEED)
         .with_decisions(false);
 
     let t0 = Instant::now();

@@ -1,46 +1,38 @@
 //! Whole-sweep throughput: cells/sec through the pooled engine.
 //!
-//! The tentpole claim of the sweep-throughput overhaul is end-to-end:
-//! a replication loop should pay for the *events it simulates*, not
+//! A replication loop should pay for the *events it simulates*, not
 //! for redundant per-cell work (design-time artifacts, engine
-//! construction, per-job allocations, per-job ideal recomputation, and
-//! — with warm-start replay — re-deriving decisions an adjacent cell
-//! already made). This bench drives a policy × RU-count ×
-//! stream-length grid the way the reworked sweep harness does —
+//! construction, per-job allocations, per-job ideal recomputation).
+//! This bench drives a policy × RU-count × stream-length grid the way
+//! the sweep harness does —
 //!
 //! * one shared [`TemplateRegistry`] for the whole grid (design time
 //!   paid once per distinct `(template, system)` pair),
-//! * one pooled [`Engine`] per cell configuration, jobs submitted once,
-//! * cells walked in Gray-code order (policy, then RUs, with the
-//!   stream-length axis boustrophedon) so consecutive cells differ in
-//!   one knob and share a decision prefix: the engine's warm-start log
-//!   replays the shared prefix instead of re-simulating it,
+//! * one pooled [`Engine`] for the whole grid, jobs submitted once per
+//!   cell,
 //! * replications via [`Engine::reset_replay`] + [`Engine::run_with`]
-//!   (monomorphised policy dispatch), each bit-exact with a fresh run
-//!   (asserted against the one-shot [`run_cell`] path before timing) —
+//!   (monomorphised policy dispatch), each a full cold simulation
+//!   bit-exact with a fresh run (asserted against the one-shot
+//!   [`run_cell`] path before timing) —
 //!
-//! and reports **cells per second** per cell, against the **pre-PR
+//! and reports **cells per second** per cell, against the **pre-pooling
 //! baseline** recorded in `results/sweep_throughput_baseline.csv`
-//! (measured with the pre-overhaul `run_cell` pipeline — fresh
-//! `TemplateCache`, fresh engine, per-job ideal — at the commit before
-//! the pooling change, on the same machine class that commits the
-//! results).
+//! (measured with the pre-pooling `run_cell` pipeline — fresh
+//! `TemplateCache`, fresh engine, per-job ideal — on the same machine
+//! class that commits the results).
 //!
 //! Outputs:
-//! * `results/sweep_throughput.csv` — per-cell medians, speedups, and
-//!   the warm-start shape of the cell's cross-cell verification run
-//!   (`warm_hit`, `divergence_depth`, `replayed_events`);
+//! * `results/sweep_throughput.csv` — per-cell throughput and speedups;
 //! * `results/BENCH_sweep.json` — one trajectory point for the
 //!   acceptance grid (1e3 jobs × 8 RUs, aggregated over the policy
-//!   axis), the pass/fail of the cells/sec floor, and the engine's
-//!   aggregate warm-start hit-rate over the whole grid.
+//!   axis) and the pass/fail of the cells/sec floor.
 //!
 //! Env knobs: `SWEEP_SMOKE=1` shrinks batches for CI; `SWEEP_FLOOR`
-//! overrides the aggregate pooled cells/sec floor (default 1000 — far
-//! below the ≥8000 a dev machine measures with warm-start replay, so
-//! only a genuine regression or a pathologically slow runner trips it;
-//! CI fails when the floor is violated). A malformed `SWEEP_FLOOR`
-//! aborts loudly instead of silently falling back to the default.
+//! overrides the aggregate pooled cells/sec floor (default 500, about a
+//! third of what a 2-core dev box measures cold, so only a genuine
+//! regression or a pathologically slow runner trips it; CI fails when
+//! the floor is violated). A malformed `SWEEP_FLOOR` aborts loudly
+//! instead of silently falling back to the default.
 
 use rtr_core::{LfdPolicy, LruPolicy, TemplateRegistry};
 use rtr_manager::{Engine, JobSpec, ReplacementPolicy};
@@ -57,7 +49,7 @@ const SEQUENCE_SEED: u64 = 42;
 const ACCEPT_APPS: usize = 1_000;
 const ACCEPT_RUS: usize = 8;
 /// Default aggregate pooled cells/sec floor on the acceptance grid.
-const DEFAULT_FLOOR: f64 = 1_000.0;
+const DEFAULT_FLOOR: f64 = 500.0;
 
 fn policies() -> Vec<(PolicyKind, &'static str)> {
     vec![
@@ -75,9 +67,7 @@ fn policies() -> Vec<(PolicyKind, &'static str)> {
 
 /// Times `reps` pooled replications of the prepared cell and returns
 /// seconds per cell. The policy is concrete, so the engine loop is
-/// monomorphised — the production sweep path. After the first
-/// replication seals the cell's decision log, every further one is a
-/// warm-start full replay.
+/// monomorphised — the production sweep path.
 fn time_pooled<P: ReplacementPolicy>(engine: &mut Engine, policy: &mut P, reps: u32) -> f64 {
     let t0 = Instant::now();
     for _ in 0..reps {
@@ -106,17 +96,7 @@ fn best_pooled<P: ReplacementPolicy>(
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One measured cell: throughput plus the warm-start shape of its
-/// verification run (the run that attempted to warm-start off the
-/// *previous* grid cell's sealed log).
-struct CellMeasure {
-    cells_per_sec: f64,
-    warm_hit: bool,
-    divergence_depth: usize,
-    replayed_events: usize,
-}
-
-/// Measures one cell through the pooled path.
+/// Measures one cell through the pooled path, in cells per second.
 fn measure_cell(
     registry: &Arc<TemplateRegistry>,
     engine: &mut Engine,
@@ -125,14 +105,11 @@ fn measure_cell(
     rus: usize,
     reps: u32,
     batches: usize,
-) -> CellMeasure {
+) -> f64 {
     let cell = CellConfig::new(kind, rus);
     let cfg = cell.manager_config();
     // Design time once per cell configuration: memoised in the shared
-    // registry, so repeat templates/systems across the grid are free —
-    // and instantiation hands back the *same* template Arcs every time,
-    // which is what lets the warm-start log recognise a neighbouring
-    // cell's jobs as a shared prefix.
+    // registry, so repeat templates/systems across the grid are free.
     let jobs: Vec<JobSpec> = sequence
         .iter()
         .map(|g| {
@@ -144,24 +121,12 @@ fn measure_cell(
     engine.reset_with_config(&cfg, &jobs);
 
     // Bit-exactness guard: the pooled replication must reproduce the
-    // one-shot path before it is worth timing. This run doubles as the
-    // cross-cell warm-start attempt against the previous cell's log,
-    // so its warm shape is snapshotted before the timed replications
-    // overwrite the "last run" stats with their full replays.
-    let verify_and_time = |engine: &mut Engine, p: &mut dyn ReplacementPolicy| {
-        verify_against_one_shot(engine, p, sequence, &cell);
-        let warm = engine.warm_stats();
-        (
-            warm.last_was_hit,
-            warm.last_divergence_depth,
-            warm.last_replayed_events,
-        )
-    };
-    let (seconds, (warm_hit, divergence_depth, replayed_events)) = match kind {
+    // one-shot path before it is worth timing.
+    let seconds = match kind {
         PolicyKind::Lru => {
             let mut p = LruPolicy::new();
-            let shape = verify_and_time(engine, &mut p);
-            (best_pooled(engine, &mut p, reps, batches), shape)
+            verify_against_one_shot(engine, &mut p, sequence, &cell);
+            best_pooled(engine, &mut p, reps, batches)
         }
         PolicyKind::LocalLfd { window, skip } => {
             let mut p = if skip {
@@ -169,25 +134,20 @@ fn measure_cell(
             } else {
                 LfdPolicy::local(window)
             };
-            let shape = verify_and_time(engine, &mut p);
-            (best_pooled(engine, &mut p, reps, batches), shape)
+            verify_against_one_shot(engine, &mut p, sequence, &cell);
+            best_pooled(engine, &mut p, reps, batches)
         }
         PolicyKind::Lfd => {
             let mut p = LfdPolicy::oracle();
-            let shape = verify_and_time(engine, &mut p);
-            (best_pooled(engine, &mut p, reps, batches), shape)
+            verify_against_one_shot(engine, &mut p, sequence, &cell);
+            best_pooled(engine, &mut p, reps, batches)
         }
         other => unreachable!("bench grid does not include {other:?}"),
     };
-    CellMeasure {
-        cells_per_sec: 1.0 / seconds,
-        warm_hit,
-        divergence_depth,
-        replayed_events,
-    }
+    1.0 / seconds
 }
 
-fn verify_against_one_shot<P: ReplacementPolicy + ?Sized>(
+fn verify_against_one_shot<P: ReplacementPolicy>(
     engine: &mut Engine,
     policy: &mut P,
     sequence: &[Arc<rtr_taskgraph::TaskGraph>],
@@ -264,10 +224,7 @@ fn main() {
 
     // One registry and one pooled engine serve the entire grid — the
     // sweep-harness topology (per worker thread) collapsed onto one
-    // thread for stable timing. Stream sequences share one seed, so the
-    // shorter stream is a *prefix* of the longer one: walking the apps
-    // axis boustrophedon keeps consecutive cells one knob apart and
-    // lets the warm-start log carry across them.
+    // thread for stable timing.
     let registry = Arc::new(TemplateRegistry::new());
     let mut engine: Option<Engine> = None;
     let sequences: Vec<(usize, Vec<Arc<rtr_taskgraph::TaskGraph>>)> = STREAM_LENS
@@ -281,30 +238,17 @@ fn main() {
         .collect();
 
     let mut rows = String::from(
-        "policy,rus,apps,baseline_cells_per_sec,pooled_cells_per_sec,speedup_vs_baseline,\
-         warm_hit,divergence_depth,replayed_events\n",
+        "policy,rus,apps,baseline_cells_per_sec,pooled_cells_per_sec,speedup_vs_baseline\n",
     );
     let mut accept_base_time = 0.0f64;
     let mut accept_base_cells = 0u32;
     let mut accept_pooled_time = 0.0f64;
     let mut accept_cells = 0u32;
     let mut accept_detail: Vec<(String, f64)> = Vec::new();
-    let mut row_order: Vec<String> = Vec::new();
 
-    // Gray-code grid walk: policy (outermost) → RU count → stream
-    // length, with the innermost axis reversing direction every RU step
-    // so consecutive cells always differ in exactly one knob.
-    let mut forward = true;
     for (kind, label) in policies() {
         for &rus in &RU_COUNTS {
-            let walk: Vec<usize> = if forward {
-                (0..sequences.len()).collect()
-            } else {
-                (0..sequences.len()).rev().collect()
-            };
-            forward = !forward;
-            for si in walk {
-                let (apps, ref sequence) = sequences[si];
+            for &(apps, ref sequence) in &sequences {
                 let (reps, batches) = if apps >= 1_000 {
                     (reps_large, batches_large)
                 } else {
@@ -314,39 +258,27 @@ fn main() {
                 let engine = engine.get_or_insert_with(|| {
                     Engine::with_templates(&cell_cfg, registry.template_set())
                 });
-                let m = measure_cell(&registry, engine, sequence, kind, rus, reps, batches);
+                let cells_per_sec =
+                    measure_cell(&registry, engine, sequence, kind, rus, reps, batches);
                 let base = baseline_of(label, rus, apps);
-                let speedup = base.map(|b| m.cells_per_sec / b);
+                let speedup = base.map(|b| cells_per_sec / b);
                 println!(
-                    "{label} rus={rus} apps={apps}: pooled={:.0} cells/s baseline={} speedup={} \
-                     warm={}",
-                    m.cells_per_sec,
+                    "{label} rus={rus} apps={apps}: pooled={cells_per_sec:.0} cells/s \
+                     baseline={} speedup={}",
                     base.map_or("n/a".into(), |b| format!("{b:.0}")),
                     speedup.map_or("n/a".into(), |s| format!("{s:.2}x")),
-                    if m.warm_hit {
-                        format!(
-                            "hit(depth={}, replayed={})",
-                            m.divergence_depth, m.replayed_events
-                        )
-                    } else {
-                        "cold".to_string()
-                    },
                 );
-                row_order.push(format!(
-                    "{label},{rus},{apps},{},{:.1},{},{},{},{}\n",
+                rows.push_str(&format!(
+                    "{label},{rus},{apps},{},{cells_per_sec:.1},{}\n",
                     base.map_or("n/a".into(), |b| format!("{b:.1}")),
-                    m.cells_per_sec,
                     speedup.map_or("n/a".into(), |s| format!("{s:.2}")),
-                    m.warm_hit,
-                    m.divergence_depth,
-                    m.replayed_events,
                 ));
                 if apps == ACCEPT_APPS && rus == ACCEPT_RUS {
                     // The pooled aggregate (the floor guard) never
                     // depends on the baseline CSV being present.
-                    accept_pooled_time += 1.0 / m.cells_per_sec;
+                    accept_pooled_time += 1.0 / cells_per_sec;
                     accept_cells += 1;
-                    accept_detail.push((label.to_string(), m.cells_per_sec));
+                    accept_detail.push((label.to_string(), cells_per_sec));
                     if let Some(b) = base {
                         accept_base_time += 1.0 / b;
                         accept_base_cells += 1;
@@ -354,9 +286,6 @@ fn main() {
                 }
             }
         }
-    }
-    for row in &row_order {
-        rows.push_str(row);
     }
 
     // Aggregate the acceptance grid: cells/sec over the policy axis at
@@ -382,20 +311,6 @@ fn main() {
         agg_speedup.map_or("n/a".into(), |s| format!("{s:.2}x")),
         if floor_ok { "ok" } else { "VIOLATED" }
     );
-    let warm = engine
-        .as_ref()
-        .map(|e| e.warm_stats().clone())
-        .unwrap_or_default();
-    let warm_rate = if warm.attempts > 0 {
-        (warm.full_hits + warm.prefix_hits) as f64 / warm.attempts as f64
-    } else {
-        0.0
-    };
-    println!(
-        "warm-start over the grid: {} attempts, {} full hits, {} prefix hits (hit-rate {:.3})",
-        warm.attempts, warm.full_hits, warm.prefix_hits, warm_rate
-    );
-
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
     std::fs::create_dir_all(dir).expect("results directory is writable");
     std::fs::write(format!("{dir}/sweep_throughput.csv"), rows).expect("CSV is writable");
@@ -403,14 +318,9 @@ fn main() {
         "{{\n  \"bench\": \"sweep_throughput\",\n  \"grid\": \"{ACCEPT_APPS}jobs_{ACCEPT_RUS}rus\",\n  \
          \"cells\": {accept_cells},\n  \"baseline_cells_per_sec\": {},\n  \
          \"pooled_cells_per_sec\": {agg_pooled:.1},\n  \"speedup_vs_baseline\": {},\n  \
-         \"floor_cells_per_sec\": {floor:.1},\n  \"floor_ok\": {floor_ok},\n  \"smoke\": {smoke},\n  \
-         \"warm_attempts\": {},\n  \"warm_full_hits\": {},\n  \"warm_prefix_hits\": {},\n  \
-         \"warm_hit_rate\": {warm_rate:.3}\n}}\n",
+         \"floor_cells_per_sec\": {floor:.1},\n  \"floor_ok\": {floor_ok},\n  \"smoke\": {smoke}\n}}\n",
         agg_base.map_or("null".into(), |b| format!("{b:.1}")),
         agg_speedup.map_or("null".into(), |s| format!("{s:.2}")),
-        warm.attempts,
-        warm.full_hits,
-        warm.prefix_hits,
     );
     std::fs::write(format!("{dir}/BENCH_sweep.json"), json).expect("JSON is writable");
     println!("wrote {dir}/sweep_throughput.csv and {dir}/BENCH_sweep.json");

@@ -75,10 +75,6 @@ impl ReplacementPolicy for LruPolicy {
         self.last_touch.clear();
         self.clock = 0;
     }
-
-    fn warm_key(&self) -> Option<String> {
-        Some("LRU".to_string())
-    }
 }
 
 /// Most Recently Used — pathological for looping workloads, included as
@@ -135,10 +131,6 @@ impl ReplacementPolicy for MruPolicy {
         self.last_touch.clear();
         self.clock = 0;
     }
-
-    fn warm_key(&self) -> Option<String> {
-        Some("MRU".to_string())
-    }
 }
 
 /// First In, First Out — evicts the configuration *loaded* longest ago;
@@ -182,10 +174,6 @@ impl ReplacementPolicy for FifoPolicy {
         self.loaded_at.clear();
         self.clock = 0;
     }
-
-    fn warm_key(&self) -> Option<String> {
-        Some("FIFO".to_string())
-    }
 }
 
 /// Least Frequently Used — evicts the configuration claimed (loaded or
@@ -228,10 +216,6 @@ impl ReplacementPolicy for LfuPolicy {
     }
     fn reset(&mut self) {
         self.claims.clear();
-    }
-
-    fn warm_key(&self) -> Option<String> {
-        Some("LFU".to_string())
     }
 }
 

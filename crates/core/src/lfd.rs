@@ -162,12 +162,6 @@ impl ReplacementPolicy for LfdPolicy {
         self.last_touch.clear();
         self.clock = 0;
     }
-
-    fn warm_key(&self) -> Option<String> {
-        // The label encodes oracle-vs-local, window width and
-        // tie-break, all of which change decisions.
-        Some(self.label.clone())
-    }
 }
 
 #[cfg(test)]

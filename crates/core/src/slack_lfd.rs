@@ -91,10 +91,6 @@ impl ReplacementPolicy for SlackAwareLfdPolicy {
         self.slack_scratch = slack;
         candidates[best].ru
     }
-
-    fn warm_key(&self) -> Option<String> {
-        Some(self.label.clone())
-    }
 }
 
 #[cfg(test)]

@@ -245,22 +245,6 @@ impl ReconfigController {
         self.completed_loads = 0;
         self.busy_time = SimDuration::ZERO;
     }
-
-    /// Force-sets the accounting counters of an idle controller — the
-    /// warm-start restore hook, fed from a snapshot taken at an idle
-    /// checkpoint of a previously recorded run.
-    ///
-    /// # Panics
-    /// Panics if a load is in flight: counters of a busy controller are
-    /// not a consistent snapshot.
-    pub fn restore_counters(&mut self, completed_loads: u64, busy_time: SimDuration) {
-        assert!(
-            self.in_flight.is_none(),
-            "cannot restore counters onto a busy controller"
-        );
-        self.completed_loads = completed_loads;
-        self.busy_time = busy_time;
-    }
 }
 
 #[cfg(test)]

@@ -80,12 +80,6 @@ impl EnergyModel {
         self.stats
     }
 
-    /// Force-sets the counters — the warm-start restore hook, fed from
-    /// a [`TrafficStats`] snapshot of a previously recorded run.
-    pub fn restore_stats(&mut self, stats: TrafficStats) {
-        self.stats = stats;
-    }
-
     /// The device this model accounts for.
     pub fn device(&self) -> &DeviceSpec {
         &self.device

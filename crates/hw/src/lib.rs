@@ -19,16 +19,12 @@
 //! * [`energy`] — energy/bus-traffic accounting: the paper argues that
 //!   raising reuse cuts energy and memory pressure because every
 //!   reconfiguration moves a full bitstream from external memory.
-//! * [`bitstream`] — a synthetic bitstream repository standing in for
-//!   the external configuration memory.
 
-pub mod bitstream;
 pub mod controller;
 pub mod device;
 pub mod energy;
 pub mod ru;
 
-pub use bitstream::BitstreamRepository;
 pub use controller::{InFlight, LoadLane, ReconfigController};
 pub use device::DeviceSpec;
 pub use energy::{EnergyModel, TrafficStats};

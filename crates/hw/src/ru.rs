@@ -606,75 +606,6 @@ impl RuPool {
     pub fn usable_len(&self) -> usize {
         self.states.len() - self.quarantined
     }
-
-    /// Resident configurations with their claim status, for diagnostics.
-    pub fn snapshot(&self) -> Vec<(RuId, RuState)> {
-        self.ids().map(|r| (r, self.states[r.idx()])).collect()
-    }
-
-    /// Writes the unclaimed residency of each RU into `out` — `None`
-    /// for empty, `Some(config)` for an unclaimed resident — or `None`
-    /// (the outer option) if any RU is mid-load, claimed, or executing.
-    ///
-    /// Only fully quiescent pools are capturable: this is the warm-start
-    /// checkpoint format, restorable later via
-    /// [`RuPool::restore_unclaimed`].
-    pub fn capture_unclaimed(&self, out: &mut Vec<Option<ConfigId>>) -> bool {
-        out.clear();
-        for (i, s) in self.states.iter().enumerate() {
-            if self.corrupt[i] {
-                // An upset resident is not a replayable residency.
-                return false;
-            }
-            match *s {
-                RuState::Empty => out.push(None),
-                RuState::Loaded {
-                    config,
-                    claimed: false,
-                } => out.push(Some(config)),
-                _ => return false,
-            }
-        }
-        true
-    }
-
-    /// Force-sets every RU to the given quiescent residency (`None` =
-    /// empty, `Some(config)` = unclaimed resident), rebuilding the
-    /// empty count and the reusable-config mask.
-    ///
-    /// This is the warm-start restore hook: `residency` must come from
-    /// [`RuPool::capture_unclaimed`] on an identically-sized pool.
-    ///
-    /// # Panics
-    /// Panics if `residency.len()` differs from the pool size.
-    pub fn restore_unclaimed(&mut self, residency: &[Option<ConfigId>]) {
-        assert_eq!(
-            residency.len(),
-            self.states.len(),
-            "warm-start residency snapshot does not match the pool size"
-        );
-        self.reusable.clear();
-        self.empties = 0;
-        self.corrupt.fill(false);
-        self.quarantined = 0;
-        for (ru, (slot, r)) in self.states.iter_mut().zip(residency).enumerate() {
-            match *r {
-                None => {
-                    *slot = RuState::Empty;
-                    self.empties += 1;
-                }
-                Some(config) => {
-                    *slot = RuState::Loaded {
-                        config,
-                        claimed: false,
-                    };
-                    if self.mask_tracking {
-                        self.reusable.mark(config, ru);
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -938,24 +869,6 @@ mod tests {
         pool.reset();
         assert_eq!(pool.quarantined_count(), 0);
         assert_eq!(pool.first_empty(), Some(RuId(0)));
-    }
-
-    #[test]
-    fn corrupt_pool_is_not_capturable() {
-        let mut pool = RuPool::new(1);
-        let ru = RuId(0);
-        pool.begin_load(ru, C1).unwrap();
-        pool.finish_load(ru).unwrap();
-        pool.begin_execution(ru).unwrap();
-        pool.finish_execution(ru).unwrap();
-        let mut out = Vec::new();
-        assert!(pool.capture_unclaimed(&mut out));
-        pool.mark_corrupt(ru).unwrap();
-        assert!(!pool.capture_unclaimed(&mut out));
-        // Restoring a clean snapshot wipes the upset flag.
-        pool.restore_unclaimed(&[Some(C1)]);
-        assert!(!pool.is_corrupt(ru));
-        assert_eq!(pool.find_reusable(C1), Some(ru));
     }
 
     #[test]

@@ -90,9 +90,9 @@ impl Default for PrefetchConfig {
 ///
 /// * **Transient load failures** (`load_fault_pm`): a demand or
 ///   speculative reconfiguration completes corrupt (detected by the
-///   Fletcher checksum in `rtr-hw::bitstream`) and is retried with
-///   exponential backoff up to `max_retries` times; exhausting the
-///   budget quarantines the faulty unit.
+///   port's integrity check) and is retried with exponential backoff
+///   up to `max_retries` times; exhausting the budget quarantines the
+///   faulty unit.
 /// * **Resident-config upsets** (`upset_pm`): an SEU silently
 ///   invalidates a resident, unclaimed bitstream; it stops counting as
 ///   reusable and is repaired by the next (re)load of that RU.

@@ -140,10 +140,7 @@ impl ManagerState {
                 debug_assert_eq!(op.ru, ru);
                 if !self.cfg.faults.is_off() {
                     // Integrity-check the transfer before accepting it.
-                    if self
-                        .faults
-                        .transfer_corrupt(self.cfg.faults.load_fault_pm, op.config)
-                    {
+                    if self.faults.transfer_corrupt(self.cfg.faults.load_fault_pm) {
                         self.fault_demand_corrupt(ru, node, op.config, now, policy);
                         return;
                     }
@@ -192,10 +189,7 @@ impl ManagerState {
                 debug_assert_eq!(op.ru, ru);
                 if !self.cfg.faults.is_off() {
                     // Integrity-check the transfer before accepting it.
-                    if self
-                        .faults
-                        .transfer_corrupt(self.cfg.faults.load_fault_pm, config)
-                    {
+                    if self.faults.transfer_corrupt(self.cfg.faults.load_fault_pm) {
                         self.fault_prefetch_corrupt(ru, config, now, policy);
                         return;
                     }
@@ -309,10 +303,6 @@ impl ManagerState {
                         );
                         self.pending_activation = Some(now);
                     }
-                    // Graph completions are the warm-start checkpoint
-                    // sites: with nothing in flight this instant is
-                    // fully restorable (no-op unless recording).
-                    self.maybe_warm_checkpoint(now);
                 }
                 // Executions are the fault clock: each completion draws
                 // once for a resident upset and once for an RU hard

@@ -43,7 +43,6 @@ pub(crate) mod faults;
 pub(crate) mod prefetch;
 pub(crate) mod qos;
 pub(crate) mod residency;
-pub(crate) mod warm;
 
 pub(crate) use events::{
     Event, PRIO_END_OF_EXECUTION, PRIO_END_OF_RECONFIGURATION, PRIO_JOB_ARRIVAL,
@@ -324,10 +323,6 @@ pub(crate) struct ManagerState {
     /// One `(priority, sojourn, lateness)` record per completed graph,
     /// in completion order — folded into per-class stats at `outcome`.
     pub(crate) qos_records: Vec<(u8, SimDuration, SimDuration)>,
-    /// Warm-start shadow recording of the in-progress run (see
-    /// [`warm`]). Inactive — and free — unless the engine is pooled
-    /// and the policy opted in.
-    pub(crate) warm: warm::WarmRecorder,
     /// Fault-injection runtime (see [`faults`]). Never consulted — and
     /// its draw stream never advanced — unless the run's
     /// [`FaultPlan`](crate::FaultPlan) is active.
@@ -339,14 +334,8 @@ impl ManagerState {
     /// (every large sweep) never even construct the event — this sits
     /// on paths that fire once per task.
     pub(crate) fn record(&mut self, ev: impl FnOnce() -> TraceEvent) {
-        if self.cfg.record_trace || self.warm.active {
-            let e = ev();
-            if self.cfg.record_trace {
-                self.trace.push(e);
-            }
-            if self.warm.active {
-                self.warm.events.push(e);
-            }
+        if self.cfg.record_trace {
+            self.trace.push(ev());
         }
     }
 

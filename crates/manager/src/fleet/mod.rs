@@ -111,10 +111,6 @@ pub struct FleetSpec {
     /// Tenants the workload layer spreads jobs across (round-robin by
     /// submission index). 1 keeps every job on the default tenant.
     pub tenants: usize,
-    /// Seed recorded for reproducibility of workload-layer tenant /
-    /// arrival derivations; the fleet dispatch plane itself is
-    /// deterministic and does not consume it.
-    pub seed: u64,
 }
 
 impl FleetSpec {
@@ -130,7 +126,6 @@ impl FleetSpec {
             devices,
             placement: self.placement,
             quota: self.quota,
-            seed: self.seed,
             record_decisions: true,
         }
     }
@@ -155,7 +150,6 @@ impl serde::Serialize for FleetSpec {
             "tenants".to_string(),
             serde::Serialize::serialize(&self.tenants),
         );
-        m.insert("seed".to_string(), serde::Serialize::serialize(&self.seed));
         serde::Value::Object(m)
     }
 }
@@ -176,7 +170,6 @@ impl serde::Deserialize for FleetSpec {
         // (`{"devices": [4, 4]}`) stay loadable.
         let placement: Option<PlacementKind> = serde::field(m, "placement")?;
         let tenants: Option<usize> = serde::field(m, "tenants")?;
-        let seed: Option<u64> = serde::field(m, "seed")?;
         if tenants == Some(0) {
             return Err(serde::Error::msg("fleet.tenants must be at least 1"));
         }
@@ -185,7 +178,6 @@ impl serde::Deserialize for FleetSpec {
             placement: placement.unwrap_or(PlacementKind::RoundRobin),
             quota: serde::field(m, "quota")?,
             tenants: tenants.unwrap_or(1),
-            seed: seed.unwrap_or(0),
         })
     }
 }
@@ -202,8 +194,6 @@ pub struct FleetConfig {
     /// Per-tenant ingress quota: at most this many pending jobs per
     /// tenant between [`Fleet::drain`]s (`None` = unlimited).
     pub quota: Option<usize>,
-    /// Seed recorded for reproducibility (see [`FleetSpec::seed`]).
-    pub seed: u64,
     /// Record per-decision placement score vectors. Cheap for
     /// experiments and required by the `placement-residency` checker;
     /// disable for million-job soaks.
@@ -211,14 +201,13 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A fleet of `devices` with `placement` routing, no quota, seed 0
-    /// and decision recording on.
+    /// A fleet of `devices` with `placement` routing, no quota and
+    /// decision recording on.
     pub fn new(devices: Vec<ManagerConfig>, placement: PlacementKind) -> Self {
         FleetConfig {
             devices,
             placement,
             quota: None,
-            seed: 0,
             record_decisions: true,
         }
     }
@@ -232,12 +221,6 @@ impl FleetConfig {
     /// Builder-style quota override.
     pub fn with_quota(mut self, quota: usize) -> Self {
         self.quota = Some(quota);
-        self
-    }
-
-    /// Builder-style seed override.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -699,7 +682,6 @@ mod tests {
             placement: PlacementKind::ReuseAffinity,
             quota: Some(16),
             tenants: 4,
-            seed: 9,
         };
         let json = serde_json::to_string(&spec).unwrap();
         let back: FleetSpec = serde_json::from_str(&json).unwrap();
@@ -709,7 +691,13 @@ mod tests {
         assert_eq!(terse.placement, PlacementKind::RoundRobin);
         assert_eq!(terse.quota, None);
         assert_eq!(terse.tenants, 1);
-        assert_eq!(terse.seed, 0);
+        // Unknown keys are ignored, so files that still carry the
+        // retired `seed` knob load unchanged.
+        let old: FleetSpec = serde_json::from_str(
+            r#"{"devices": [2, 4, 6], "placement": "reuse-affinity", "quota": 16, "tenants": 4, "seed": 9}"#,
+        )
+        .unwrap();
+        assert_eq!(old, spec);
         // Invalid forms are loud.
         assert!(serde_json::from_str::<FleetSpec>(r#"{"devices": []}"#).is_err());
         assert!(serde_json::from_str::<FleetSpec>(r#"{"devices": [0]}"#).is_err());

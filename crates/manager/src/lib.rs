@@ -46,7 +46,6 @@ pub mod trace;
 pub mod validate;
 
 pub use config::{FaultPlan, Lookahead, ManagerConfig, PrefetchConfig};
-pub use engine::warm::WarmStats;
 pub use fleet::{
     simulate_fleet, Fleet, FleetConfig, FleetError, FleetOutcome, FleetSpec, FleetStats,
     PlacementKind, PlacementPolicy, TenantStats,

@@ -19,11 +19,8 @@
 //! survives idle gaps) and the next `JobArrival` event resumes
 //! activation.
 
-use crate::config::{Lookahead, ManagerConfig};
+use crate::config::ManagerConfig;
 use crate::engine::faults::FaultRuntime;
-use crate::engine::warm::{
-    deliver_callback, recordable_cfg, same_spec, SealedRun, WarmPlan, WarmRecorder, WarmStats,
-};
 use crate::engine::{Event, JobScratch, ManagerState, ReconfigKind};
 use crate::engine::{
     PRIO_END_OF_EXECUTION, PRIO_END_OF_RECONFIGURATION, PRIO_JOB_ARRIVAL, PRIO_NEW_TASK_GRAPH,
@@ -35,7 +32,6 @@ use crate::policy::{ReplacementPolicy, NO_DEADLINE};
 use crate::reuse_index::ReuseIndex;
 use crate::stats::RunStats;
 use crate::trace::Trace;
-use crate::trace::TraceEvent;
 use rtr_hw::{EnergyModel, ReconfigController, RuPool};
 use rtr_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use rtr_taskgraph::{TaskGraph, TemplateSet};
@@ -156,15 +152,6 @@ pub struct Engine {
     finalised: bool,
     /// Name of the policy last passed to [`Engine::run`] (for stats).
     policy_name: String,
-    /// Sealed decision log of this engine's previous completed run —
-    /// the warm-start reference (see `crate::engine::warm`).
-    warm_reference: Option<SealedRun>,
-    /// Set by the first reset: the engine is pooled, so warm-start
-    /// recording can pay off. One-shot engines (every [`simulate`]
-    /// call) never record and skip the warm machinery entirely.
-    warm_pooled: bool,
-    /// Warm-start observability (cumulative hits + last-run shape).
-    warm_stats: WarmStats,
     /// Scratch for batched same-instant `EndOfExecution` dispatch,
     /// pooled across runs.
     exec_batch: Vec<Event>,
@@ -239,7 +226,6 @@ impl Engine {
                 qos_deadline_misses: 0,
                 qos_tardiness: SimDuration::ZERO,
                 qos_records: Vec::new(),
-                warm: WarmRecorder::default(),
                 faults: FaultRuntime::seeded(cfg.faults.seed),
                 cfg: cfg.clone(),
             },
@@ -252,9 +238,6 @@ impl Engine {
             ideal_sequence_cache: None,
             finalised: false,
             policy_name: String::new(),
-            warm_reference: None,
-            warm_pooled: false,
-            warm_stats: WarmStats::default(),
             exec_batch: Vec::new(),
         }
     }
@@ -353,32 +336,6 @@ impl Engine {
             // the same total order the heap's sequence numbers gave.
             self.arrival_lane[self.lane_cursor..].sort_by_key(|&(t, _)| t);
             self.lane_dirty = false;
-        }
-        // Warm start: a freshly reset pooled engine may replay its
-        // previous run's recorded decision log instead of re-simulating
-        // (see `crate::engine::warm`). On a full hit the merge loop
-        // below finds nothing left to do; on a prefix hit it resumes
-        // from the restored checkpoint. Either way this call also arms
-        // shadow recording for the rest of the run when eligible.
-        if self.warm_pooled
-            && !self.m.warm.active
-            && self.lane_cursor == 0
-            && !self.arrival_lane.is_empty()
-            && self.m.queue.is_empty()
-            && self.m.pending_reconfig.is_none()
-            && self.m.pending_activation.is_none()
-            && self.m.current.is_none()
-            && self.m.completed_jobs == 0
-        {
-            self.try_warm_start(policy);
-        } else if self.m.warm.active
-            && policy.warm_key().as_deref() != Some(self.m.warm.key.as_str())
-        {
-            // A different policy took over mid-lifecycle: the log no
-            // longer describes one policy's run — abandon it.
-            self.m.warm.active = false;
-            self.m.warm.events.clear();
-            self.m.warm.checkpoints.clear();
         }
         // Batch fast path: on a fresh engine, the leading run of
         // same-instant arrivals is processed back to back — nothing can
@@ -607,12 +564,6 @@ impl Engine {
     /// submitted-jobs bookkeeping callers may want to retain.
     fn clear_run_state(&mut self, cfg: &ManagerConfig, expected_jobs: usize) {
         assert!(cfg.rus > 0, "need at least one RU");
-        // Before anything is torn down, seal (or discard) the warm
-        // recording of the run that just ended — the end-of-run pool
-        // residency and counters are still live here. Any reset also
-        // marks the engine pooled, enabling recording from now on.
-        self.seal_warm_recording();
-        self.warm_pooled = true;
         // A stalled previous run can leave a job active: reclaim its
         // scratch vectors before starting over. A preempted run may
         // additionally hold suspended jobs (their vectors are simply
@@ -673,191 +624,6 @@ impl Engine {
         self.m.faults.reseed(cfg.faults.seed);
         self.finalised = false;
         self.policy_name.clear();
-    }
-
-    /// Warm-start statistics: cumulative hit counters plus the shape of
-    /// the most recent run. Cells of a sweep read this right after the
-    /// run to report `warm_hit` / `divergence_depth` / `replayed_events`.
-    pub fn warm_stats(&self) -> &WarmStats {
-        &self.warm_stats
-    }
-
-    /// Seals the shadow recording of a completed run as the engine's
-    /// warm-start reference, or discards an incomplete one. Called at
-    /// the top of every reset, while the end-of-run pool residency and
-    /// counters are still live.
-    fn seal_warm_recording(&mut self) {
-        if !self.m.warm.active {
-            // Nothing recorded this lifecycle (ineligible run, or a
-            // full-hit replay): any existing reference stays valid.
-            return;
-        }
-        self.m.warm.active = false;
-        let complete = !self.jobs.is_empty() && self.m.completed_jobs == self.jobs.len();
-        let mut residency = Vec::new();
-        if complete && self.m.pool.capture_unclaimed(&mut residency) {
-            self.warm_reference = Some(SealedRun {
-                cfg: self.m.cfg.clone(),
-                jobs: self.jobs.clone(),
-                key: mem::take(&mut self.m.warm.key),
-                events: mem::take(&mut self.m.warm.events),
-                checkpoints: mem::take(&mut self.m.warm.checkpoints),
-                final_counters: self.m.warm_counters(),
-                final_residency: residency,
-                makespan_end: self.m.makespan_end,
-            });
-        } else {
-            self.m.warm.events.clear();
-            self.m.warm.checkpoints.clear();
-        }
-    }
-
-    /// Warm-start attempt at the top of a fresh pooled run: decides
-    /// between a full-log replay, a checkpoint restore and a cold
-    /// start, and arms shadow recording for whatever remains to be
-    /// simulated. See `crate::engine::warm` for the eligibility rules.
-    fn try_warm_start<P: ReplacementPolicy + ?Sized>(&mut self, policy: &mut P) {
-        self.warm_stats.last_was_hit = false;
-        self.warm_stats.last_divergence_depth = 0;
-        self.warm_stats.last_replayed_events = 0;
-        let key = policy.warm_key();
-        let recordable = key.is_some() && recordable_cfg(&self.m.cfg);
-        let mut plan = None;
-        if let (Some(k), Some(r)) = (key.as_deref(), self.warm_reference.as_ref()) {
-            if r.key == k && r.cfg == self.m.cfg {
-                self.warm_stats.attempts += 1;
-                if r.jobs.len() == self.jobs.len()
-                    && r.jobs.iter().zip(&self.jobs).all(|(a, b)| same_spec(a, b))
-                {
-                    plan = Some(WarmPlan::Full);
-                } else {
-                    let w = match self.m.cfg.lookahead {
-                        Lookahead::None => Some(0),
-                        Lookahead::Graphs(n) => Some(n),
-                        Lookahead::All => None,
-                    };
-                    plan = w
-                        .and_then(|w| r.pick_prefix_checkpoint(&self.jobs, w))
-                        .map(WarmPlan::Prefix);
-                }
-            }
-        }
-        if let Some(WarmPlan::Full) = plan {
-            self.warm_full_replay(policy);
-            return;
-        }
-        if recordable {
-            // Arm recording: a prefix replay below pre-fills the log
-            // with the shared prefix; a cold run records from scratch.
-            self.m.warm.events.clear();
-            self.m.warm.checkpoints.clear();
-            self.m.warm.key = key.expect("recordable implies a key");
-            self.m.warm.active = true;
-        }
-        if let Some(WarmPlan::Prefix(cp_idx)) = plan {
-            self.warm_prefix_replay(policy, cp_idx);
-        }
-    }
-
-    /// Replays the entire sealed reference onto an identical batch: the
-    /// run completes without simulating a single event. The reference
-    /// stays sealed (no re-recording), so every further replication
-    /// hits it again.
-    fn warm_full_replay<P: ReplacementPolicy + ?Sized>(&mut self, policy: &mut P) {
-        let r = self.warm_reference.as_ref().expect("planned a full replay");
-        let record_trace = self.m.cfg.record_trace;
-        for &e in &r.events {
-            if record_trace {
-                self.m.trace.push(e);
-            }
-            deliver_callback(policy, e);
-            if let TraceEvent::GraphEnd { job, at } = e {
-                self.m.warm_graph_ledger(&self.jobs, job, at);
-            }
-        }
-        self.m.warm_restore_final(r);
-        self.lane_cursor = self.arrival_lane.len();
-        self.warm_stats.full_hits += 1;
-        self.warm_stats.last_was_hit = true;
-        self.warm_stats.last_divergence_depth = self.jobs.len();
-        self.warm_stats.last_replayed_events = r.events.len();
-    }
-
-    /// Restores checkpoint `cp_idx` of the sealed reference: the batch
-    /// arrival burst and the shared decision prefix replay from the
-    /// log, then the merge loop re-simulates only the divergent tail.
-    fn warm_prefix_replay<P: ReplacementPolicy + ?Sized>(&mut self, policy: &mut P, cp_idx: usize) {
-        let r = self
-            .warm_reference
-            .as_ref()
-            .expect("planned a prefix replay");
-        let n_prev = r.jobs.len();
-        let n_now = self.jobs.len();
-        let cp_event_pos = r.checkpoints[cp_idx].event_pos;
-        let cp_jobs_done = r.checkpoints[cp_idx].jobs_done;
-        let cp_now = r.checkpoints[cp_idx].now;
-        let record_trace = self.m.cfg.record_trace;
-        let record_new = self.m.warm.active;
-        let t0 = self.jobs[0].arrival;
-        debug_assert!(
-            r.events[..n_prev]
-                .iter()
-                .all(|e| matches!(e, TraceEvent::JobArrival { .. })),
-            "a batch reference log leads with its arrival burst"
-        );
-        // The new batch's arrival burst (exactly what the fast path
-        // would have recorded), then the shared prefix of the log.
-        for idx in 0..n_now {
-            let e = TraceEvent::JobArrival {
-                job: idx as u32,
-                at: t0,
-            };
-            if record_trace {
-                self.m.trace.push(e);
-            }
-            if record_new {
-                self.m.warm.events.push(e);
-            }
-        }
-        for &e in &r.events[n_prev..cp_event_pos] {
-            if record_trace {
-                self.m.trace.push(e);
-            }
-            if record_new {
-                self.m.warm.events.push(e);
-            }
-            deliver_callback(policy, e);
-            if let TraceEvent::GraphEnd { job, at } = e {
-                self.m.warm_graph_ledger(&self.jobs, job, at);
-            }
-        }
-        if record_new {
-            // Checkpoints inside the shared prefix stay valid for the
-            // new log; only their event positions shift with the
-            // difference in burst size.
-            for cp in &r.checkpoints[..=cp_idx] {
-                let mut c = cp.clone();
-                c.event_pos = c.event_pos - n_prev + n_now;
-                self.m.warm.checkpoints.push(c);
-            }
-        }
-        self.m.warm_restore_checkpoint(&r.checkpoints[cp_idx]);
-        // Rebuild the live backlog exactly as admit + retire would have
-        // left it: jobs `cp_jobs_done..n_now` arrived at t0 and await
-        // activation, which the restored slot fires at the checkpoint
-        // instant.
-        for idx in cp_jobs_done..n_now {
-            self.m.arrived.push_back(idx);
-            let seq = Arc::clone(&self.m.job_templates[idx].cfg_seq);
-            self.m.reuse_index.push_job(seq);
-            self.m.segment_jobs.push_back(idx as u32);
-        }
-        self.lane_cursor = n_now;
-        self.m.pending_activation = Some(cp_now);
-        self.warm_stats.prefix_hits += 1;
-        self.warm_stats.last_was_hit = true;
-        self.warm_stats.last_divergence_depth = cp_jobs_done;
-        self.warm_stats.last_replayed_events = n_now + (cp_event_pos - n_prev);
     }
 
     /// Finalises the current run into stats + trace without consuming

@@ -322,25 +322,6 @@ pub trait ReplacementPolicy {
 
     /// Clears any per-run state so the policy can be reused.
     fn reset(&mut self) {}
-
-    /// Identity key for warm-start replay eligibility, or `None` to
-    /// opt out.
-    ///
-    /// Returning `Some(key)` is a promise that the policy is a pure
-    /// function of its notification history: `select_victim` mutates
-    /// nothing observable (scratch buffers are fine), and every piece
-    /// of decision-relevant state derives solely from the `on_*`
-    /// callbacks above. Under that contract the engine may skip
-    /// re-simulating a previously recorded run and instead replay the
-    /// logged callbacks onto the policy — two policies with equal keys
-    /// fed equal callback sequences must make equal future decisions.
-    ///
-    /// Policies whose decisions depend on hidden per-call state (e.g.
-    /// an RNG advanced inside `select_victim`) must return `None`
-    /// (the default), which disables warm-start for their runs.
-    fn warm_key(&self) -> Option<String> {
-        None
-    }
 }
 
 /// Picks the first (lowest-index RU) candidate. This is both the
@@ -358,10 +339,6 @@ impl ReplacementPolicy for FirstCandidatePolicy {
 
     fn select_victim(&mut self, ctx: &DecisionContext<'_>) -> RuId {
         ctx.candidates[0].ru
-    }
-
-    fn warm_key(&self) -> Option<String> {
-        Some("FirstCandidate".to_string())
     }
 }
 

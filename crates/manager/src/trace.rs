@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultKind {
     /// A demand or speculative reconfiguration completed corrupt
-    /// (checksum mismatch) and enters the retry/backoff path.
+    /// (failed its integrity check) and enters the retry/backoff path.
     TransientLoad,
     /// An SEU silently invalidated a resident, unclaimed bitstream; it
     /// stops counting as reusable until the RU is rewritten.

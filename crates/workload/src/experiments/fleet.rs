@@ -143,7 +143,7 @@ pub fn fig_fleet(params: &FleetParams) -> Table {
             let jobs = fleet_jobs(params, gap, tenants);
             let base = CellConfig::new(params.policy, mix[0]).manager_config();
             let devices = mix.iter().map(|&rus| base.clone().with_rus(rus)).collect();
-            let cfg = FleetConfig::new(devices, placement).with_seed(params.seed);
+            let cfg = FleetConfig::new(devices, placement);
             let outcome = simulate_fleet(&cfg, &jobs, || params.policy.build())
                 .expect("fleet cell simulates");
             let s = &outcome.stats;

@@ -18,8 +18,8 @@
 //! * [`runner`] — runs one (policy × system) cell, preparing mobility
 //!   annotations the hybrid way; includes a timing wrapper that
 //!   attributes wall-clock cost to the replacement module.
-//! * [`parallel`] — a crossbeam-based deterministic parallel map used
-//!   for parameter sweeps.
+//! * [`parallel`] — a deterministic parallel map on scoped threads,
+//!   used for parameter sweeps.
 //! * [`table`] — Markdown/CSV result tables.
 //! * [`experiments`] — the per-figure/table drivers.
 //! * [`vopr`] — the deterministic fuzz campaign behind the `vopr`

@@ -2,25 +2,19 @@
 //!
 //! Experiment grids (policy × RU count × seed) are embarrassingly
 //! parallel: each cell is an independent, internally deterministic
-//! simulation. [`parallel_map`] fans the cells out over a scoped
-//! thread pool with work-stealing deques and returns results in input
-//! order, so sweep output is identical to a sequential run regardless
-//! of scheduling.
-//!
-//! Each worker owns a FIFO deque pre-filled with a *contiguous* block
-//! of the input — with a Gray-code-ordered sweep, neighbouring cells
-//! land on the same worker, which is what lets a pooled engine's
-//! warm-start log hit on the next cell. A worker that drains its block
-//! steals from the busiest point of the grid instead of idling, so
+//! simulation. [`parallel_map`] fans the cells out over scoped threads
+//! that pull the next unclaimed cell from one shared cursor, and returns
+//! results in input order, so sweep output is identical to a sequential
+//! run regardless of scheduling. Pulling one cell at a time balances
 //! uneven per-cell cost (an LFD oracle cell is far more expensive than
-//! an LRU cell) still balances.
+//! an LRU cell) without any up-front partitioning.
 
-use crossbeam::channel;
-use crossbeam_deque::{Steal, Stealer, Worker};
 use std::any::Any;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::thread;
 
 /// A captured panic payload, tagged with the input index it came from.
 type CellPanic = (usize, Box<dyn Any + Send + 'static>);
@@ -47,10 +41,9 @@ fn resume_cell_panic(idx: usize, payload: Box<dyn Any + Send + 'static>) -> ! {
 /// Applies `f` to every item, using up to `workers` threads, preserving
 /// input order in the result.
 ///
-/// Items are distributed through per-worker work-stealing deques, so
+/// Each worker takes the next unclaimed item from a shared cursor, so
 /// uneven per-item cost (an LFD oracle cell is far more expensive than
-/// an LRU cell) balances automatically while each worker still walks a
-/// contiguous block of the input in order.
+/// an LRU cell) balances automatically.
 ///
 /// # Panics
 /// If `f` panics on some item, the panic is captured per cell, the
@@ -105,68 +98,58 @@ where
             .collect();
     }
 
-    let (res_tx, res_rx) = channel::unbounded::<(usize, Result<R, Box<dyn Any + Send>>)>();
-    // Contiguous block per worker: worker `w` owns cells
-    // `[w·chunk, (w+1)·chunk)`. Sweep drivers order cells so that
-    // neighbours share simulation state (Gray-code walks), and a block
-    // keeps those neighbours on one worker — stealing only kicks in
-    // once a worker's own block is drained.
-    let queues: Vec<Worker<(usize, T)>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<(usize, T)>> = queues.iter().map(Worker::stealer).collect();
-    let chunk = n.div_ceil(workers);
-    for (idx, item) in items.into_iter().enumerate() {
-        queues[idx / chunk].push((idx, item));
-    }
-
+    // The shared cursor hands out cells in input order, one at a time.
+    let cursor = Mutex::new(items.into_iter().enumerate());
     // The lowest panicked index so far (`usize::MAX` = none). Cells
-    // above it drain without running `f` — a long sweep fails fast —
-    // while cells *below* it still compute, so the lowest-indexed
-    // failing cell always wins no matter which block panicked first.
+    // above it are skipped without running `f` — a long sweep fails
+    // fast — while cells below it, already handed out, still finish, so
+    // the lowest-indexed failing cell always wins.
     let panic_floor = AtomicUsize::new(usize::MAX);
-    let (slots, first_panic) = crossbeam::thread::scope(|scope| {
-        for (me, local) in queues.into_iter().enumerate() {
-            let stealers = stealers.clone();
-            let res_tx = res_tx.clone();
-            let f = &f;
-            let init = &init;
-            let panic_floor = &panic_floor;
-            scope.spawn(move |_| {
-                let mut state = init();
-                loop {
-                    let task = local.pop().or_else(|| steal_task(&stealers, me));
-                    let Some((idx, item)) = task else { break };
-                    if idx > panic_floor.load(Ordering::Relaxed) {
-                        continue; // a lower cell already failed
+    let per_worker: Vec<Vec<(usize, thread::Result<R>)>> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut done = Vec::new();
+                    loop {
+                        let next = cursor
+                            .lock()
+                            .expect("no worker panics while holding the cursor")
+                            .next();
+                        let Some((idx, item)) = next else { break };
+                        if idx > panic_floor.load(Ordering::Relaxed) {
+                            continue; // a lower cell already failed
+                        }
+                        // Catch per-cell panics so one bad cell neither
+                        // poisons the scope join nor loses its origin.
+                        let out = catch_unwind(AssertUnwindSafe(|| f(&mut state, item)));
+                        if out.is_err() {
+                            panic_floor.fetch_min(idx, Ordering::Relaxed);
+                        }
+                        done.push((idx, out));
                     }
-                    // Catch per-cell panics so one bad cell neither
-                    // poisons the scope join nor loses its origin.
-                    let out = catch_unwind(AssertUnwindSafe(|| f(&mut state, item)));
-                    if out.is_err() {
-                        panic_floor.fetch_min(idx, Ordering::Relaxed);
-                    }
-                    if res_tx.send((idx, out)).is_err() {
-                        return; // receiver gone: abort quietly
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut first_panic: Option<CellPanic> = None;
-        for (idx, r) in res_rx.iter() {
-            match r {
-                Ok(val) => slots[idx] = Some(val),
-                Err(payload) => {
-                    if first_panic.as_ref().is_none_or(|(i, _)| idx < *i) {
-                        first_panic = Some((idx, payload));
-                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("workers catch their own panics"))
+            .collect()
+    });
+
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut first_panic: Option<CellPanic> = None;
+    for (idx, out) in per_worker.into_iter().flatten() {
+        match out {
+            Ok(val) => slots[idx] = Some(val),
+            Err(payload) => {
+                if first_panic.as_ref().is_none_or(|(i, _)| idx < *i) {
+                    first_panic = Some((idx, payload));
                 }
             }
         }
-        (slots, first_panic)
-    })
-    .expect("workers catch their own panics");
-
+    }
     if let Some((idx, payload)) = first_panic {
         resume_cell_panic(idx, payload);
     }
@@ -174,27 +157,6 @@ where
         .into_iter()
         .map(|s| s.expect("every index produced a result"))
         .collect()
-}
-
-/// One round-robin pass over the other workers' stealers, looping while
-/// any attempt reports contention. `None` means every queue was
-/// observed empty — with no producers after startup that is a stable
-/// termination condition, so the worker can exit.
-fn steal_task<T>(stealers: &[Stealer<(usize, T)>], me: usize) -> Option<(usize, T)> {
-    loop {
-        let mut contended = false;
-        for off in 1..stealers.len() {
-            match stealers[(me + off) % stealers.len()].steal() {
-                Steal::Success(task) => return Some(task),
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if !contended {
-            return None;
-        }
-        std::thread::yield_now();
-    }
 }
 
 /// A sensible default worker count: available parallelism, at least 1.
@@ -288,13 +250,14 @@ mod tests {
     }
 
     #[test]
-    fn uneven_costs_steal_across_blocks_and_keep_order() {
-        // Worker 0's contiguous block (the first half) is made of slow
-        // cells; the other workers' blocks are instant. The idle
-        // workers must steal into block 0 — observable as block-0 items
-        // running on more than one thread — while results stay in input
-        // order and every worker's state threads through its cells.
+    fn slow_cells_spread_across_workers_and_keep_order() {
+        // Every cell of the first half waits at a two-party barrier,
+        // which only opens once the other worker holds a slow cell too.
+        // Both workers pull from the same cursor, so the slow cells split
+        // between them; results stay in input order and every worker's
+        // state threads through its cells.
         let n = 16usize;
+        let slow = std::sync::Barrier::new(2);
         let out = parallel_map_with(
             (0..n).collect::<Vec<_>>(),
             2,
@@ -302,7 +265,7 @@ mod tests {
             |seen, x| {
                 *seen += 1;
                 if x < n / 2 {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    slow.wait();
                 }
                 (x, *seen, std::thread::current().id())
             },
@@ -316,9 +279,10 @@ mod tests {
             .iter()
             .map(|&(_, _, id)| format!("{id:?}"))
             .collect();
-        assert!(
-            slow_threads.len() > 1,
-            "the fast worker never stole from the slow block"
+        assert_eq!(
+            slow_threads.len(),
+            2,
+            "the slow cells split across both workers"
         );
     }
 

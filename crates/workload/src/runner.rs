@@ -106,15 +106,6 @@ pub struct CellResult {
     /// Wall-clock time of the design-time phase (mobility preparation);
     /// zero when the policy does not need mobility.
     pub design_time: Duration,
-    /// The run started from the pooled engine's warm-start log (a full
-    /// or prefix replay of the previous cell) instead of cold.
-    pub warm_hit: bool,
-    /// Graphs whose decisions were replayed rather than re-simulated —
-    /// the depth of the first divergent decision (0 on a cold start).
-    pub divergence_depth: usize,
-    /// Logged events replayed instead of re-derived (0 on a cold
-    /// start).
-    pub replayed_events: usize,
 }
 
 /// Wraps a policy and attributes wall-clock time to its decisions.
@@ -176,11 +167,6 @@ impl ReplacementPolicy for TimingPolicy<'_> {
     }
     fn reset(&mut self) {
         self.inner.reset();
-    }
-    fn warm_key(&self) -> Option<String> {
-        // Timing is attribution-only state: the wrapper decides exactly
-        // as the wrapped policy does, so it inherits its warm identity.
-        self.inner.warm_key()
     }
 }
 
@@ -402,7 +388,6 @@ impl CellRunner {
         engine.run(&mut timed);
         let out = engine.outcome()?;
         let total_time = t0.elapsed();
-        let warm = engine.warm_stats();
         Ok(CellResult {
             stats: out.stats,
             trace: out.trace,
@@ -410,9 +395,6 @@ impl CellRunner {
             replacement_calls: timed.calls(),
             total_time,
             design_time,
-            warm_hit: warm.last_was_hit,
-            divergence_depth: warm.last_divergence_depth,
-            replayed_events: warm.last_replayed_events,
         })
     }
 }
@@ -578,6 +560,20 @@ mod tests {
         assert_eq!(runner.registry().templates(), templates);
         assert_eq!(runner.registry().mobility_entries(), mobility_entries);
         assert_eq!(first.stats, second.stats, "replications are bit-exact");
+    }
+
+    #[test]
+    fn identical_reruns_keep_decision_attribution() {
+        // Every pooled run simulates cold: re-running the same cell on
+        // the same runner makes (and times) the same decisions again.
+        let seq = small_sequence(5);
+        let cell = CellConfig::new(PolicyKind::Lru, 4);
+        let mut runner = CellRunner::new();
+        let first = runner.run(&seq, &cell).unwrap();
+        let second = runner.run(&seq, &cell).unwrap();
+        assert_eq!(first.stats, second.stats);
+        assert!(first.replacement_calls > 0);
+        assert_eq!(second.replacement_calls, first.replacement_calls);
     }
 
     #[test]

@@ -373,7 +373,6 @@ mod tests {
             placement: PlacementKind::ReuseAffinity,
             quota: Some(8),
             tenants: 3,
-            seed: 41,
         });
         let back = Scenario::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
@@ -416,7 +415,6 @@ mod tests {
             placement: PlacementKind::ReuseAffinity,
             quota: None,
             tenants: 3,
-            seed: 7,
         });
         let t = s.run_with_workers(2);
         assert_eq!(t.len(), s.policies.len());

@@ -63,7 +63,7 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How the engine is driven through a case. All five shapes must
+/// How the engine is driven through a case. All four shapes must
 /// produce the bit-identical outcome of a fresh [`simulate`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lifecycle {
@@ -77,22 +77,15 @@ pub enum Lifecycle {
     /// Warm the engine on the batch, then `reset_replay` and rerun
     /// without re-submission.
     Replay,
-    /// Warm the engine on the *first half* of the batch, then `reset`
-    /// onto the full list — on eligible knob draws this drives the
-    /// warm-start checkpoint replay (the sealed half-batch log shares
-    /// a decision prefix with the full batch); on ineligible draws it
-    /// must degrade to a cold run, bit-exactly either way.
-    WarmStart,
 }
 
 impl Lifecycle {
     /// All lifecycles, in the order the campaign cycles through them.
-    pub const ALL: [Lifecycle; 5] = [
+    pub const ALL: [Lifecycle; 4] = [
         Lifecycle::Fresh,
         Lifecycle::Reset,
         Lifecycle::Retarget,
         Lifecycle::Replay,
-        Lifecycle::WarmStart,
     ];
 
     /// Stable label (knob summaries, coverage reports).
@@ -102,7 +95,6 @@ impl Lifecycle {
             Lifecycle::Reset => "reset",
             Lifecycle::Retarget => "retarget",
             Lifecycle::Replay => "replay",
-            Lifecycle::WarmStart => "warm-start",
         }
     }
 }
@@ -550,35 +542,15 @@ fn execute_subject(case: &Case) -> Result<SimulationOutcome, SimError> {
             engine.run(policy.as_mut());
             engine.outcome()
         }
-        Lifecycle::WarmStart => {
-            // Seal a half-batch log, then reset onto the full list:
-            // the warm-start machinery sees a shared prefix and, when
-            // the knobs allow, restores a checkpoint instead of
-            // starting cold.
-            let mut engine = Engine::new(&case.cfg);
-            let half = case.jobs.len().div_ceil(2);
-            warm_on(&mut engine, case, &case.jobs[..half]);
-            let mut policy = build_policy(knobs.policy, seed);
-            policy.reset();
-            engine.reset(&case.jobs);
-            engine.run(policy.as_mut());
-            engine.outcome()
-        }
     }
 }
 
 /// One discarded warm leg on the case's own batch (under whatever
 /// configuration the engine currently carries).
 fn warm(engine: &mut Engine, case: &Case) {
-    warm_on(engine, case, &case.jobs);
-}
-
-/// One discarded warm leg on an arbitrary job list (the warm-start
-/// lifecycle warms on a half batch).
-fn warm_on(engine: &mut Engine, case: &Case, jobs: &[JobSpec]) {
     let mut policy = build_policy(case.knobs.policy, case.knobs.scenario_seed);
     policy.reset();
-    engine.reset(jobs);
+    engine.reset(&case.jobs);
     engine.run(policy.as_mut());
     let _ = engine.outcome();
 }
@@ -709,9 +681,7 @@ pub fn fleet_device_configs(case: &Case) -> Vec<ManagerConfig> {
 fn run_fleet_case(fp: &Fingerprint, case: &Case, registry: &CheckerRegistry) -> CaseOutcome {
     let devices = fleet_device_configs(case);
     let device_rus: Vec<usize> = devices.iter().map(|c| c.rus).collect();
-    let cfg = FleetConfig::new(devices, case.knobs.placement)
-        .with_seed(case.knobs.scenario_seed)
-        .with_decisions(true);
+    let cfg = FleetConfig::new(devices, case.knobs.placement).with_decisions(true);
     let build = || build_policy(case.knobs.policy, case.knobs.scenario_seed);
     let mut faults = CaseFaultCounts::default();
     let status = match simulate_fleet(&cfg, &case.jobs, build) {
@@ -1123,7 +1093,7 @@ pub struct CampaignSummary {
     /// Cases with at least one violation.
     pub violating_cases: u64,
     /// Cases per lifecycle, indexed like [`Lifecycle::ALL`].
-    pub lifecycle_cases: [u64; 5],
+    pub lifecycle_cases: [u64; Lifecycle::ALL.len()],
     /// Completed (checked) cases per depth, indexed like [`DEPTHS`].
     pub depth_cases: [u64; 4],
     /// Cases per preemption mode, indexed like [`PreemptionMode::ALL`].
@@ -1235,7 +1205,7 @@ pub fn run_campaign(config: &CampaignConfig, registry: &CheckerRegistry) -> Camp
         cases: 0,
         stalled: 0,
         violating_cases: 0,
-        lifecycle_cases: [0; 5],
+        lifecycle_cases: [0; Lifecycle::ALL.len()],
         depth_cases: [0; 4],
         preemption_cases: [0; 3],
         qos_mix_cases: [0; 3],
@@ -1360,7 +1330,7 @@ mod tests {
 
     #[test]
     fn knob_derivation_is_deterministic_and_covering() {
-        let mut lifecycles = [0u64; 5];
+        let mut lifecycles = [0u64; Lifecycle::ALL.len()];
         let mut depths = [0u64; 4];
         let mut modes = [0u64; 3];
         let mut mixes = [0u64; 3];

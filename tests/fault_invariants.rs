@@ -1,8 +1,8 @@
 //! Fault-injection invariants: randomised scenario × policy × fault
 //! plan runs must validate clean through the full checker registry,
 //! the empty plan must be invisible (byte-identical outcomes across
-//! every engine lifecycle), a fault-active detour between warm-start
-//! sweeps must not perturb the fault-off runs around it, and the
+//! every engine lifecycle), a fault-active run must leave no residue
+//! in a pooled engine for the fault-off runs around it, and the
 //! hand-built fault schedules (retry exhaustion, upset-then-repair,
 //! quarantine of the last RU) must behave exactly as specified.
 
@@ -172,11 +172,11 @@ proptest! {
     }
 
     /// Detour immunity: a fault-active run sandwiched between two
-    /// fault-off warm-start sweeps must leave no residue — the
+    /// fault-off runs on one pooled engine must leave no residue — the
     /// fault-off run after the detour is byte-identical to the one
     /// before it (and to a fresh run).
     #[test]
-    fn fault_detour_does_not_perturb_warm_start_walk(
+    fn fault_run_leaves_no_residue_in_pooled_engine(
         seed in 0u64..1_000_000,
         apps in 2usize..10,
         rus in 1usize..6,
@@ -188,16 +188,8 @@ proptest! {
         let fault_cfg = off_cfg.clone().with_faults(fault_plan(rate, 0, seed));
         let baseline = outcome_bytes(&run(&off_cfg, &jobs, policy_id, seed));
 
-        // Seal a warm-start log on the half batch, like the sweep does.
-        let mut engine = Engine::new(&off_cfg);
-        let half = jobs.len().div_ceil(2);
-        let mut policy = build_policy(policy_id, seed);
-        policy.reset();
-        engine.reset(&jobs[..half]);
-        engine.run(policy.as_mut());
-        let _ = engine.outcome();
-
         // Fault-off leg before the detour.
+        let mut engine = Engine::new(&off_cfg);
         let mut policy = build_policy(policy_id, seed);
         policy.reset();
         engine.reset(&jobs);

@@ -223,7 +223,6 @@ proptest! {
         assert_same(&pooled_a2, &fresh_a, &a, "scenario A after replay of B");
     }
 
-
     /// With uniform default QoS no arrival can out-prioritise the
     /// current graph, so flipping the preemption knob to `Kill` or
     /// `Checkpoint` must be invisible: stats and trace bit-exact with
@@ -290,74 +289,26 @@ proptest! {
         assert_same(&replay, &fresh, &s, "QoS scenario replayed");
     }
 
-    /// Warm-start: an adjacent-cell knob walk over one pooled engine.
-    /// Every leg must be bit-exact with a fresh engine, and on eligible
-    /// shapes (batch arrivals, default QoS, prefetch off, preemption
-    /// off, a keyed policy) the walk must actually take the warm path:
-    /// an identical re-run replays the full log, one-job-adjacent
-    /// batches restore a checkpoint prefix, and an ineligible detour
-    /// cell neither hits nor corrupts the sealed reference.
+    /// A config walk over one pooled engine: base cell, a detour with
+    /// prefetch and/or preemption armed, a fault-injecting detour, then
+    /// the base cell again. Every leg must be bit-exact with a fresh
+    /// engine, so no detour leaves residue in the pool.
     #[test]
-    fn warm_start_walk_is_bit_exact_and_hits(
+    fn pooled_config_walk_is_bit_exact(
         seed in any::<u64>(),
-        apps0 in 2usize..10,
+        apps in 2usize..12,
         rus in 1usize..7,
         policy in 0u8..8,
         depth_detour in 0usize..3,
         preempt_detour in 0u8..3,
     ) {
-        let base = build_scenario(seed, 1 + (seed % 3) as usize, apps0 + 2, rus, 0, policy, false, 0);
-        // Legs share the base jobs' Arcs — truncation, not rebuilding,
-        // is what makes adjacent batches recognisably the same specs.
-        let leg = |n: usize| Scenario { jobs: base.jobs[..n].to_vec(), ..base.clone() };
-        let keyed = policy % 8 != 5; // RandomPolicy opts out of warm keys
-        let window0 = matches!(lookahead_for(policy, seed), Lookahead::None);
-
+        let base = build_scenario(seed, 1 + (seed % 3) as usize, apps, rus, 0, policy, false, 0);
+        let fresh_base = run_fresh(&base);
         let mut engine = Engine::new(&base.cfg);
-        let a = leg(apps0);
-        let fresh_a = run_fresh(&a);
-        let pooled = run_pooled(&mut engine, &a);
-        assert_same(&pooled, &fresh_a, &a, "warm walk: cold leg");
-        prop_assert!(!engine.warm_stats().last_was_hit);
+        let pooled = run_pooled(&mut engine, &base);
+        assert_same(&pooled, &fresh_base, &base, "config walk: base cell");
 
-        // Identical batch: a keyed policy replays the whole log.
-        let pooled = run_pooled(&mut engine, &a);
-        assert_same(&pooled, &fresh_a, &a, "warm walk: identical re-run");
-        prop_assert_eq!(
-            engine.warm_stats().last_was_hit, keyed,
-            "an identical re-run must fully hit iff the policy is keyed"
-        );
-        if keyed {
-            prop_assert_eq!(engine.warm_stats().full_hits, 1);
-            prop_assert_eq!(engine.warm_stats().last_divergence_depth, apps0);
-        }
-
-        // One job appended: with the whole prefix visible (window 0)
-        // the run must restore a checkpoint instead of starting cold.
-        let b = leg(apps0 + 1);
-        let fresh_b = run_fresh(&b);
-        let pooled = run_pooled(&mut engine, &b);
-        assert_same(&pooled, &fresh_b, &b, "warm walk: one job appended");
-        if keyed && window0 {
-            prop_assert!(
-                engine.warm_stats().last_was_hit,
-                "appending one job to a window-0 batch must prefix-hit"
-            );
-            let depth = engine.warm_stats().last_divergence_depth;
-            prop_assert!((1..=apps0).contains(&depth));
-        }
-
-        // Shrink back: the common prefix still restores.
-        let pooled = run_pooled(&mut engine, &a);
-        assert_same(&pooled, &fresh_a, &a, "warm walk: shrink back");
-        if keyed && window0 {
-            prop_assert!(engine.warm_stats().last_was_hit);
-        }
-
-        // Detour through a possibly-ineligible cell (prefetch on and/or
-        // preemption armed): runs cold, stays bit-exact, and must not
-        // corrupt the sealed reference.
-        let mut d = leg(apps0);
+        let mut d = base.clone();
         d.cfg = d.cfg
             .with_prefetch(PrefetchConfig::with_depth(depth_detour))
             .with_preemption(match preempt_detour {
@@ -365,48 +316,18 @@ proptest! {
                 1 => PreemptionMode::Kill,
                 _ => PreemptionMode::Checkpoint,
             });
-        let detour_differs = d.cfg != a.cfg;
         let fresh_d = run_fresh(&d);
         let pooled = run_pooled(&mut engine, &d);
-        assert_same(&pooled, &fresh_d, &d, "warm walk: detour cell");
-        if detour_differs {
-            prop_assert!(!engine.warm_stats().last_was_hit);
-        }
+        assert_same(&pooled, &fresh_d, &d, "config walk: prefetch/preemption detour");
 
-        // Return to the base cell: the reference sealed before the
-        // detour must still hit in full.
-        let pooled = run_pooled(&mut engine, &a);
-        assert_same(&pooled, &fresh_a, &a, "warm walk: return after detour");
-        if keyed {
-            prop_assert!(
-                engine.warm_stats().last_was_hit,
-                "the detour must not invalidate the sealed reference"
-            );
-        }
-
-        // Fault-injecting detour: a non-empty fault plan is never
-        // warm-recordable, so the cell runs cold — but it must stay
-        // bit-exact with a fresh fault run and leave no residue.
-        let mut f = leg(apps0);
-        f.cfg = base.cfg.clone().with_faults(FaultPlan::low(seed));
+        let mut f = base.clone();
+        f.cfg = f.cfg.with_faults(FaultPlan::low(seed));
         let fresh_f = run_fresh(&f);
         let pooled = run_pooled(&mut engine, &f);
-        assert_same(&pooled, &fresh_f, &f, "warm walk: fault-injecting detour");
-        prop_assert!(
-            !engine.warm_stats().last_was_hit,
-            "a fault-active cell must never take the warm path"
-        );
+        assert_same(&pooled, &fresh_f, &f, "config walk: fault detour");
 
-        // Return once more: the fault detour must not have perturbed
-        // or invalidated the sealed fault-off reference either.
-        let pooled = run_pooled(&mut engine, &a);
-        assert_same(&pooled, &fresh_a, &a, "warm walk: return after fault detour");
-        if keyed {
-            prop_assert!(
-                engine.warm_stats().last_was_hit,
-                "the fault detour must not invalidate the sealed reference"
-            );
-        }
+        let pooled = run_pooled(&mut engine, &base);
+        assert_same(&pooled, &fresh_base, &base, "config walk: back to base");
     }
 
     /// Skip Events (mobility-annotated jobs, the paper's Fig. 8 steps
