@@ -17,9 +17,9 @@
 //!
 //! and reports **cells per second** per cell, against the **pre-pooling
 //! baseline** recorded in `results/sweep_throughput_baseline.csv`
-//! (measured with the pre-pooling `run_cell` pipeline — fresh
-//! `TemplateCache`, fresh engine, per-job ideal — on the same machine
-//! class that commits the results).
+//! (measured with the pre-pooling `run_cell` pipeline — a fresh
+//! per-cell mobility memo, fresh engine, per-job ideal — on the same
+//! machine class that commits the results).
 //!
 //! Outputs:
 //! * `results/sweep_throughput.csv` — per-cell throughput and speedups;

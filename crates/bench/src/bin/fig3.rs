@@ -7,7 +7,7 @@
 //! ```
 
 use rtr_bench::render_outcome;
-use rtr_core::{LfdPolicy, TemplateCache};
+use rtr_core::{LfdPolicy, TemplateRegistry};
 use rtr_manager::{simulate, JobSpec, Lookahead, ManagerConfig};
 use std::sync::Arc;
 
@@ -15,14 +15,13 @@ fn main() {
     let tg1 = Arc::new(rtr_taskgraph::benchmarks::fig3_tg1());
     let tg2 = Arc::new(rtr_taskgraph::benchmarks::fig3_tg2());
     let cfg_base = ManagerConfig::paper_default().with_lookahead(Lookahead::Graphs(1));
-    let mut cache = TemplateCache::new();
+    let registry = TemplateRegistry::new();
     let jobs: Vec<JobSpec> = [&tg1, &tg2, &tg1]
         .iter()
         .map(|g| {
-            cache
-                .get_or_prepare(g, &cfg_base)
+            registry
+                .instantiate(g, &cfg_base, true)
                 .expect("fig3 graphs annotate")
-                .instantiate()
         })
         .collect();
 

@@ -8,17 +8,12 @@
 //! ```
 //!
 //! The table is printed as Markdown and written as CSV under
-//! `results/fig_faults.csv`. Before the sweep, the binary asserts the
-//! fault-off rows are byte-identical (stats and trace) to the plain
-//! batch path — a fault-model regression that leaks into the disabled
-//! path exits non-zero instead of silently drifting a golden number.
-//! After the sweep it checks the acceptance envelope: no row may lose
-//! a job (the degraded-pool path completes the full batch), and every
-//! low-rate row must keep availability above 90%.
+//! `results/fig_faults.csv`. After the sweep the binary checks the
+//! acceptance envelope: no row may lose a job (the degraded-pool path
+//! completes the full batch), and every low-rate row must keep
+//! availability above 90%.
 
-use rtr_workload::experiments::faults::{
-    assert_faults_off_matches_baseline, fig_faults, FaultParams,
-};
+use rtr_workload::experiments::faults::{fig_faults, FaultParams};
 use std::path::Path;
 
 fn main() {
@@ -38,12 +33,7 @@ fn main() {
         "fig_faults — {} apps from {{JPEG, MPEG-1, Hough}}, seed {}, RUs {:?}",
         params.apps, params.seed, params.rus
     );
-
-    // Golden guard: the fault-off rows must be byte-identical to the
-    // pre-fault batch path (panics → non-zero exit on drift).
-    let guard_params = FaultParams::smoke();
-    assert_faults_off_matches_baseline(&guard_params);
-    println!("fault-off golden guard: OK (byte-identical to the baseline path)\n");
+    println!();
 
     let t = fig_faults(&params);
     println!("{}", t.to_markdown());

@@ -11,36 +11,27 @@
 //! * [`mobility`] — the design-time phase (the paper's Fig. 6): per-task
 //!   *mobility* values obtained by probing delayed schedules against the
 //!   reference ASAP schedule.
-//! * [`annotate`] — bundling graphs with their design-time artifacts and
-//!   caching them per template (the "bulk of the computations at design
-//!   time").
+//! * [`registry`] — the process-wide design-time memo
+//!   ([`TemplateRegistry`]): structural artifacts plus mobility
+//!   vectors computed once per template and system (the "bulk of the
+//!   computations at design time"), shared across grid cells, worker
+//!   threads and pooled engines.
 //! * [`pipeline`] — end-to-end helpers that build annotated job
 //!   sequences the hybrid way (precomputed once per template) or the
 //!   purely run-time way (recomputed at every arrival), backing the
 //!   paper's 10× claim.
-//! * [`slack_lfd`] — the deadline-aware **Slack-Aware LFD**: victims
-//!   ordered by their owner's remaining slack, LFD order as tie-break
-//!   (identical to LFD on deadline-free runs).
-//! * [`registry`] — the process-wide design-time memo
-//!   ([`TemplateRegistry`]): structural artifacts plus mobility
-//!   vectors, shared across grid cells, worker threads and pooled
-//!   engines.
 
-pub mod annotate;
 pub mod history;
 pub mod lfd;
 pub mod mobility;
 pub mod pipeline;
 pub mod registry;
-pub mod slack_lfd;
 mod stamp;
 
-pub use annotate::{AnnotatedTemplate, TemplateCache};
 pub use history::{FifoPolicy, LfuPolicy, LruPolicy, MruPolicy, RandomPolicy};
 pub use lfd::{LfdPolicy, TieBreak};
 pub use mobility::{compute_mobility, MobilityError};
 pub use registry::TemplateRegistry;
-pub use slack_lfd::SlackAwareLfdPolicy;
 // The incremental next-occurrence index lives in `rtr-manager` (the
 // engine maintains it), but it is the paper's decision-layer machinery,
 // so the canonical path re-exports here.

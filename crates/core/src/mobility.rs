@@ -50,8 +50,9 @@ impl fmt::Display for MobilityError {
 impl std::error::Error for MobilityError {}
 
 /// Computes per-node mobilities of `graph` on the system described by
-/// `cfg` (RU count and reconfiguration latency; lookahead/skip settings
-/// are irrelevant for the single-graph probes and are overridden).
+/// `cfg` (RU count, reconfiguration latency and the reuse switch;
+/// lookahead, skip, trace, prefetch and fault settings are irrelevant
+/// for the single-graph probes and are overridden).
 pub fn compute_mobility(
     graph: &Arc<TaskGraph>,
     cfg: &ManagerConfig,
@@ -65,16 +66,18 @@ pub fn compute_mobility_capped(
     cfg: &ManagerConfig,
     max_mobility: u32,
 ) -> Result<Vec<u32>, MobilityError> {
-    // Mobility is a property of the *demand* schedule: probes force the
-    // speculative prefetcher off (besides skip events and tracing), so
-    // a prefetch-enabled caller gets the same budgets as a plain one —
-    // which is also what keeps the registry's mobility memo key
-    // (template, RUs, latency, reuse) complete.
+    // Mobility is a property of the fault-free *demand* schedule:
+    // probes force the speculative prefetcher and the fault plan off
+    // (besides skip events and tracing), so a prefetching or faulty
+    // caller gets the same budgets as a plain one — which is also what
+    // keeps the registry's mobility memo key (template, RUs, latency,
+    // reuse) complete.
     let probe_cfg = ManagerConfig {
         skip_events: false,
         record_trace: false,
         reuse_enabled: cfg.reuse_enabled,
         prefetch: rtr_manager::PrefetchConfig::off(),
+        faults: rtr_manager::FaultPlan::off(),
         ..cfg.clone()
     };
     let reference = probe_makespan(graph, &probe_cfg, None)

@@ -8,8 +8,9 @@
 //! concrete and benchmarkable:
 //!
 //! * [`prepare_jobs_hybrid`] — the mobility of each *template* is
-//!   computed once (design time) and every instance reuses it; the
-//!   per-arrival run-time cost is a cache lookup.
+//!   computed once (design time, through a [`TemplateRegistry`]) and
+//!   every instance reuses it; the per-arrival run-time cost is a memo
+//!   lookup.
 //! * [`prepare_jobs_runtime`] — an "equivalent purely run-time"
 //!   pipeline recomputes the mobility at every graph arrival, the way a
 //!   system without the design-time phase would have to.
@@ -17,8 +18,8 @@
 //! Both produce identical job sequences (same annotations), so the
 //! simulated schedules agree — only the preparation cost differs.
 
-use crate::annotate::TemplateCache;
 use crate::mobility::{compute_mobility, MobilityError};
+use crate::registry::TemplateRegistry;
 use rtr_manager::{JobSpec, ManagerConfig};
 use rtr_taskgraph::TaskGraph;
 use std::sync::Arc;
@@ -29,15 +30,15 @@ pub fn prepare_jobs_hybrid(
     sequence: &[Arc<TaskGraph>],
     cfg: &ManagerConfig,
 ) -> Result<Vec<JobSpec>, MobilityError> {
-    let mut cache = TemplateCache::new();
+    let registry = TemplateRegistry::new();
     sequence
         .iter()
-        .map(|g| Ok(cache.get_or_prepare(g, cfg)?.instantiate()))
+        .map(|g| registry.instantiate(g, cfg, true))
         .collect()
 }
 
 /// Annotates an application sequence the purely run-time way: mobility
-/// recomputed at every arrival (no template cache). Functionally
+/// recomputed at every arrival (no template memo). Functionally
 /// identical, deliberately wasteful — this is the baseline of the
 /// paper's 10× claim.
 pub fn prepare_jobs_runtime(

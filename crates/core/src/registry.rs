@@ -11,9 +11,11 @@
 //!   counts) through a shared [`rtr_taskgraph::TemplateSet`], and
 //! * the *mobility* vectors of the design-time phase (the paper's
 //!   Fig. 6), memoised per `(template, system)` — mobility depends on
-//!   the RU count, the reconfiguration latency and the reuse switch,
-//!   but not on the lookahead window or trace settings, so cells that
-//!   differ only in policy share one entry.
+//!   the RU count, the reconfiguration latency and the reuse switch
+//!   only: the probe schedules run one graph alone, untraced, with
+//!   skips, prefetch and faults forced off, so that key is complete
+//!   and cells that differ only in policy, lookahead, prefetch depth or
+//!   fault plan share one entry.
 //!
 //! The registry is `Sync`: wrap it in an `Arc` and hand clones to
 //! every worker of a parallel grid and to every pooled
@@ -30,8 +32,8 @@ use std::sync::{Arc, RwLock};
 
 /// The `ManagerConfig` fields mobility actually depends on (see
 /// [`compute_mobility`]): the probe schedules run a single graph with
-/// `FirstCandidatePolicy`, skips off and traces off, so lookahead and
-/// trace settings cannot influence the result.
+/// `FirstCandidatePolicy` and skips, traces, prefetch and faults off,
+/// so none of those settings can influence the result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct MobilityKey {
     graph: usize,
@@ -180,6 +182,22 @@ mod tests {
             annotated.mobility.as_ref().unwrap(),
             again.mobility.as_ref().unwrap()
         ));
+    }
+
+    #[test]
+    fn fault_plans_do_not_leak_into_mobility() {
+        // Probes run fault-free: a fault plan must not change mobility,
+        // and since the memo key has no fault plan, whichever config
+        // asks first must not decide what later queries are served.
+        let g = Arc::new(benchmarks::mpeg1());
+        let clean = ManagerConfig::paper_default().with_rus(2);
+        let faulty = clean.clone().with_faults(rtr_manager::FaultPlan::high(3));
+        let expected = vec![0, 0, 1, 1, 1];
+        assert_eq!(compute_mobility(&g, &clean).unwrap(), expected);
+        assert_eq!(compute_mobility(&g, &faulty).unwrap(), expected);
+        let reg = TemplateRegistry::new();
+        assert_eq!(*reg.mobility(&g, &faulty).unwrap(), expected);
+        assert_eq!(*reg.mobility(&g, &clean).unwrap(), expected);
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub struct InFlight {
 pub struct ReconfigController {
     latency: SimDuration,
     in_flight: Option<InFlight>,
-    completed_loads: u64,
     busy_time: SimDuration,
 }
 
@@ -73,7 +72,6 @@ impl ReconfigController {
         ReconfigController {
             latency,
             in_flight: None,
-            completed_loads: 0,
             busy_time: SimDuration::ZERO,
         }
     }
@@ -178,9 +176,6 @@ impl ReconfigController {
             op.completes, now,
             "reconfiguration completion fired at the wrong time"
         );
-        if op.lane == LoadLane::Demand {
-            self.completed_loads += 1;
-        }
         self.busy_time += op.completes.since(op.started);
         op
     }
@@ -214,14 +209,6 @@ impl ReconfigController {
         op
     }
 
-    /// Number of completed demand loads (reuses do not count: they
-    /// perform no reconfiguration, and speculative loads are tracked by
-    /// the engine's prefetch counters — the port itself only tallies
-    /// demand completions and its total busy time).
-    pub fn completed_loads(&self) -> u64 {
-        self.completed_loads
-    }
-
     /// Total time the port spent writing bitstreams (demand loads,
     /// completed prefetches, and the written part of cancelled ones).
     pub fn busy_time(&self) -> SimDuration {
@@ -229,7 +216,7 @@ impl ReconfigController {
     }
 
     /// Returns the controller to its just-constructed state (idle,
-    /// zeroed counters), optionally retargeting the per-load latency —
+    /// zero busy time), optionally retargeting the per-load latency —
     /// the pooled engine's reset hook.
     ///
     /// # Panics
@@ -242,7 +229,6 @@ impl ReconfigController {
         );
         self.latency = latency;
         self.in_flight = None;
-        self.completed_loads = 0;
         self.busy_time = SimDuration::ZERO;
     }
 }
@@ -273,7 +259,6 @@ mod tests {
         let op = c.complete(SimTime::from_ms(4));
         assert_eq!(op.ru, RuId(1));
         assert!(c.is_idle());
-        assert_eq!(c.completed_loads(), 1);
         assert_eq!(c.busy_time(), SimDuration::from_ms(4));
     }
 
@@ -315,7 +300,6 @@ mod tests {
         c.start(RuId(1), ConfigId(2), SimTime::from_ms(10));
         c.complete(SimTime::from_ms(14));
         assert_eq!(c.busy_time(), SimDuration::from_ms(8));
-        assert_eq!(c.completed_loads(), 2);
     }
 
     #[test]
@@ -324,11 +308,6 @@ mod tests {
         c.start_speculative(RuId(0), ConfigId(9), SimTime::ZERO);
         let op = c.complete(SimTime::from_ms(4));
         assert_eq!(op.lane, LoadLane::Speculative);
-        assert_eq!(
-            c.completed_loads(),
-            0,
-            "speculative completions are the engine's tally"
-        );
         assert_eq!(c.busy_time(), SimDuration::from_ms(4));
     }
 
@@ -339,7 +318,6 @@ mod tests {
         let op = c.cancel(SimTime::from_ms(13));
         assert_eq!(op.ru, RuId(2));
         assert!(c.is_idle());
-        assert_eq!(c.completed_loads(), 0);
         assert_eq!(c.busy_time(), SimDuration::from_ms(3));
         // The port is immediately available for a demand load.
         let done = c.start(RuId(0), ConfigId(1), SimTime::from_ms(13));
@@ -371,7 +349,6 @@ mod tests {
         assert_eq!(op.started, SimTime::from_ms(18));
         // Only the write itself is port-busy, not the backoff wait.
         assert_eq!(c.busy_time(), SimDuration::from_ms(4));
-        assert_eq!(c.completed_loads(), 1);
     }
 
     #[test]
@@ -401,7 +378,6 @@ mod tests {
         c.cancel(SimTime::from_ms(6));
         c.reset(SimDuration::from_ms(4));
         assert!(c.is_idle());
-        assert_eq!(c.completed_loads(), 0);
         assert_eq!(c.busy_time(), SimDuration::ZERO);
     }
 }

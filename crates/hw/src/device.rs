@@ -66,14 +66,6 @@ impl DeviceSpec {
         self.reconfig_latency = latency;
         self
     }
-
-    /// A representative repair time for a hard-faulted RU on this
-    /// device: re-initialising and scrubbing a region costs on the
-    /// order of several full reconfigurations (5× here). Fault plans
-    /// use it as the default heal delay.
-    pub fn default_repair_latency(&self) -> SimDuration {
-        self.reconfig_latency * 5
-    }
 }
 
 impl Default for DeviceSpec {

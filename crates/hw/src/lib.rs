@@ -19,6 +19,8 @@
 //! * [`energy`] — energy/bus-traffic accounting: the paper argues that
 //!   raising reuse cuts energy and memory pressure because every
 //!   reconfiguration moves a full bitstream from external memory.
+//!   [`TrafficStats`] derives a run's bytes and energy from its
+//!   bitstream-write counts.
 
 pub mod controller;
 pub mod device;
@@ -27,5 +29,5 @@ pub mod ru;
 
 pub use controller::{InFlight, LoadLane, ReconfigController};
 pub use device::DeviceSpec;
-pub use energy::{EnergyModel, TrafficStats};
+pub use energy::TrafficStats;
 pub use ru::{RuId, RuPool, RuState};

@@ -98,7 +98,7 @@ impl ManagerState {
             if forced_delay_pending {
                 let job = self.current.as_mut().expect("checked above");
                 job.forced_skips_done[node.idx()] += 1;
-                self.skips += 1;
+                self.counters.skips += 1;
                 self.record(|| TraceEvent::Skip {
                     job: job_idx,
                     node,
@@ -139,29 +139,19 @@ impl ManagerState {
             } else {
                 let mut candidates = std::mem::take(&mut self.candidates);
                 self.fill_candidates(&mut candidates);
-                // Deadline-aware runs attach a per-segment slack table
-                // so the policy can weigh owners' urgency; the buffer
-                // is pooled and stays empty otherwise.
-                if self.qos_deadlines {
-                    self.fill_slack_scratch();
-                }
-                let slack_buf = std::mem::take(&mut self.slack_scratch);
                 let outcome = if candidates.is_empty() {
                     // Fig. 8 step 3: no victim — retry at the next event.
                     Decision::Stall
                 } else {
                     let job = self.current.as_ref().expect("checked above");
                     let window = self.decision_window(job, is_recovery);
-                    let mut ctx = DecisionContext::indexed(
+                    let ctx = DecisionContext::indexed(
                         now,
                         config,
                         &candidates,
                         &self.reuse_index,
                         window,
                     );
-                    if !slack_buf.is_empty() {
-                        ctx = ctx.with_owner_slack(&slack_buf);
-                    }
                     let victim = policy.select_victim(&ctx);
                     let victim_cfg = candidates
                         .iter()
@@ -190,10 +180,9 @@ impl ManagerState {
                     }
                 };
                 self.candidates = candidates;
-                self.slack_scratch = slack_buf;
                 match outcome {
                     Decision::Stall => {
-                        self.stalls += 1;
+                        self.counters.stalls += 1;
                         self.record(|| TraceEvent::Stall {
                             job: job_idx,
                             node,
@@ -204,7 +193,7 @@ impl ManagerState {
                     Decision::Skip => {
                         let job = self.current.as_mut().expect("checked above");
                         job.skipped_events += 1;
-                        self.skips += 1;
+                        self.counters.skips += 1;
                         self.record(|| TraceEvent::Skip {
                             job: job_idx,
                             node,

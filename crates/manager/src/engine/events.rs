@@ -220,7 +220,7 @@ impl ManagerState {
                     job.done[node.idx()] = true;
                     (job.idx, job.done_count, job.graph().len())
                 };
-                self.executed += 1;
+                self.counters.executed += 1;
                 self.record(|| TraceEvent::ExecEnd {
                     job: job_idx,
                     node,
@@ -290,8 +290,8 @@ impl ManagerState {
                         .deadline
                         .map_or(rtr_sim::SimDuration::ZERO, |d| now.saturating_since(d));
                     if !lateness.is_zero() {
-                        self.qos_deadline_misses += 1;
-                        self.qos_tardiness += lateness;
+                        self.counters.qos.deadline_misses += 1;
+                        self.counters.qos.tardiness_total += lateness;
                     }
                     self.qos_records
                         .push((spec.qos.priority, sojourn, lateness));

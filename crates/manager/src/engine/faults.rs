@@ -34,9 +34,8 @@ use rtr_sim::{SimDuration, SimTime};
 use rtr_taskgraph::{ConfigId, NodeId};
 
 /// Per-run fault state: the deterministic draw stream, the retry
-/// counter of the single in-flight load, the degradation clock and the
-/// fault ledger that [`outcome`](crate::Engine::outcome) folds into
-/// [`FaultStats`](crate::FaultStats).
+/// counter of the single in-flight load and the degradation clock.
+/// The fault counts live in the engine's ledger (`Counters::faults`).
 #[derive(Debug, Default)]
 pub(crate) struct FaultRuntime {
     /// SplitMix64 state, reseeded from the plan at every run start.
@@ -48,34 +47,15 @@ pub(crate) struct FaultRuntime {
     pub(crate) degraded_since: Option<SimTime>,
     /// Closed degraded stretches accumulated so far this run.
     pub(crate) degraded: SimDuration,
-    pub(crate) injected: u64,
-    pub(crate) retries: u64,
-    pub(crate) repairs: u64,
-    pub(crate) quarantines: u64,
-    pub(crate) heals: u64,
-    pub(crate) lost_work: SimDuration,
 }
 
 impl FaultRuntime {
     /// A fresh runtime for a plan seeded with `seed`.
     pub(crate) fn seeded(seed: u64) -> Self {
-        let mut f = FaultRuntime::default();
-        f.reseed(seed);
-        f
-    }
-
-    /// Re-arms the runtime for a new run of a plan seeded with `seed`.
-    pub(crate) fn reseed(&mut self, seed: u64) {
-        self.rng = seed;
-        self.load_attempts = 0;
-        self.degraded_since = None;
-        self.degraded = SimDuration::ZERO;
-        self.injected = 0;
-        self.retries = 0;
-        self.repairs = 0;
-        self.quarantines = 0;
-        self.heals = 0;
-        self.lost_work = SimDuration::ZERO;
+        FaultRuntime {
+            rng: seed,
+            ..FaultRuntime::default()
+        }
     }
 
     /// Next draw of the SplitMix64 stream.
@@ -140,7 +120,7 @@ impl ManagerState {
         now: SimTime,
         policy: &mut P,
     ) {
-        self.faults.injected += 1;
+        self.counters.faults.injected += 1;
         self.record(|| TraceEvent::FaultInject {
             kind: FaultKind::TransientLoad,
             ru,
@@ -155,8 +135,8 @@ impl ManagerState {
                 .controller
                 .start_retry(ru, config, now, LoadLane::Demand, backoff);
             // The rewrite moves the full bitstream again.
-            self.energy.record_load();
-            self.faults.retries += 1;
+            self.counters.demand_writes += 1;
+            self.counters.faults.retries += 1;
             self.record(|| TraceEvent::FaultRetry {
                 ru,
                 config,
@@ -196,7 +176,7 @@ impl ManagerState {
         now: SimTime,
         policy: &mut P,
     ) {
-        self.faults.injected += 1;
+        self.counters.faults.injected += 1;
         self.record(|| TraceEvent::FaultInject {
             kind: FaultKind::TransientLoad,
             ru,
@@ -204,7 +184,7 @@ impl ManagerState {
             at: now,
         });
         // The corrupt transfer still moved the bits over the bus.
-        self.energy.record_prefetch();
+        self.counters.speculative_writes += 1;
         self.faults.load_attempts += 1;
         let attempt = self.faults.load_attempts;
         if attempt <= self.cfg.faults.max_retries {
@@ -212,7 +192,7 @@ impl ManagerState {
             let completes =
                 self.controller
                     .start_retry(ru, config, now, LoadLane::Speculative, backoff);
-            self.faults.retries += 1;
+            self.counters.faults.retries += 1;
             self.record(|| TraceEvent::FaultRetry {
                 ru,
                 config,
@@ -234,7 +214,7 @@ impl ManagerState {
             .cancel_load(ru)
             .expect("the abandoned load was in flight on this RU");
         // Close the speculative ledger: issued = completed + cancelled.
-        self.prefetch_cancelled += 1;
+        self.counters.prefetch.cancelled += 1;
         self.record(|| TraceEvent::PrefetchCancel {
             config,
             ru,
@@ -265,7 +245,7 @@ impl ManagerState {
                     .expect("upset victims are loaded and unclaimed");
                 // A speculative resident dies unclaimed — provably waste.
                 self.note_eviction(ru);
-                self.faults.injected += 1;
+                self.counters.faults.injected += 1;
                 self.record(|| TraceEvent::FaultInject {
                     kind: FaultKind::Upset,
                     ru,
@@ -295,7 +275,7 @@ impl ManagerState {
     /// the recovery lane, quarantine the unit.
     pub(crate) fn fault_kill_ru(&mut self, ru: RuId, now: SimTime) {
         let state = self.pool.state(ru);
-        self.faults.injected += 1;
+        self.counters.faults.injected += 1;
         self.record(|| TraceEvent::FaultInject {
             kind: FaultKind::RuHard,
             ru,
@@ -326,7 +306,7 @@ impl ManagerState {
                 .map(|n| NodeId(n as u32))
             {
                 if job.exec_started[node.idx()] {
-                    self.faults.lost_work += now.since(job.exec_start[node.idx()]);
+                    self.counters.faults.lost_work_cycles += now.since(job.exec_start[node.idx()]);
                 }
                 requeue(&mut job, node);
             }
@@ -344,7 +324,7 @@ impl ManagerState {
         self.pool
             .quarantine(ru)
             .expect("quarantine victims are empty or unclaimed");
-        self.faults.quarantines += 1;
+        self.counters.faults.quarantines += 1;
         self.record(|| TraceEvent::RuQuarantine { ru, at: now });
         if self.pool.quarantined_count() == 1 {
             self.faults.degraded_since = Some(now);
@@ -367,7 +347,7 @@ impl ManagerState {
         self.pool
             .heal(ru)
             .expect("heal events target quarantined units");
-        self.faults.heals += 1;
+        self.counters.faults.heals += 1;
         self.record(|| TraceEvent::RuHeal { ru, at: now });
         if self.pool.quarantined_count() == 0 {
             if let Some(since) = self.faults.degraded_since.take() {

@@ -30,8 +30,9 @@ use crate::config::ManagerConfig;
 use crate::job::JobSpec;
 use crate::policy::VictimCandidate;
 use crate::reuse_index::ReuseIndex;
+use crate::stats::{FaultStats, PrefetchStats, QosStats};
 use crate::trace::{Trace, TraceEvent};
-use rtr_hw::{EnergyModel, LoadLane, ReconfigController, RuId, RuPool};
+use rtr_hw::{LoadLane, ReconfigController, RuId, RuPool};
 use rtr_sim::{EventQueue, SimDuration, SimTime};
 use rtr_taskgraph::{ConfigId, NodeId, TaskGraph, TemplateArtifacts};
 use std::collections::VecDeque;
@@ -213,12 +214,36 @@ pub(crate) enum ReconfigKind {
     Speculative(ConfigId),
 }
 
+/// The run's ledger: every per-run statistic, counted once. The event
+/// handlers increment it, a reset replaces it with
+/// `Counters::default()`, and [`Engine::outcome`](crate::Engine::outcome)
+/// turns it into [`RunStats`](crate::RunStats). The public stat
+/// structs are embedded as they are; `outcome` fills in the two values
+/// that are not counts (`qos.class_sojourns`, `faults.degraded_time`).
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
+    pub(crate) executed: u64,
+    pub(crate) reuses: u64,
+    /// Demand load starts (retries excluded).
+    pub(crate) loads: u64,
+    pub(crate) skips: u64,
+    pub(crate) stalls: u64,
+    /// Bitstreams written on the demand lane: every demand load start
+    /// and every demand retry.
+    pub(crate) demand_writes: u64,
+    /// Bitstreams written on the speculative lane: every completed
+    /// prefetch and every speculative transfer that completed corrupt.
+    pub(crate) speculative_writes: u64,
+    pub(crate) prefetch: PrefetchStats,
+    pub(crate) qos: QosStats,
+    pub(crate) faults: FaultStats,
+}
+
 /// The mutable heart of the engine, shared by the submodules.
 pub(crate) struct ManagerState {
     pub(crate) cfg: ManagerConfig,
     pub(crate) pool: RuPool,
     pub(crate) controller: ReconfigController,
-    pub(crate) energy: EnergyModel,
     pub(crate) queue: EventQueue<Event>,
     /// Per-job design-time artifacts, indexed like `jobs` (shared with
     /// the engine's template set).
@@ -253,19 +278,7 @@ pub(crate) struct ManagerState {
     pub(crate) pending_reconfig: Option<(SimTime, RuId, ReconfigKind)>,
     pub(crate) completed_jobs: usize,
     pub(crate) trace: Trace,
-    pub(crate) executed: u64,
-    pub(crate) reuses: u64,
-    pub(crate) loads: u64,
-    pub(crate) skips: u64,
-    pub(crate) stalls: u64,
-    /// Speculative loads started / completed / cancelled, and the fate
-    /// of completed ones (claimed before eviction = hit, evicted before
-    /// any claim = wasted). All stay zero with prefetch disabled.
-    pub(crate) prefetch_issued: u64,
-    pub(crate) prefetch_completed: u64,
-    pub(crate) prefetch_cancelled: u64,
-    pub(crate) prefetch_hits: u64,
-    pub(crate) prefetch_wasted: u64,
+    pub(crate) counters: Counters,
     /// Per-RU flag: the resident configuration arrived via a completed
     /// prefetch and has not been claimed since — consulted to attribute
     /// hits and waste.
@@ -297,29 +310,23 @@ pub(crate) struct ManagerState {
     /// then on every activation rebuilds the index in planned order.
     pub(crate) index_fifo: bool,
     /// Job indices backing the reuse index's segments, in segment
-    /// order — maps a segment ordinal back to its owner for the slack
-    /// table. Maintained alongside every index mutation.
+    /// order — maps a segment ordinal back to its owner for the
+    /// prefetch guard's zero-slack test. Maintained alongside every
+    /// index mutation.
     pub(crate) segment_jobs: VecDeque<u32>,
     /// Static slack per submitted job, aligned with `jobs`:
     /// `deadline − ideal makespan` in microseconds, or
     /// [`NO_DEADLINE`](crate::policy::NO_DEADLINE). Time-invariant, so
-    /// it is computed once at submit; decisions subtract `now`.
+    /// it is computed once at submit; the prefetch guard subtracts
+    /// `now`.
     pub(crate) job_slack: Vec<i64>,
-    /// Any submitted job carries a deadline (gates all slack plumbing).
+    /// Any submitted job carries a deadline (gates the prefetch
+    /// guard's zero-slack test).
     pub(crate) qos_deadlines: bool,
     /// Any submitted job carries a non-default priority (gates the
     /// priority-lane activation scan; uniform runs keep the O(1) FIFO
     /// pop).
     pub(crate) qos_lanes: bool,
-    /// Pooled buffer for the per-segment slack table attached to
-    /// replacement decisions.
-    pub(crate) slack_scratch: Vec<i64>,
-    pub(crate) qos_preemptions: u64,
-    pub(crate) qos_checkpoints: u64,
-    pub(crate) qos_replayed: u64,
-    pub(crate) qos_lost_work: SimDuration,
-    pub(crate) qos_deadline_misses: u64,
-    pub(crate) qos_tardiness: SimDuration,
     /// One `(priority, sojourn, lateness)` record per completed graph,
     /// in completion order — folded into per-class stats at `outcome`.
     pub(crate) qos_records: Vec<(u8, SimDuration, SimDuration)>,

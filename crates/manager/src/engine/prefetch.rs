@@ -164,13 +164,13 @@ impl ManagerState {
         self.note_eviction(ru);
         if self.pool.is_corrupt(ru) {
             // Rewriting an upset resident repairs the unit.
-            self.faults.repairs += 1;
+            self.counters.faults.repairs += 1;
         }
         self.pool
             .begin_load(ru, config)
             .expect("prefetch target is empty or an unclaimed candidate");
         let completes = self.controller.start_speculative(ru, config, now);
-        self.prefetch_issued += 1;
+        self.counters.prefetch.issued += 1;
         self.record(|| TraceEvent::PrefetchStart {
             config,
             ru,
@@ -191,9 +191,9 @@ impl ManagerState {
             .finish_load_unclaimed(ru)
             .expect("speculative load was in flight on this RU");
         debug_assert_eq!(loaded, config);
-        self.prefetch_completed += 1;
+        self.counters.prefetch.completed += 1;
         self.prefetched[ru.idx()] = true;
-        self.energy.record_prefetch();
+        self.counters.speculative_writes += 1;
         self.record(|| TraceEvent::PrefetchEnd {
             config,
             ru,
@@ -216,7 +216,7 @@ impl ManagerState {
             Some((_, ru, ReconfigKind::Speculative(_))) if ru == op.ru
         ));
         self.pending_reconfig = None;
-        self.prefetch_cancelled += 1;
+        self.counters.prefetch.cancelled += 1;
         self.record(|| TraceEvent::PrefetchCancel {
             config: op.config,
             ru: op.ru,
@@ -229,7 +229,7 @@ impl ManagerState {
     pub(crate) fn note_eviction(&mut self, ru: RuId) {
         if self.prefetched[ru.idx()] {
             self.prefetched[ru.idx()] = false;
-            self.prefetch_wasted += 1;
+            self.counters.prefetch.wasted += 1;
         }
     }
 
@@ -239,7 +239,7 @@ impl ManagerState {
     pub(crate) fn note_claim(&mut self, ru: RuId) {
         if self.prefetched[ru.idx()] {
             self.prefetched[ru.idx()] = false;
-            self.prefetch_hits += 1;
+            self.counters.prefetch.hits += 1;
         }
     }
 }

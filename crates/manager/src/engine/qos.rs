@@ -85,7 +85,7 @@ impl ManagerState {
         }
         let preemptor = self.arrived[best.0] as u32;
         let mut job = self.current.take().expect("checked above");
-        self.qos_preemptions += 1;
+        self.counters.qos.preemptions += 1;
         let victim = job.idx;
         self.record(|| TraceEvent::Preempt {
             victim,
@@ -107,8 +107,8 @@ impl ManagerState {
                 self.exec_token[ru.idx()] += 1;
                 job.exec_started[n] = false;
                 if kill {
-                    self.qos_replayed += 1;
-                    self.qos_lost_work += now.since(job.exec_start[n]);
+                    self.counters.qos.replayed_nodes += 1;
+                    self.counters.qos.lost_work_cycles += now.since(job.exec_start[n]);
                     self.record(|| TraceEvent::NodeKilled {
                         job: victim,
                         node,
@@ -118,7 +118,7 @@ impl ManagerState {
                 } else {
                     debug_assert!(job.exec_end[n] > now, "completion would have fired first");
                     job.resume_left[n] = job.exec_end[n].since(now);
-                    self.qos_checkpoints += 1;
+                    self.counters.qos.checkpoints += 1;
                     self.record(|| TraceEvent::NodeCheckpointed {
                         job: victim,
                         node,
@@ -202,9 +202,6 @@ impl ManagerState {
         }
     }
 
-    /// Fills the pooled slack table for one replacement decision:
-    /// `slack_scratch[segment]` is the static slack of the segment's
-    /// owner. Only called when some job carries a deadline.
     /// True when the job owning the reuse-index position `pos` has a
     /// deadline and no slack left at `now` — the prefetch guard's
     /// protected-resident test.
@@ -217,16 +214,5 @@ impl ManagerState {
         };
         let s = self.job_slack[idx as usize];
         s != crate::policy::NO_DEADLINE && s - now.as_us() as i64 <= 0
-    }
-
-    pub(crate) fn fill_slack_scratch(&mut self) {
-        let ManagerState {
-            slack_scratch,
-            segment_jobs,
-            job_slack,
-            ..
-        } = self;
-        slack_scratch.clear();
-        slack_scratch.extend(segment_jobs.iter().map(|&i| job_slack[i as usize]));
     }
 }

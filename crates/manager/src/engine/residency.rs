@@ -71,8 +71,7 @@ impl ManagerState {
                 job.seq_pos += 1;
             }
         }
-        self.reuses += 1;
-        self.energy.record_reuse();
+        self.counters.reuses += 1;
         self.record(|| TraceEvent::Reuse {
             job: job_idx,
             node,
@@ -116,7 +115,7 @@ impl ManagerState {
         self.note_eviction(target);
         if self.pool.is_corrupt(target) {
             // Rewriting an upset resident repairs the unit.
-            self.faults.repairs += 1;
+            self.counters.faults.repairs += 1;
         }
         self.pool
             .begin_load(target, config)
@@ -126,8 +125,8 @@ impl ManagerState {
             let job = self.current.as_mut().expect("loads need a current job");
             job.seq_pos += 1;
         }
-        self.loads += 1;
-        self.energy.record_load();
+        self.counters.loads += 1;
+        self.counters.demand_writes += 1;
         self.record(|| TraceEvent::LoadStart {
             job: job_idx,
             node,

@@ -21,7 +21,7 @@
 
 use crate::config::ManagerConfig;
 use crate::engine::faults::FaultRuntime;
-use crate::engine::{Event, JobScratch, ManagerState, ReconfigKind};
+use crate::engine::{Counters, Event, JobScratch, ManagerState, ReconfigKind};
 use crate::engine::{
     PRIO_END_OF_EXECUTION, PRIO_END_OF_RECONFIGURATION, PRIO_JOB_ARRIVAL, PRIO_NEW_TASK_GRAPH,
     PRIO_RU_HEAL,
@@ -30,9 +30,9 @@ use crate::ideal::ideal_graph_makespan;
 use crate::job::JobSpec;
 use crate::policy::{ReplacementPolicy, NO_DEADLINE};
 use crate::reuse_index::ReuseIndex;
-use crate::stats::RunStats;
+use crate::stats::{ClassSojournStats, FaultStats, QosStats, RunStats};
 use crate::trace::Trace;
-use rtr_hw::{EnergyModel, ReconfigController, RuPool};
+use rtr_hw::{ReconfigController, RuPool, TrafficStats};
 use rtr_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use rtr_taskgraph::{TaskGraph, TemplateSet};
 use std::collections::VecDeque;
@@ -178,7 +178,6 @@ impl Engine {
             m: ManagerState {
                 pool: RuPool::new(cfg.rus),
                 controller: ReconfigController::new(cfg.device.reconfig_latency),
-                energy: EnergyModel::new(cfg.device.clone()),
                 // The queue only ever holds in-flight events (arrivals
                 // live in the lane), so pre-sizing to the RU count plus
                 // slack makes it allocation-free for the engine's whole
@@ -195,16 +194,7 @@ impl Engine {
                 pending_reconfig: None,
                 completed_jobs: 0,
                 trace: Trace::default(),
-                executed: 0,
-                reuses: 0,
-                loads: 0,
-                skips: 0,
-                stalls: 0,
-                prefetch_issued: 0,
-                prefetch_completed: 0,
-                prefetch_cancelled: 0,
-                prefetch_hits: 0,
-                prefetch_wasted: 0,
+                counters: Counters::default(),
                 prefetched: vec![false; cfg.rus],
                 prefetch_scratch: Vec::new(),
                 graph_arrivals: Vec::new(),
@@ -218,13 +208,6 @@ impl Engine {
                 job_slack: Vec::new(),
                 qos_deadlines: false,
                 qos_lanes: false,
-                slack_scratch: Vec::new(),
-                qos_preemptions: 0,
-                qos_checkpoints: 0,
-                qos_replayed: 0,
-                qos_lost_work: SimDuration::ZERO,
-                qos_deadline_misses: 0,
-                qos_tardiness: SimDuration::ZERO,
                 qos_records: Vec::new(),
                 faults: FaultRuntime::seeded(cfg.faults.seed),
                 cfg: cfg.clone(),
@@ -273,8 +256,8 @@ impl Engine {
         let idx = self.jobs.len();
         self.m.job_templates.push(tpl);
         // Static slack (deadline − ideal makespan, time-invariant) is
-        // precomputed here so decisions only subtract `now`. Deadline-
-        // free jobs carry the sentinel and cost nothing.
+        // precomputed here so the prefetch guard only subtracts `now`.
+        // Deadline-free jobs carry the sentinel and cost nothing.
         let slack = match job.qos.deadline {
             None => NO_DEADLINE,
             Some(d) => {
@@ -559,8 +542,8 @@ impl Engine {
         }
     }
 
-    /// Clears every piece of per-run state (counters, queue, index,
-    /// trace, hardware) while keeping pooled allocations and the
+    /// Clears every piece of per-run state (the counter ledger, queue,
+    /// index, trace, hardware) while keeping pooled allocations and the
     /// submitted-jobs bookkeeping callers may want to retain.
     fn clear_run_state(&mut self, cfg: &ManagerConfig, expected_jobs: usize) {
         assert!(cfg.rus > 0, "need at least one RU");
@@ -579,7 +562,6 @@ impl Engine {
         }
         self.m.pool.reset_to(cfg.rus);
         self.m.controller.reset(cfg.device.reconfig_latency);
-        self.m.energy.reset(cfg.device.clone());
         self.m.cfg = cfg.clone();
         self.m.queue.clear();
         self.m.arrived.clear();
@@ -588,16 +570,7 @@ impl Engine {
         self.m.pending_reconfig = None;
         self.m.completed_jobs = 0;
         self.m.trace.clear();
-        self.m.executed = 0;
-        self.m.reuses = 0;
-        self.m.loads = 0;
-        self.m.skips = 0;
-        self.m.stalls = 0;
-        self.m.prefetch_issued = 0;
-        self.m.prefetch_completed = 0;
-        self.m.prefetch_cancelled = 0;
-        self.m.prefetch_hits = 0;
-        self.m.prefetch_wasted = 0;
+        self.m.counters = Counters::default();
         self.m.prefetched.clear();
         self.m.prefetched.resize(cfg.rus, false);
         self.m.prefetch_scratch.clear();
@@ -611,17 +584,10 @@ impl Engine {
         self.m.pending_preempt = false;
         self.m.index_fifo = true;
         self.m.segment_jobs.clear();
-        self.m.slack_scratch.clear();
-        self.m.qos_preemptions = 0;
-        self.m.qos_checkpoints = 0;
-        self.m.qos_replayed = 0;
-        self.m.qos_lost_work = SimDuration::ZERO;
-        self.m.qos_deadline_misses = 0;
-        self.m.qos_tardiness = SimDuration::ZERO;
         self.m.qos_records.clear();
         // Reseeding makes pooled, replayed and retargeted runs draw the
         // identical fault schedule a fresh engine would.
-        self.m.faults.reseed(cfg.faults.seed);
+        self.m.faults = FaultRuntime::seeded(cfg.faults.seed);
         self.finalised = false;
         self.policy_name.clear();
     }
@@ -655,37 +621,36 @@ impl Engine {
         }
         let ideal_makespan = self.ideal_makespan_cached();
         self.finalised = true;
-        let qos = self.fold_qos_stats();
+        let class_sojourns = self.fold_class_sojourns();
+        let c = mem::take(&mut self.m.counters);
+        let device = &self.m.cfg.device;
         let stats = RunStats {
             policy: self.policy_name.clone(),
             makespan: self.m.makespan_end.since(SimTime::ZERO),
-            executed: self.m.executed,
-            reuses: self.m.reuses,
-            loads: self.m.loads,
-            skips: self.m.skips,
-            stalls: self.m.stalls,
-            traffic: self.m.energy.stats(),
-            prefetch: crate::stats::PrefetchStats {
-                issued: self.m.prefetch_issued,
-                completed: self.m.prefetch_completed,
-                cancelled: self.m.prefetch_cancelled,
-                hits: self.m.prefetch_hits,
-                wasted: self.m.prefetch_wasted,
-            },
+            executed: c.executed,
+            reuses: c.reuses,
+            loads: c.loads,
+            skips: c.skips,
+            stalls: c.stalls,
+            traffic: TrafficStats::from_writes(
+                device,
+                c.demand_writes,
+                c.speculative_writes,
+                c.reuses,
+            ),
+            prefetch: c.prefetch,
             port_busy_time: self.m.controller.busy_time(),
             graph_arrivals: mem::take(&mut self.m.graph_arrivals),
             graph_completions: mem::take(&mut self.m.graph_completions),
             ideal_makespan,
-            reconfig_latency: self.m.cfg.device.reconfig_latency,
-            qos,
-            faults: crate::stats::FaultStats {
-                injected: self.m.faults.injected,
-                retries: self.m.faults.retries,
-                repairs: self.m.faults.repairs,
-                quarantines: self.m.faults.quarantines,
-                heals: self.m.faults.heals,
+            reconfig_latency: device.reconfig_latency,
+            qos: QosStats {
+                class_sojourns,
+                ..c.qos
+            },
+            faults: FaultStats {
                 degraded_time: self.m.fault_degraded_time(self.m.makespan_end),
-                lost_work_cycles: self.m.faults.lost_work,
+                ..c.faults
             },
         };
         Ok(SimulationOutcome {
@@ -700,10 +665,9 @@ impl Engine {
         self.outcome()
     }
 
-    /// Folds the run's per-completion QoS records into [`QosStats`]:
-    /// counters copied, sojourn/miss/tardiness grouped per priority
-    /// class (ascending).
-    fn fold_qos_stats(&mut self) -> crate::stats::QosStats {
+    /// Folds the run's per-completion QoS records into per-class
+    /// sojourn/miss/tardiness rows, ascending priority.
+    fn fold_class_sojourns(&mut self) -> Vec<ClassSojournStats> {
         let records = mem::take(&mut self.m.qos_records);
         let mut prios: Vec<u8> = records.iter().map(|r| r.0).collect();
         prios.sort_unstable();
@@ -724,22 +688,14 @@ impl Engine {
                     tardiness += lateness;
                 }
             }
-            class_sojourns.push(crate::stats::ClassSojournStats::from_samples(
+            class_sojourns.push(ClassSojournStats::from_samples(
                 p,
                 &mut samples,
                 misses,
                 tardiness,
             ));
         }
-        crate::stats::QosStats {
-            deadline_misses: self.m.qos_deadline_misses,
-            tardiness_total: self.m.qos_tardiness,
-            preemptions: self.m.qos_preemptions,
-            checkpoints: self.m.qos_checkpoints,
-            replayed_nodes: self.m.qos_replayed,
-            lost_work_cycles: self.m.qos_lost_work,
-            class_sojourns,
-        }
+        class_sojourns
     }
 
     /// [`ideal_sequence_makespan`](crate::ideal::ideal_sequence_makespan)

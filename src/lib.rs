@@ -13,7 +13,8 @@
 //!
 //! * [`taskgraph`] — DAG substrate, benchmark graphs, generators.
 //! * [`sim`] — discrete-event kernel (time, queues, Gantt rendering).
-//! * [`hw`] — RU pool, reconfiguration controller, energy model.
+//! * [`hw`] — RU pool, reconfiguration controller, traffic and energy
+//!   accounting.
 //! * [`manager`] — the execution manager, policy trait, traces,
 //!   validation, ideal baselines.
 //! * [`core`] — the paper's contribution: LFD / Local LFD, the LRU &
@@ -61,8 +62,8 @@ pub use rtr_workload as workload;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use crate::core::{
-        compute_mobility, AnnotatedTemplate, FifoPolicy, LfdPolicy, LfuPolicy, LruPolicy,
-        MruPolicy, RandomPolicy, TemplateCache,
+        compute_mobility, FifoPolicy, LfdPolicy, LfuPolicy, LruPolicy, MruPolicy, RandomPolicy,
+        TemplateRegistry,
     };
     pub use crate::hw::{DeviceSpec, RuId, RuPool};
     pub use crate::manager::{

@@ -109,8 +109,9 @@ proptest! {
         assert_validates_clean(&cfg, &jobs, &subject, policy_id, seed);
     }
 
-    /// The empty fault plan is invisible: a config that carries
-    /// `FaultPlan::off()` explicitly produces byte-identical outcomes
+    /// A plan with every rate zero is off, whatever else it carries: a
+    /// config whose plan has zero rates but a non-zero seed, a retry
+    /// budget and a repair latency produces byte-identical outcomes
     /// (stats *and* trace) to the plain config, across a fresh run and
     /// the pooled `reset` / `reset_with_config` / `reset_replay`
     /// lifecycles.
@@ -123,7 +124,13 @@ proptest! {
     ) {
         let jobs = batch_jobs(seed, 2, apps);
         let plain = cfg_with(rus, 2, FaultPlan::off());
-        let explicit = plain.clone().with_faults(FaultPlan::off());
+        let explicit = plain.clone().with_faults(FaultPlan {
+            load_fault_pm: 0,
+            upset_pm: 0,
+            ru_fault_pm: 0,
+            ..FaultPlan::high(seed + 1)
+        });
+        prop_assert!(explicit.faults.is_off() && explicit.faults != FaultPlan::off());
         let baseline = outcome_bytes(&run(&plain, &jobs, policy_id, seed));
 
         // Fresh.

@@ -138,10 +138,10 @@ fn fig2_first_victim_of_local_lfd_is_ru1() {
 fn fig3_jobs(cfg: &ManagerConfig) -> Vec<JobSpec> {
     let tg1 = Arc::new(taskgraph::benchmarks::fig3_tg1());
     let tg2 = Arc::new(taskgraph::benchmarks::fig3_tg2());
-    let mut cache = TemplateCache::new();
+    let registry = TemplateRegistry::new();
     [&tg1, &tg2, &tg1]
         .iter()
-        .map(|g| cache.get_or_prepare(g, cfg).unwrap().instantiate())
+        .map(|g| registry.instantiate(g, cfg, true).unwrap())
         .collect()
 }
 
