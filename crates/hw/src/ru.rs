@@ -872,6 +872,107 @@ mod tests {
     }
 
     #[test]
+    fn wide_pool_scan_path_matches_mask_path() {
+        // Pools over 64 RUs keep no reusable masks and answer queries
+        // by scanning states. Drive a 64-RU pool (masks) and a 65-RU
+        // pool (scans) through one script on RUs below 64 and compare
+        // every query after every step.
+        let mut masked = RuPool::new(64);
+        let mut scanned = RuPool::new(65);
+        assert!(masked.mask_tracking && !scanned.mask_tracking);
+        type Step = fn(&mut RuPool) -> String;
+        let script: [(&str, Step); 27] = [
+            ("load C1 on RU64", |p| {
+                format!("{:?}", p.begin_load(RuId(63), C1))
+            }),
+            ("land it claimed", |p| {
+                format!("{:?}", p.finish_load(RuId(63)))
+            }),
+            ("execute", |p| format!("{:?}", p.begin_execution(RuId(63)))),
+            ("finish", |p| format!("{:?}", p.finish_execution(RuId(63)))),
+            ("prefetch C1 on RU8", |p| {
+                format!("{:?}", p.begin_load(RuId(7), C1))
+            }),
+            ("land it unclaimed", |p| {
+                format!("{:?}", p.finish_load_unclaimed(RuId(7)))
+            }),
+            ("reuse claim C1", |p| format!("{:?}", p.try_claim_reuse(C1))),
+            ("release the claim", |p| {
+                format!("{:?}", p.release_claim(RuId(7)))
+            }),
+            ("load C2 on RU1", |p| {
+                format!("{:?}", p.begin_load(RuId(0), C2))
+            }),
+            ("land it claimed", |p| {
+                format!("{:?}", p.finish_load(RuId(0)))
+            }),
+            ("execute", |p| format!("{:?}", p.begin_execution(RuId(0)))),
+            ("finish", |p| format!("{:?}", p.finish_execution(RuId(0)))),
+            ("upset RU8", |p| format!("{:?}", p.mark_corrupt(RuId(7)))),
+            ("reuse claim C1 again", |p| {
+                format!("{:?}", p.try_claim_reuse(C1))
+            }),
+            ("execute", |p| format!("{:?}", p.begin_execution(RuId(63)))),
+            ("revoke", |p| format!("{:?}", p.revoke_execution(RuId(63)))),
+            ("quarantine RU1", |p| format!("{:?}", p.quarantine(RuId(0)))),
+            ("reuse claim C2 (gone)", |p| {
+                format!("{:?}", p.try_claim_reuse(C2))
+            }),
+            ("heal RU1", |p| format!("{:?}", p.heal(RuId(0)))),
+            ("rewrite RU8 with C2", |p| {
+                format!("{:?}", p.begin_load(RuId(7), C2))
+            }),
+            ("cancel the rewrite", |p| {
+                format!("{:?}", p.cancel_load(RuId(7)))
+            }),
+            ("claim C1 on RU64", |p| {
+                format!("{:?}", p.claim_for_reuse(RuId(63), C1))
+            }),
+            ("execute", |p| format!("{:?}", p.begin_execution(RuId(63)))),
+            ("finish", |p| format!("{:?}", p.finish_execution(RuId(63)))),
+            ("quarantine empty RU32", |p| {
+                format!("{:?}", p.quarantine(RuId(31)))
+            }),
+            ("execute on it (rejected)", |p| {
+                format!("{:?}", p.begin_execution(RuId(31)))
+            }),
+            ("upset RU64", |p| format!("{:?}", p.mark_corrupt(RuId(63)))),
+        ];
+        for (what, step) in script {
+            let out = step(&mut masked);
+            assert_eq!(
+                out.starts_with("Err"),
+                what.contains("rejected"),
+                "{what}: {out}"
+            );
+            assert_eq!(out, step(&mut scanned), "{what}");
+            for config in [C1, C2] {
+                assert_eq!(
+                    masked.find_reusable(config),
+                    scanned.find_reusable(config),
+                    "{what}: find_reusable({config:?})"
+                );
+                assert_eq!(
+                    masked.clone().try_claim_reuse(config),
+                    scanned.clone().try_claim_reuse(config),
+                    "{what}: try_claim_reuse({config:?})"
+                );
+                assert_eq!(
+                    masked.is_resident(config),
+                    scanned.is_resident(config),
+                    "{what}: is_resident({config:?})"
+                );
+            }
+            assert!(
+                masked
+                    .iter_eviction_candidates()
+                    .eq(scanned.iter_eviction_candidates()),
+                "{what}: eviction candidates"
+            );
+        }
+    }
+
+    #[test]
     fn display_is_one_based() {
         assert_eq!(RuId(0).to_string(), "RU1");
         assert_eq!(RuId(3).to_string(), "RU4");

@@ -48,9 +48,9 @@ pub(crate) enum Event {
 impl ManagerState {
     /// Dispatches one event (the body of the paper's Fig. 4). Generic
     /// over the policy type so concrete-policy runs
-    /// ([`Engine::run_with`](crate::Engine::run_with)) monomorphise the
-    /// whole event loop — the per-event callback fan-out inlines
-    /// instead of going through vtable dispatch.
+    /// ([`Engine::run`](crate::Engine::run)) monomorphise the whole
+    /// event loop — the per-event callback fan-out inlines instead of
+    /// going through vtable dispatch.
     pub(crate) fn handle<P: ReplacementPolicy + ?Sized>(
         &mut self,
         ev: Event,

@@ -3,7 +3,7 @@
 //! An active [`FaultPlan`](crate::FaultPlan) threads three hardware
 //! fault classes through the engine, each drawn from a SplitMix64
 //! stream seeded by the plan (never wall-clock), so every run — fresh,
-//! pooled, or replayed — sees the identical fault schedule:
+//! pooled, or retargeted — sees the identical fault schedule:
 //!
 //! * **Transient load corruption** — a completed reconfiguration
 //!   (demand or speculative) fails its integrity check. The load is

@@ -15,14 +15,14 @@
 //! shared [`ManagerState`] stays one struct (the event loop is a state
 //! machine, not a layer cake).
 //!
-//! **Pooling.** The engine has a reset-and-reuse lifecycle: every
-//! allocation that scales with the workload — the [`ActiveJob`] scratch
-//! vectors (recycled through [`JobScratch`] since graphs execute
-//! sequentially, one set serves the whole run), the eviction-candidate
-//! and ready-successor scratch buffers, the event heap, the
-//! [`ReuseIndex`] occurrence lists and the [`Trace`] buffer — survives
-//! across runs, so a replication loop's steady state performs no heap
-//! allocation per activation. Design-time artifacts come from a shared
+//! **Pooling.** The engine has one reset-and-reuse lifecycle,
+//! [`Engine::reset`](crate::Engine::reset): every allocation that
+//! scales with the workload — the [`ActiveJob`] scratch vectors
+//! (recycled through [`JobScratch`]; graphs run sequentially), the
+//! eviction-candidate and ready-successor scratch buffers, the event
+//! heap, the [`ReuseIndex`] occurrence lists and the [`Trace`] buffer
+//! — survives across resets, so a sweep worker's steady state performs
+//! no heap allocation per activation. Design-time artifacts come from a shared
 //! [`TemplateSet`](rtr_taskgraph::TemplateSet), computed once per
 //! distinct template per process rather than per job or per grid cell.
 

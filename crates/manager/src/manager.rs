@@ -110,16 +110,17 @@ pub struct SimulationOutcome {
 /// semantics event for event — [`simulate`] is exactly that wrapper,
 /// and the golden Fig. 2/3/7 numbers are regression-tested through it.
 ///
-/// **Pooled lifecycle:** an engine is reusable. [`Engine::reset`] (or
-/// [`Engine::reset_with_config`]) returns it to the power-on state
-/// while keeping every workload-sized allocation — the event heap, the
-/// per-job scratch vectors, the reuse-index occurrence lists, the
-/// trace buffer — and [`Engine::outcome`] finalises a run without
-/// consuming the engine. Design-time artifacts come from a
-/// [`TemplateSet`] that can be shared across engines and threads
-/// ([`Engine::with_templates`]); per-template ideal makespans are
-/// memoised per RU count. A pooled run is bit-exact with a fresh-engine
-/// run — pooling is invisible, determinism is the contract.
+/// **Pooled lifecycle:** an engine is reusable. [`Engine::reset`]
+/// returns it to the power-on state under a (possibly different)
+/// configuration with a fresh job batch, keeping every workload-sized
+/// allocation — the event heap, the per-job scratch vectors, the
+/// reuse-index occurrence lists, the trace buffer — and
+/// [`Engine::outcome`] finalises a run without consuming the engine.
+/// Design-time artifacts come from a [`TemplateSet`] that can be shared
+/// across engines and threads ([`Engine::with_templates`]);
+/// per-template ideal makespans are memoised per RU count. A pooled run
+/// is bit-exact with a fresh-engine run — pooling is invisible,
+/// determinism is the contract.
 pub struct Engine {
     m: ManagerState,
     jobs: Vec<JobSpec>,
@@ -139,10 +140,6 @@ pub struct Engine {
     /// Per-template ideal (zero-latency) makespans for the current RU
     /// count; entries pin their graph so pointer keys stay unambiguous.
     ideal_cache: FxHashMap<usize, (Arc<TaskGraph>, SimDuration)>,
-    /// Whole-sequence ideal makespan of the *currently submitted*
-    /// batch: replications replay identical jobs, so `outcome` computes
-    /// it once per batch, not once per run.
-    ideal_sequence_cache: Option<SimDuration>,
     /// Set once [`Engine::outcome`] has moved the run's output buffers
     /// out. Further `submit`/`run` calls are rejected until a reset:
     /// they would produce stats whose per-graph instants cover only
@@ -218,7 +215,6 @@ impl Engine {
             lane_cursor: 0,
             lane_dirty: false,
             ideal_cache: FxHashMap::default(),
-            ideal_sequence_cache: None,
             finalised: false,
             policy_name: String::new(),
             exec_batch: Vec::new(),
@@ -284,7 +280,6 @@ impl Engine {
             self.lane_dirty = true;
         }
         self.arrival_lane.push((job.arrival, idx));
-        self.ideal_sequence_cache = None;
         self.jobs.push(job);
         idx
     }
@@ -298,16 +293,12 @@ impl Engine {
     /// every call for meaningful history-based decisions. `reset` is
     /// *not* invoked — callers owning the full run (like [`simulate`])
     /// reset the policy themselves.
-    pub fn run(&mut self, policy: &mut dyn ReplacementPolicy) {
-        self.run_with(policy);
-    }
-
-    /// [`Engine::run`] with a statically known policy type: the whole
-    /// event loop — dispatch, callbacks, victim selection — is
-    /// monomorphised for `P`, letting small policy bodies (an LRU touch
-    /// is one array store) inline into the loop instead of paying a
-    /// vtable call each. Decisions are identical to the dyn path.
-    pub fn run_with<P: ReplacementPolicy + ?Sized>(&mut self, policy: &mut P) {
+    ///
+    /// The event loop is monomorphised for `P`: a concrete policy type
+    /// lets small policy bodies (an LRU touch is one array store)
+    /// inline into the loop, and a boxed policy runs as
+    /// `P = dyn ReplacementPolicy` with one vtable call per callback.
+    pub fn run<P: ReplacementPolicy + ?Sized>(&mut self, policy: &mut P) {
         assert!(
             !self.finalised,
             "engine outcome already taken: reset before running again"
@@ -319,33 +310,6 @@ impl Engine {
             // the same total order the heap's sequence numbers gave.
             self.arrival_lane[self.lane_cursor..].sort_by_key(|&(t, _)| t);
             self.lane_dirty = false;
-        }
-        // Batch fast path: on a fresh engine, the leading run of
-        // same-instant arrivals is processed back to back — nothing can
-        // be scheduled between them (the queue and both slots are
-        // empty, and an arrival with an idle manager only records,
-        // indexes and arms the activation slot). Handling the burst
-        // inline skips the per-event merge and dispatch, which in the
-        // paper's batch setting is the entire submitted sequence.
-        if self.lane_cursor == 0
-            && !self.arrival_lane.is_empty()
-            && self.m.queue.is_empty()
-            && self.m.pending_reconfig.is_none()
-            && self.m.pending_activation.is_none()
-            && self.m.current.is_none()
-            && self.m.completed_jobs == 0
-        {
-            let t0 = self.arrival_lane[0].0;
-            while let Some(&(at, idx)) = self.arrival_lane.get(self.lane_cursor) {
-                if at != t0 {
-                    break;
-                }
-                self.m.admit_arrival(idx, at);
-                self.lane_cursor += 1;
-            }
-            self.m.queue.advance_to(t0);
-            self.m.makespan_end = t0;
-            self.m.pending_activation = Some(t0);
         }
         loop {
             // Merge the four event sources under the simulation's total
@@ -490,62 +454,17 @@ impl Engine {
         &self.m.reuse_index
     }
 
-    /// Returns the engine to the power-on state with a fresh job batch,
-    /// keeping every pooled allocation and the shared template set.
-    /// Equivalent to building a new engine with the same configuration
-    /// and submitting `jobs` — bit-exactly, see the pooled-equivalence
-    /// property test — but with no per-run allocation beyond the
-    /// outputs.
-    pub fn reset(&mut self, jobs: &[JobSpec]) {
-        let cfg = self.m.cfg.clone();
-        self.reset_with_config(&cfg, jobs);
-    }
-
-    /// Re-arms the engine to replay the *currently submitted* job batch
-    /// from scratch: run state is cleared (pooled allocations kept, as
-    /// in [`Engine::reset`]) but the jobs, their arrival lane and their
-    /// template bindings are retained, so a replication loop pays no
-    /// per-job submission cost at all. Bit-exact with re-submitting the
-    /// same jobs.
-    pub fn reset_replay(&mut self) {
-        let cfg = self.m.cfg.clone();
-        self.clear_run_state(&cfg, self.jobs.len());
-        // Jobs, template bindings and the sorted lane stay; rewinding
-        // the cursor re-arms every submitted arrival.
-        self.lane_cursor = 0;
-    }
-
-    /// [`Engine::reset`], additionally retargeting the system
-    /// configuration — lets one pooled engine serve a whole grid of
-    /// (policy × RU × device) cells.
+    /// Returns the engine to the power-on state under `cfg` with a fresh
+    /// job batch, keeping every pooled allocation and the shared
+    /// template set — so one engine can serve a whole grid of
+    /// (policy × RU × device) cells. Equivalent to building a new
+    /// engine with `cfg` and submitting `jobs` — bit-exactly, see the
+    /// pooled-equivalence property test — but with no per-run
+    /// allocation beyond the outputs.
     ///
     /// # Panics
     /// Panics if `cfg.rus == 0`.
-    pub fn reset_with_config(&mut self, cfg: &ManagerConfig, jobs: &[JobSpec]) {
-        self.clear_run_state(cfg, jobs.len());
-        self.m.job_templates.clear();
-        // Submission-scoped QoS state follows the job list (reset_replay
-        // keeps both; re-submission below rebuilds them).
-        self.m.job_slack.clear();
-        self.m.qos_deadlines = false;
-        self.m.qos_lanes = false;
-        self.jobs.clear();
-        self.arrival_lane.clear();
-        self.lane_cursor = 0;
-        self.lane_dirty = false;
-        // The sequence memo belongs to the outgoing batch; `submit`
-        // invalidates it per job, but an empty `jobs` never calls
-        // `submit` and would otherwise leak the previous batch's ideal.
-        self.ideal_sequence_cache = None;
-        for job in jobs {
-            self.submit(job.clone());
-        }
-    }
-
-    /// Clears every piece of per-run state (the counter ledger, queue,
-    /// index, trace, hardware) while keeping pooled allocations and the
-    /// submitted-jobs bookkeeping callers may want to retain.
-    fn clear_run_state(&mut self, cfg: &ManagerConfig, expected_jobs: usize) {
+    pub fn reset(&mut self, cfg: &ManagerConfig, jobs: &[JobSpec]) {
         assert!(cfg.rus > 0, "need at least one RU");
         // A stalled previous run can leave a job active: reclaim its
         // scratch vectors before starting over. A preempted run may
@@ -558,7 +477,6 @@ impl Engine {
         if cfg.rus != self.m.cfg.rus {
             // Ideal makespans are memoised per RU count.
             self.ideal_cache.clear();
-            self.ideal_sequence_cache = None;
         }
         self.m.pool.reset_to(cfg.rus);
         self.m.controller.reset(cfg.device.reconfig_latency);
@@ -576,8 +494,8 @@ impl Engine {
         self.m.prefetch_scratch.clear();
         self.m.graph_arrivals.clear();
         self.m.graph_completions.clear();
-        self.m.graph_arrivals.reserve(expected_jobs);
-        self.m.graph_completions.reserve(expected_jobs);
+        self.m.graph_arrivals.reserve(jobs.len());
+        self.m.graph_completions.reserve(jobs.len());
         self.m.makespan_end = SimTime::ZERO;
         self.m.exec_token.clear();
         self.m.exec_token.resize(cfg.rus, 0);
@@ -585,20 +503,33 @@ impl Engine {
         self.m.index_fifo = true;
         self.m.segment_jobs.clear();
         self.m.qos_records.clear();
-        // Reseeding makes pooled, replayed and retargeted runs draw the
-        // identical fault schedule a fresh engine would.
+        // Reseeding makes pooled and retargeted runs draw the identical
+        // fault schedule a fresh engine would.
         self.m.faults = FaultRuntime::seeded(cfg.faults.seed);
         self.finalised = false;
         self.policy_name.clear();
+        // Submission-scoped state follows the job list; re-submission
+        // below rebuilds it.
+        self.m.job_templates.clear();
+        self.m.job_slack.clear();
+        self.m.qos_deadlines = false;
+        self.m.qos_lanes = false;
+        self.jobs.clear();
+        self.arrival_lane.clear();
+        self.lane_cursor = 0;
+        self.lane_dirty = false;
+        for job in jobs {
+            self.submit(job.clone());
+        }
     }
 
     /// Finalises the current run into stats + trace without consuming
     /// the engine: the output buffers (trace, per-graph instants) are
     /// moved out, everything pooled stays. A successful `outcome`
-    /// finalises the engine — call [`Engine::reset`] (or a sibling)
-    /// before submitting or running again; doing so without a reset
-    /// panics, because the already-taken per-graph instants would make
-    /// any further stats internally inconsistent.
+    /// finalises the engine — call [`Engine::reset`] before submitting
+    /// or running again; doing so without a reset panics, because the
+    /// already-taken per-graph instants would make any further stats
+    /// internally inconsistent.
     ///
     /// Returns [`SimError::StalledAwaitingEvent`] when some submitted
     /// job did not complete (a delayed reconfiguration waited for an
@@ -619,7 +550,7 @@ impl Engine {
                 at: self.m.makespan_end,
             });
         }
-        let ideal_makespan = self.ideal_makespan_cached();
+        let ideal_makespan = self.ideal_makespan();
         self.finalised = true;
         let class_sojourns = self.fold_class_sojourns();
         let c = mem::take(&mut self.m.counters);
@@ -703,10 +634,7 @@ impl Engine {
     /// template — the pre-pooling implementation re-derived the
     /// reconfiguration sequence and re-ran list scheduling for every
     /// *job instance*, which dominated run finalisation on long streams.
-    fn ideal_makespan_cached(&mut self) -> SimDuration {
-        if let Some(d) = self.ideal_sequence_cache {
-            return d;
-        }
+    fn ideal_makespan(&mut self) -> SimDuration {
         // The arrival lane is exactly the required order — (arrival,
         // submission index), stably sorted — and `outcome` only runs
         // once every submitted arrival has been consumed, so it is
@@ -714,7 +642,7 @@ impl Engine {
         debug_assert_eq!(self.arrival_lane.len(), self.jobs.len());
         let rus = self.m.cfg.rus;
         let ideal_cache = &mut self.ideal_cache;
-        let d = crate::ideal::ideal_sequence_makespan_with(
+        crate::ideal::ideal_sequence_makespan_with(
             &self.jobs,
             self.arrival_lane.iter().map(|&(_, i)| i),
             |g| {
@@ -728,9 +656,7 @@ impl Engine {
                     }
                 }
             },
-        );
-        self.ideal_sequence_cache = Some(d);
-        d
+        )
     }
 }
 
@@ -1050,7 +976,7 @@ mod tests {
         let cfg = ManagerConfig::paper_default();
         let mut engine = Engine::new(&cfg);
         for jobs in &batches {
-            engine.reset(jobs);
+            engine.reset(&cfg, jobs);
             engine.run(&mut FirstCandidatePolicy);
             let pooled = engine.outcome().expect("batch completes");
             let fresh = simulate(&cfg, jobs, &mut FirstCandidatePolicy).unwrap();
@@ -1060,12 +986,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_with_config_retargets_system() {
+    fn reset_retargets_system() {
         let jobs = vec![JobSpec::new(Arc::new(benchmarks::mpeg1()))];
         let mut engine = Engine::new(&ManagerConfig::paper_default());
         // 1 RU: fully serial (see single_ru_serialises_with_replacement).
         let one_ru = ManagerConfig::paper_default().with_rus(1);
-        engine.reset_with_config(&one_ru, &jobs);
+        engine.reset(&one_ru, &jobs);
         engine.run(&mut FirstCandidatePolicy);
         let serial = engine.outcome().unwrap();
         assert_eq!(
@@ -1073,7 +999,7 @@ mod tests {
             ms(5 * 4) + benchmarks::mpeg1().total_exec_time()
         );
         // Back to 4 RUs on the same engine.
-        engine.reset_with_config(&ManagerConfig::paper_default(), &jobs);
+        engine.reset(&ManagerConfig::paper_default(), &jobs);
         engine.run(&mut FirstCandidatePolicy);
         let wide = engine.outcome().unwrap();
         let fresh = simulate(
@@ -1083,26 +1009,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(wide.stats, fresh.stats);
-    }
-
-    #[test]
-    fn reset_replay_rearms_the_same_batch() {
-        let g = Arc::new(benchmarks::jpeg());
-        let jobs = vec![JobSpec::new(Arc::clone(&g)), JobSpec::new(g)];
-        let cfg = ManagerConfig::paper_default();
-        let mut engine = Engine::new(&cfg);
-        engine.reset(&jobs);
-        engine.run(&mut FirstCandidatePolicy);
-        let first = engine.outcome().unwrap();
-        // Replay without re-submitting: identical outcome, jobs intact.
-        for _ in 0..3 {
-            engine.reset_replay();
-            engine.run(&mut FirstCandidatePolicy);
-            let again = engine.outcome().unwrap();
-            assert_eq!(again.stats, first.stats);
-            assert_eq!(again.trace, first.trace);
-        }
-        assert_eq!(engine.submitted_jobs(), 2);
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl Criterion {
             name,
         }
     }
-
-    /// Benchmarks a standalone function (an implicit group of one).
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
-        run_case(id, f);
-        self
-    }
 }
 
 /// A group of benchmark cases sharing a name prefix.
@@ -90,11 +84,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Accepted for API compatibility; the shim sizes its own windows.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
     /// Benchmarks `f` under `id` within this group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
         run_case(&format!("{}/{id}", self.name), f);

@@ -130,8 +130,8 @@ pub fn tie_break_sweep(apps: usize, seed: u64, rus: usize) -> Table {
         format!("Ablation — Local LFD tie-break ({rus} RUs, reuse % / overhead ms)"),
         &["DL window", "First candidate (paper)", "LRU tie-break"],
     );
-    // One pooled engine serves all six runs; each `reset_with_config`
-    // is bit-exact with a fresh `simulate` (the sweep's window axis is
+    // One pooled engine serves all six runs; each `reset` is
+    // bit-exact with a fresh `simulate` (the sweep's window axis is
     // a config change, not an engine rebuild).
     let base_cfg = ManagerConfig::paper_default()
         .with_rus(rus)
@@ -140,7 +140,7 @@ pub fn tie_break_sweep(apps: usize, seed: u64, rus: usize) -> Table {
     let run = |engine: &mut Engine, cfg: &ManagerConfig, policy: &mut LfdPolicy| {
         use rtr_manager::ReplacementPolicy;
         policy.reset();
-        engine.reset_with_config(cfg, &jobs);
+        engine.reset(cfg, &jobs);
         engine.run(policy);
         engine.outcome().expect("tie-break cell simulates")
     };

@@ -23,7 +23,7 @@
 //! * [`table`] — Markdown/CSV result tables.
 //! * [`experiments`] — the per-figure/table drivers.
 //! * [`vopr`] — the deterministic fuzz campaign behind the `vopr`
-//!   binary: seeded case derivation, four engine lifecycles, replayable
+//!   binary: seeded case derivation, three engine lifecycles, replayable
 //!   failure fingerprints and a greedy scenario minimiser.
 
 pub mod arrivals;

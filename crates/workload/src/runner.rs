@@ -380,7 +380,7 @@ impl CellRunner {
             self.engine = Some(Engine::with_templates(&cfg, self.registry.template_set()));
         }
         let engine = self.engine.as_mut().expect("just ensured");
-        engine.reset_with_config(&cfg, &self.jobs);
+        engine.reset(&cfg, &self.jobs);
         let mut policy = cell.policy.build();
         policy.reset();
         let mut timed = TimingPolicy::new(policy.as_mut());

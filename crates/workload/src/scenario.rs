@@ -101,17 +101,54 @@ impl Scenario {
         serde_json::to_string_pretty(self).expect("scenario serialisation is total")
     }
 
-    /// Parses and re-validates a scenario from JSON.
+    /// Parses a scenario from JSON and [validates](Scenario::validate)
+    /// it.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let scenario: Scenario = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        // Validate each template through the builder path.
-        for spec in &scenario.templates {
+        scenario.validate()?;
+        Ok(scenario)
+    }
+
+    /// Rejects every input a run would otherwise panic on inside a
+    /// sweep worker: invalid or missing templates, a sequence model
+    /// that does not fit them, a degenerate arrival process, zero RUs,
+    /// a zero reconfiguration latency, per-mille fault rates above
+    /// 1000, and a retry budget whose worst-case backoff overflows
+    /// simulated time.
+    pub fn validate(&self) -> Result<(), String> {
+        for spec in &self.templates {
             TaskGraph::try_from(spec.clone()).map_err(|e| e.to_string())?;
         }
-        // Reject degenerate arrival processes here, on the loading
-        // thread, instead of panicking inside a sweep worker later.
-        scenario.arrivals.validate().map_err(|e| e.to_string())?;
-        Ok(scenario)
+        self.model.validate(self.templates.len())?;
+        self.arrivals.validate().map_err(|e| e.to_string())?;
+        if self.rus == 0 {
+            return Err("need at least one RU".into());
+        }
+        let latency = self.device.reconfig_latency;
+        if latency.is_zero() {
+            return Err("device.reconfig_latency must be positive".into());
+        }
+        let f = &self.faults;
+        for (name, pm) in [
+            ("load_fault_pm", f.load_fault_pm),
+            ("upset_pm", f.upset_pm),
+            ("ru_fault_pm", f.ru_fault_pm),
+        ] {
+            if pm > 1000 {
+                return Err(format!("faults.{name} is {pm} per mille, above 1000"));
+            }
+        }
+        // Retry k backs off `latency × 2^(k−1)`, so a budget of n waits
+        // `latency × (2^n − 1)` in all; past 65 retries that exceeds
+        // u64 for any positive latency.
+        let backoff_us = u128::from(latency.as_us()) * ((1u128 << f.max_retries.min(65)) - 1);
+        if backoff_us > u128::from(u64::MAX) {
+            return Err(format!(
+                "faults.max_retries {} backs off past the simulated-time range at {latency}",
+                f.max_retries
+            ));
+        }
+        Ok(())
     }
 
     /// Materialised template set.
@@ -436,6 +473,76 @@ mod tests {
         s.arrivals = ArrivalProcess::Poisson { mean_gap_us: 0 };
         let err = Scenario::from_json(&s.to_json()).unwrap_err();
         assert!(err.contains("batch setting"), "{err}");
+    }
+
+    #[test]
+    fn rejects_inputs_that_would_panic_in_a_sweep_worker() {
+        type Edit = fn(&mut Scenario);
+        let cases: [(&str, Edit, &str); 10] = [
+            ("zero RUs", |s| s.rus = 0, "at least one RU"),
+            (
+                "no templates",
+                |s| s.templates.clear(),
+                "at least one template",
+            ),
+            (
+                "weight count differs from template count",
+                |s| s.model = SequenceModel::Weighted(vec![1.0, 1.0]),
+                "one weight per template",
+            ),
+            (
+                "negative weight",
+                |s| s.model = SequenceModel::Weighted(vec![1.0, -1.0, 1.0]),
+                "non-negative",
+            ),
+            (
+                "all-zero weights",
+                |s| s.model = SequenceModel::Weighted(vec![0.0; 3]),
+                "positive, finite sum",
+            ),
+            (
+                "repeat_prob above 1",
+                |s| s.model = SequenceModel::Bursty { repeat_prob: 1.5 },
+                "probability",
+            ),
+            (
+                "negative repeat_prob",
+                |s| s.model = SequenceModel::Bursty { repeat_prob: -0.1 },
+                "probability",
+            ),
+            (
+                "zero reconfiguration latency",
+                |s| s.device.reconfig_latency = rtr_sim::SimDuration::ZERO,
+                "reconfig_latency must be positive",
+            ),
+            (
+                "per-mille rate above 1000",
+                |s| s.faults.upset_pm = 1001,
+                "above 1000",
+            ),
+            (
+                "retry backoff overflows simulated time",
+                |s| {
+                    s.faults.load_fault_pm = 1000;
+                    s.faults.max_retries = 60;
+                },
+                "max_retries 60",
+            ),
+        ];
+        for (what, edit, expected) in cases {
+            let mut s = Scenario::paper_fig9(4, 10, 1);
+            s.faults = FaultPlan::low(5);
+            edit(&mut s);
+            let err = Scenario::from_json(&s.to_json())
+                .expect_err(&format!("{what}: loaded, but a run panics"));
+            assert!(err.contains(expected), "{what}: {err}");
+        }
+        // The edges of the accepted ranges still load.
+        let mut s = Scenario::paper_fig9(4, 10, 1);
+        s.model = SequenceModel::Bursty { repeat_prob: 1.0 };
+        s.faults.load_fault_pm = 1000;
+        s.faults.max_retries = 20;
+        assert_eq!(Scenario::from_json(&s.to_json()).unwrap(), s);
     }
 
     #[test]

@@ -33,35 +33,63 @@ pub enum SequenceModel {
 }
 
 impl SequenceModel {
+    /// Checks the model against a template list of length `templates`:
+    /// at least one template, `Weighted` weights one per template,
+    /// non-negative, with a positive finite sum, and a `Bursty`
+    /// `repeat_prob` in `[0, 1]`.
+    pub fn validate(&self, templates: usize) -> Result<(), String> {
+        if templates == 0 {
+            return Err("need at least one template".into());
+        }
+        match self {
+            SequenceModel::Weighted(weights) => {
+                if weights.len() != templates {
+                    return Err(format!(
+                        "one weight per template required: {} weights, {templates} templates",
+                        weights.len()
+                    ));
+                }
+                if !weights.iter().all(|w| *w >= 0.0) {
+                    return Err("weights must be non-negative".into());
+                }
+                let total: f64 = weights.iter().sum();
+                if !(total > 0.0 && total.is_finite()) {
+                    return Err("weights must have a positive, finite sum".into());
+                }
+            }
+            SequenceModel::Bursty { repeat_prob } => {
+                if !(0.0..=1.0).contains(repeat_prob) {
+                    return Err(format!(
+                        "repeat_prob must be a probability, got {repeat_prob}"
+                    ));
+                }
+            }
+            SequenceModel::UniformRandom | SequenceModel::RoundRobin => {}
+        }
+        Ok(())
+    }
+
     /// Draws a sequence of `count` application instances.
     ///
     /// # Panics
-    /// Panics if `templates` is empty, or if `Weighted` weights are
-    /// invalid (wrong length, negative, or all zero).
+    /// Panics with the [`SequenceModel::validate`] message if the model
+    /// does not fit `templates`.
     pub fn generate(
         &self,
         templates: &[Arc<TaskGraph>],
         count: usize,
         seed: u64,
     ) -> Vec<Arc<TaskGraph>> {
-        assert!(!templates.is_empty(), "need at least one template");
+        if let Err(e) = self.validate(templates.len()) {
+            panic!("{e}");
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         match self {
             SequenceModel::UniformRandom => (0..count)
                 .map(|_| Arc::clone(&templates[rng.random_range(0..templates.len())]))
                 .collect(),
             SequenceModel::Weighted(weights) => {
-                assert_eq!(
-                    weights.len(),
-                    templates.len(),
-                    "one weight per template required"
-                );
-                assert!(
-                    weights.iter().all(|w| *w >= 0.0),
-                    "weights must be non-negative"
-                );
                 let total: f64 = weights.iter().sum();
-                assert!(total > 0.0, "weights must not all be zero");
                 (0..count)
                     .map(|_| {
                         let mut x = rng.random_range(0.0..total);
@@ -79,10 +107,6 @@ impl SequenceModel {
                     .collect()
             }
             SequenceModel::Bursty { repeat_prob } => {
-                assert!(
-                    (0.0..=1.0).contains(repeat_prob),
-                    "repeat_prob must be a probability"
-                );
                 let mut out: Vec<Arc<TaskGraph>> = Vec::with_capacity(count);
                 for _ in 0..count {
                     let repeat = !out.is_empty() && rng.random_bool(*repeat_prob);

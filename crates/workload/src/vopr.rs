@@ -7,8 +7,8 @@
 //! head-blocking annotation, preemption mode, QoS class mix, runtime
 //! fault-rate class, fault-class mix, pooled device count, placement
 //! policy and tenant mix) with a SplitMix64 stream, materialises
-//! the scenario, drives the engine through one of four lifecycles
-//! (fresh / reset / retarget / replay) — or, on multi-device draws,
+//! the scenario, drives the engine through one of three lifecycles
+//! (fresh / reset / retarget) — or, on multi-device draws,
 //! through the fleet front-end — and validates the run through
 //! the shared [`CheckerRegistry`] — including bit-exactness against a
 //! fresh reference run (`pooled-identity`); fleet cases additionally
@@ -63,30 +63,23 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How the engine is driven through a case. All four shapes must
+/// How the engine is driven through a case. All three shapes must
 /// produce the bit-identical outcome of a fresh [`simulate`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lifecycle {
     /// A fresh engine per run (the [`simulate`] wrapper).
     Fresh,
-    /// Warm the engine on the same batch, then `reset` and rerun.
+    /// Warm the engine on the case's configuration, then
+    /// [`Engine::reset`] and rerun.
     Reset,
     /// Warm the engine under a *different* RU count, then
-    /// `reset_with_config` onto the case's configuration.
+    /// [`Engine::reset`] onto the case's configuration.
     Retarget,
-    /// Warm the engine on the batch, then `reset_replay` and rerun
-    /// without re-submission.
-    Replay,
 }
 
 impl Lifecycle {
     /// All lifecycles, in the order the campaign cycles through them.
-    pub const ALL: [Lifecycle; 4] = [
-        Lifecycle::Fresh,
-        Lifecycle::Reset,
-        Lifecycle::Retarget,
-        Lifecycle::Replay,
-    ];
+    pub const ALL: [Lifecycle; 3] = [Lifecycle::Fresh, Lifecycle::Reset, Lifecycle::Retarget];
 
     /// Stable label (knob summaries, coverage reports).
     pub fn name(&self) -> &'static str {
@@ -94,7 +87,6 @@ impl Lifecycle {
             Lifecycle::Fresh => "fresh",
             Lifecycle::Reset => "reset",
             Lifecycle::Retarget => "retarget",
-            Lifecycle::Replay => "replay",
         }
     }
 }
@@ -202,7 +194,7 @@ impl FromStr for Fingerprint {
 
 /// The derived knobs of one case. `lifecycle` and `depth` cycle
 /// deterministically with the case index so every campaign of ≥ 16
-/// cases covers all four lifecycles at every depth; the rest streams
+/// cases covers all three lifecycles at every depth; the rest streams
 /// from SplitMix64.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaseKnobs {
@@ -511,48 +503,30 @@ fn execute_subject(case: &Case) -> Result<SimulationOutcome, SimError> {
             let mut policy = build_policy(knobs.policy, seed);
             simulate(&case.cfg, &case.jobs, policy.as_mut())
         }
-        Lifecycle::Reset => {
-            let mut engine = Engine::new(&case.cfg);
-            warm(&mut engine, case);
-            let mut policy = build_policy(knobs.policy, seed);
-            policy.reset();
-            engine.reset(&case.jobs);
-            engine.run(policy.as_mut());
-            engine.outcome()
-        }
-        Lifecycle::Retarget => {
-            // Warm under a different RU count, then retarget onto the
-            // case's configuration.
-            let warm_rus = if knobs.rus == 6 { 1 } else { knobs.rus + 1 };
-            let warm_cfg = case.cfg.clone().with_rus(warm_rus);
+        Lifecycle::Reset | Lifecycle::Retarget => {
+            let mut warm_cfg = case.cfg.clone();
+            if knobs.lifecycle == Lifecycle::Retarget {
+                warm_cfg = warm_cfg.with_rus(if knobs.rus == 6 { 1 } else { knobs.rus + 1 });
+            }
             let mut engine = Engine::new(&warm_cfg);
-            warm(&mut engine, case);
-            let mut policy = build_policy(knobs.policy, seed);
-            policy.reset();
-            engine.reset_with_config(&case.cfg, &case.jobs);
-            engine.run(policy.as_mut());
-            engine.outcome()
-        }
-        Lifecycle::Replay => {
-            let mut engine = Engine::new(&case.cfg);
-            warm(&mut engine, case);
-            let mut policy = build_policy(knobs.policy, seed);
-            policy.reset();
-            engine.reset_replay();
-            engine.run(policy.as_mut());
-            engine.outcome()
+            let _ = pooled_leg(&mut engine, &warm_cfg, case);
+            pooled_leg(&mut engine, &case.cfg, case)
         }
     }
 }
 
-/// One discarded warm leg on the case's own batch (under whatever
-/// configuration the engine currently carries).
-fn warm(engine: &mut Engine, case: &Case) {
+/// One run of the case's batch on a pooled engine: reset onto `cfg`,
+/// run a freshly built policy, finalise.
+fn pooled_leg(
+    engine: &mut Engine,
+    cfg: &ManagerConfig,
+    case: &Case,
+) -> Result<SimulationOutcome, SimError> {
     let mut policy = build_policy(case.knobs.policy, case.knobs.scenario_seed);
     policy.reset();
-    engine.reset(&case.jobs);
+    engine.reset(cfg, &case.jobs);
     engine.run(policy.as_mut());
-    let _ = engine.outcome();
+    engine.outcome()
 }
 
 /// How a case concluded.

@@ -113,8 +113,7 @@ proptest! {
     /// config whose plan has zero rates but a non-zero seed, a retry
     /// budget and a repair latency produces byte-identical outcomes
     /// (stats *and* trace) to the plain config, across a fresh run and
-    /// the pooled `reset` / `reset_with_config` / `reset_replay`
-    /// lifecycles.
+    /// the pooled reset and retarget lifecycles.
     #[test]
     fn empty_plan_is_byte_identical_across_lifecycles(
         seed in 0u64..1_000_000,
@@ -144,7 +143,7 @@ proptest! {
         for _ in 0..2 {
             let mut policy = build_policy(policy_id, seed);
             policy.reset();
-            engine.reset(&jobs);
+            engine.reset(&explicit, &jobs);
             engine.run(policy.as_mut());
             let out = engine.outcome().expect("completes");
             prop_assert_eq!(&outcome_bytes(&out), &baseline);
@@ -152,25 +151,16 @@ proptest! {
 
         // Retarget from a different RU count.
         let warm_rus = if rus == 5 { 1 } else { rus + 1 };
-        let mut engine = Engine::new(&explicit.clone().with_rus(warm_rus));
+        let warm_cfg = explicit.clone().with_rus(warm_rus);
+        let mut engine = Engine::new(&warm_cfg);
         let mut policy = build_policy(policy_id, seed);
         policy.reset();
-        engine.reset(&jobs);
+        engine.reset(&warm_cfg, &jobs);
         engine.run(policy.as_mut());
         let _ = engine.outcome();
         let mut policy = build_policy(policy_id, seed);
         policy.reset();
-        engine.reset_with_config(&explicit, &jobs);
-        engine.run(policy.as_mut());
-        prop_assert_eq!(
-            &outcome_bytes(&engine.outcome().expect("completes")),
-            &baseline
-        );
-
-        // Replay without re-submission.
-        let mut policy = build_policy(policy_id, seed);
-        policy.reset();
-        engine.reset_replay();
+        engine.reset(&explicit, &jobs);
         engine.run(policy.as_mut());
         prop_assert_eq!(
             &outcome_bytes(&engine.outcome().expect("completes")),
@@ -199,7 +189,7 @@ proptest! {
         let mut engine = Engine::new(&off_cfg);
         let mut policy = build_policy(policy_id, seed);
         policy.reset();
-        engine.reset(&jobs);
+        engine.reset(&off_cfg, &jobs);
         engine.run(policy.as_mut());
         prop_assert_eq!(
             &outcome_bytes(&engine.outcome().expect("completes")),
@@ -209,14 +199,14 @@ proptest! {
         // The fault-active detour (its own outcome is not the point).
         let mut policy = build_policy(policy_id, seed);
         policy.reset();
-        engine.reset_with_config(&fault_cfg, &jobs);
+        engine.reset(&fault_cfg, &jobs);
         engine.run(policy.as_mut());
         let _ = engine.outcome().expect("finite repair completes");
 
         // Fault-off leg after the detour: byte-identical again.
         let mut policy = build_policy(policy_id, seed);
         policy.reset();
-        engine.reset_with_config(&off_cfg, &jobs);
+        engine.reset(&off_cfg, &jobs);
         engine.run(policy.as_mut());
         prop_assert_eq!(
             &outcome_bytes(&engine.outcome().expect("completes")),

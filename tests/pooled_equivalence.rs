@@ -1,14 +1,13 @@
 //! Pooled-engine determinism: a reused engine must be bit-exact with a
 //! fresh one.
 //!
-//! The sweep-throughput overhaul reuses one [`Engine`] across cells and
-//! replications (`reset_with_config` / `reset_replay`), pooling every
-//! workload-sized allocation. Pooling must be *invisible*: for any
-//! scenario — random template families, all policies, every arrival
-//! process — the pooled run's [`RunStats`] and full [`Trace`] must equal
-//! the fresh [`simulate`] run's, event for event. This property test
-//! drives one engine through two different scenarios back to back and a
-//! replay of the first, comparing each leg against a fresh engine.
+//! Sweeps reuse one [`Engine`] across cells ([`Engine::reset`]),
+//! pooling every workload-sized allocation. Pooling must be
+//! *invisible*: for any scenario — random template families, all
+//! policies, every arrival process — the pooled run's [`RunStats`] and
+//! full [`Trace`] must equal the fresh [`simulate`] run's, event for
+//! event. This property test drives one engine through different
+//! scenarios back to back, comparing each leg against a fresh engine.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -128,7 +127,7 @@ fn run_fresh(s: &Scenario) -> SimulationOutcome {
 fn run_pooled(engine: &mut Engine, s: &Scenario) -> SimulationOutcome {
     let mut policy = build_policy(s.policy_id, s.policy_seed);
     policy.reset();
-    engine.reset_with_config(&s.cfg, &s.jobs);
+    engine.reset(&s.cfg, &s.jobs);
     engine.run(policy.as_mut());
     engine.outcome().expect("scenario completes")
 }
@@ -137,7 +136,7 @@ fn run_pooled(engine: &mut Engine, s: &Scenario) -> SimulationOutcome {
 /// (field-level counter pins first — naming the leaked counter — then
 /// full stats, then the first diverging trace event), run here with the
 /// fresh outcome as the reference. The same implementation backs the
-/// vopr fuzz harness's reset/retarget/replay lifecycles.
+/// vopr fuzz harness's reset/retarget lifecycles.
 fn assert_same(pooled: &SimulationOutcome, fresh: &SimulationOutcome, s: &Scenario, leg: &str) {
     let cx = CheckContext::new(
         &pooled.trace,
@@ -157,8 +156,8 @@ fn assert_same(pooled: &SimulationOutcome, fresh: &SimulationOutcome, s: &Scenar
 }
 
 /// Resetting a pooled engine to an *empty* batch must not leak the
-/// previous batch's memoised ideal makespan (regression: `submit`
-/// invalidated the memo per job, so zero jobs skipped invalidation).
+/// previous batch: with zero jobs, `reset` submits nothing, so only its
+/// own clearing stands between the two runs.
 #[test]
 fn reset_to_empty_batch_matches_fresh_empty_run() {
     let s = build_scenario(7, 2, 5, 4, 0, 1, false, 0);
@@ -181,8 +180,8 @@ fn reset_to_empty_batch_matches_fresh_empty_run() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One engine, two different scenarios back to back, then a replay
-    /// of the first: every leg bit-exact with a fresh engine. Scenario
+    /// One engine, two different scenarios back to back, then the first
+    /// again: every leg bit-exact with a fresh engine. Scenario
     /// B may enable the prefetcher, so its per-RU flags, counters and
     /// the speculative slot are exercised across resets/retargets too.
     #[test]
@@ -211,16 +210,9 @@ proptest! {
         // Different config, jobs, policy — the pool must not leak.
         let pooled_b = run_pooled(&mut engine, &b);
         assert_same(&pooled_b, &fresh_b, &b, "scenario B after A");
-        // Replay: same jobs re-armed without re-submission.
-        let mut policy = build_policy(b.policy_id, b.policy_seed);
-        policy.reset();
-        engine.reset_replay();
-        engine.run(policy.as_mut());
-        let replay_b = engine.outcome().expect("replay completes");
-        assert_same(&replay_b, &fresh_b, &b, "scenario B replayed");
-        // And back to A, exercising a config retarget after a replay.
+        // And back to A, exercising a second config retarget.
         let pooled_a2 = run_pooled(&mut engine, &a);
-        assert_same(&pooled_a2, &fresh_a, &a, "scenario A after replay of B");
+        assert_same(&pooled_a2, &fresh_a, &a, "scenario A after B");
     }
 
     /// With uniform default QoS no arrival can out-prioritise the
@@ -249,7 +241,7 @@ proptest! {
 
     /// QoS workloads (priority lanes, deadlines, live preemptions)
     /// through the pooled engine: bit-exact with a fresh engine on the
-    /// first run *and* on a warm replay, so the suspended stack, the
+    /// first run *and* on a warm rerun, so the suspended stack, the
     /// execution tokens and the QoS ledgers all reset cleanly.
     #[test]
     fn pooled_engine_is_bit_exact_with_fresh_under_qos(
@@ -281,12 +273,8 @@ proptest! {
         let mut engine = Engine::new(&s.cfg);
         let pooled = run_pooled(&mut engine, &s);
         assert_same(&pooled, &fresh, &s, "QoS scenario on a fresh pool");
-        let mut policy = build_policy(s.policy_id, s.policy_seed);
-        policy.reset();
-        engine.reset_replay();
-        engine.run(policy.as_mut());
-        let replay = engine.outcome().expect("replay completes");
-        assert_same(&replay, &fresh, &s, "QoS scenario replayed");
+        let rerun = run_pooled(&mut engine, &s);
+        assert_same(&rerun, &fresh, &s, "QoS scenario on a warm pool");
     }
 
     /// A config walk over one pooled engine: base cell, a detour with
@@ -350,16 +338,12 @@ proptest! {
         };
         let mut engine = Engine::new(&s.cfg);
         // Two consecutive pooled runs: first exercises a cold pool,
-        // second a warm replay.
-        for leg in ["cold pooled run", "warm replay"] {
+        // second a warm one.
+        for leg in ["cold pooled run", "warm pooled run"] {
             let mut p = LfdPolicy::local_with_skip(window);
             p.reset();
-            if leg == "cold pooled run" {
-                engine.reset_with_config(&s.cfg, &s.jobs);
-            } else {
-                engine.reset_replay();
-            }
-            engine.run_with(&mut p);
+            engine.reset(&s.cfg, &s.jobs);
+            engine.run(&mut p);
             let pooled = engine.outcome().expect("scenario completes");
             assert_same(&pooled, &fresh, &s, leg);
         }
