@@ -10,10 +10,11 @@
 //!
 //! Tables are printed as Markdown and written as CSV under `results/`.
 
+use rtr_manager::SimError;
 use rtr_workload::experiments::fig9::{fig9a, fig9b, fig9c, Fig9Params};
 use std::path::Path;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let panel = args.first().map(String::as_str).unwrap_or("all");
     let mut params = Fig9Params::default();
@@ -34,19 +35,20 @@ fn main() {
 
     let results = Path::new("results");
     if panel == "a" || panel == "all" {
-        let t = fig9a(&params);
+        let t = fig9a(&params)?;
         println!("{}", t.to_markdown());
         t.write_csv(&results.join("fig9a.csv")).expect("write csv");
     }
     if panel == "b" || panel == "all" {
-        let t = fig9b(&params);
+        let t = fig9b(&params)?;
         println!("{}", t.to_markdown());
         t.write_csv(&results.join("fig9b.csv")).expect("write csv");
     }
     if panel == "c" || panel == "all" {
-        let t = fig9c(&params);
+        let t = fig9c(&params)?;
         println!("{}", t.to_markdown());
         t.write_csv(&results.join("fig9c.csv")).expect("write csv");
     }
     println!("CSV written under results/");
+    Ok(())
 }

@@ -2,77 +2,19 @@
 //! count × arrival process on the multimedia workload.
 //!
 //! ```text
-//! cargo run --release -p rtr-bench --bin fig_fleet            # full grid
-//! cargo run --release -p rtr-bench --bin fig_fleet -- smoke   # CI-sized
-//! cargo run --release -p rtr-bench --bin fig_fleet -- 600 11  # apps seed
+//! cargo run --release -p rtr-bench --bin fig_fleet
 //! ```
 //!
-//! The table is printed as Markdown and written as CSV under
-//! `results/fig_fleet.csv`. Before the sweep, the binary asserts the
-//! single-device fleet rows are byte-identical (stats and trace) to
-//! the plain batch path — the virtualization layer must be invisible
-//! when the pool has one device. After the sweep it checks the
-//! acceptance envelope: no cell may lose an admitted job, and
-//! `reuse-affinity` placement must beat `round-robin` on mean
-//! cross-device reuse (the headline claim of pooling: routing a job to
-//! the device that already holds its configurations turns cross-device
-//! cache misses into reuses).
+//! Prints the table, writes `results/fig_fleet.csv` and runs the
+//! acceptance check: no cell loses an admitted job, `reuse-affinity`
+//! placement beats `round-robin` on mean cross-device reuse (routing a
+//! job to the device that already holds its configurations turns
+//! cross-device cache misses into reuses), and a one-device fleet
+//! matches the plain engine path in stats and trace.
 
-use rtr_manager::PlacementKind;
-use rtr_workload::experiments::fleet::{
-    assert_fleet_single_matches_baseline, fig_fleet, mean_reuse_of, FleetParams,
-};
-use std::path::Path;
+use rtr_workload::experiments::fleet;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut params = match args.first().map(String::as_str) {
-        Some("smoke") => FleetParams::smoke(),
-        _ => FleetParams::default(),
-    };
-    if let Some(apps) = args.first().filter(|a| a.as_str() != "smoke") {
-        params.apps = apps.parse().expect("apps must be a number");
-    }
-    if let Some(seed) = args.get(1) {
-        params.seed = seed.parse().expect("seed must be a number");
-    }
-
-    println!(
-        "fig_fleet — {} apps from {{JPEG, MPEG-1, Hough}}, seed {}, device mixes {:?}",
-        params.apps, params.seed, params.device_mixes
-    );
-
-    // Golden guard: a single-device fleet must be byte-identical to
-    // the plain batch path (panics → non-zero exit on drift).
-    assert_fleet_single_matches_baseline(&FleetParams::smoke());
-    println!("single-device golden guard: OK (byte-identical to the baseline path)\n");
-
-    let t = fig_fleet(&params);
-    println!("{}", t.to_markdown());
-    let csv = Path::new("results").join("fig_fleet.csv");
-    t.write_csv(&csv).expect("write csv");
-    println!("CSV written to {}", csv.display());
-
-    // Acceptance envelope: no cell loses an admitted job, and the
-    // reuse-affinity placement beats round-robin on mean reuse.
-    let csv_text = t.to_csv();
-    for line in csv_text.lines().skip(1) {
-        let c: Vec<&str> = line.split(',').collect();
-        let jobs: usize = c[4].parse().expect("jobs column");
-        assert_eq!(
-            jobs, params.apps,
-            "acceptance: a fleet cell lost admitted jobs: {line}"
-        );
-    }
-    let affinity = mean_reuse_of(&csv_text, PlacementKind::ReuseAffinity);
-    let round_robin = mean_reuse_of(&csv_text, PlacementKind::RoundRobin);
-    assert!(
-        affinity > round_robin,
-        "acceptance: reuse-affinity mean reuse {affinity:.2}% must beat \
-         round-robin {round_robin:.2}%"
-    );
-    println!(
-        "acceptance: no admitted jobs lost in any cell; mean reuse \
-         {affinity:.2}% (reuse-affinity) > {round_robin:.2}% (round-robin)"
-    );
+fn main() -> ExitCode {
+    rtr_bench::sweep_figure("fig_fleet", fleet::run, fleet::check)
 }

@@ -1,7 +1,10 @@
-//! Shared helpers for the benchmark harness: paper-style schedule
-//! rendering used by the figure binaries.
+//! Shared helpers for the figure binaries: paper-style schedule
+//! rendering and the one driver every `fig_*` sweep binary runs.
 
-use rtr_manager::{SimulationOutcome, Trace};
+use rtr_manager::{SimError, SimulationOutcome, Trace};
+use rtr_workload::Table;
+use std::path::Path;
+use std::process::ExitCode;
 
 /// Renders a simulation's schedule as an ASCII Gantt chart plus a
 /// paper-style caption (`Reuse: X% / Overhead: Y ms`).
@@ -21,6 +24,40 @@ pub fn render_outcome(title: &str, out: &SimulationOutcome, rus: usize) -> Strin
 /// Renders only the Gantt chart of a trace.
 pub fn render_gantt(trace: &Trace, rus: usize) -> String {
     trace.to_gantt(rus).render()
+}
+
+/// Runs one sweep figure end to end: prints the table `run` returns,
+/// writes it to `results/<name>.csv`, then runs the figure's acceptance
+/// `check` over it. Fails if the sweep, the write or the check fails.
+pub fn sweep_figure(
+    name: &str,
+    run: fn() -> Result<Table, SimError>,
+    check: fn(&Table) -> Result<String, String>,
+) -> ExitCode {
+    let table = match run() {
+        Ok(table) => table,
+        Err(e) => {
+            eprintln!("{name}: a cell failed to simulate: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!("{}", table.to_markdown());
+    let csv = Path::new("results").join(format!("{name}.csv"));
+    if let Err(e) = table.write_csv(&csv) {
+        eprintln!("{name}: cannot write {}: {e}", csv.display());
+        return ExitCode::FAILURE;
+    }
+    println!("CSV written to {}", csv.display());
+    match check(&table) {
+        Ok(summary) => {
+            println!("acceptance: {summary}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{name}: acceptance check failed: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ use rtr_taskgraph::ConfigId;
 /// How [`LfdPolicy`] resolves ties (several candidates with the same —
 /// typically infinite — forward distance). The paper uses
 /// [`TieBreak::FirstCandidate`]; the alternatives exist for the
-/// tie-break ablation called out in `DESIGN.md` §7.
+/// tie-break ablation (`rtr_workload::experiments::ablations`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TieBreak {
     /// "Local LFD selects the first candidate it finds" — lowest RU

@@ -70,12 +70,11 @@ pub fn compute_mobility_capped(
     // probes force the speculative prefetcher and the fault plan off
     // (besides skip events and tracing), so a prefetching or faulty
     // caller gets the same budgets as a plain one — which is also what
-    // keeps the registry's mobility memo key (template, RUs, latency,
-    // reuse) complete.
+    // keeps the registry's mobility memo key (template, RUs, latency)
+    // complete.
     let probe_cfg = ManagerConfig {
         skip_events: false,
         record_trace: false,
-        reuse_enabled: cfg.reuse_enabled,
         prefetch: rtr_manager::PrefetchConfig::off(),
         faults: rtr_manager::FaultPlan::off(),
         ..cfg.clone()

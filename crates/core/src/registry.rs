@@ -39,7 +39,6 @@ struct MobilityKey {
     graph: usize,
     rus: usize,
     latency_us: u64,
-    reuse_enabled: bool,
 }
 
 impl MobilityKey {
@@ -48,7 +47,6 @@ impl MobilityKey {
             graph: Arc::as_ptr(graph) as usize,
             rus: cfg.rus,
             latency_us: cfg.device.reconfig_latency.as_us(),
-            reuse_enabled: cfg.reuse_enabled,
         }
     }
 }

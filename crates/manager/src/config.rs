@@ -261,10 +261,6 @@ pub struct ManagerConfig {
     /// Enables the run-time Skip Events feature (requires jobs carrying
     /// mobility annotations to have any effect).
     pub skip_events: bool,
-    /// When false, resident configurations are never reused — every task
-    /// instance reloads. This is the "original reconfiguration overhead"
-    /// baseline.
-    pub reuse_enabled: bool,
     /// Record a full schedule trace (disable for large parameter sweeps).
     pub record_trace: bool,
     /// Speculative configuration prefetching (off by default — the
@@ -280,14 +276,13 @@ pub struct ManagerConfig {
 
 impl ManagerConfig {
     /// The paper's default experimental setup: 4 RUs, 4 ms latency,
-    /// reuse on, skip off, DL = 1 graph.
+    /// skip off, DL = 1 graph.
     pub fn paper_default() -> Self {
         ManagerConfig {
             rus: 4,
             device: DeviceSpec::paper_default(),
             lookahead: Lookahead::Graphs(1),
             skip_events: false,
-            reuse_enabled: true,
             record_trace: true,
             prefetch: PrefetchConfig::off(),
             preemption: PreemptionMode::Off,
@@ -310,12 +305,6 @@ impl ManagerConfig {
     /// Builder-style Skip Events toggle.
     pub fn with_skip_events(mut self, on: bool) -> Self {
         self.skip_events = on;
-        self
-    }
-
-    /// Builder-style reuse toggle.
-    pub fn with_reuse(mut self, on: bool) -> Self {
-        self.reuse_enabled = on;
         self
     }
 
@@ -368,7 +357,6 @@ mod tests {
             .with_rus(6)
             .with_lookahead(Lookahead::All)
             .with_skip_events(true)
-            .with_reuse(false)
             .with_trace(false)
             .with_prefetch(PrefetchConfig::with_depth(3))
             .with_preemption(PreemptionMode::Checkpoint);
@@ -376,7 +364,6 @@ mod tests {
         assert_eq!(c.preemption, PreemptionMode::Checkpoint);
         assert_eq!(c.lookahead, Lookahead::All);
         assert!(c.skip_events);
-        assert!(!c.reuse_enabled);
         assert!(!c.record_trace);
         assert_eq!(c.prefetch.depth, 3);
         assert!(c.prefetch.enabled());

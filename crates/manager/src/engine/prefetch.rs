@@ -60,11 +60,6 @@ impl ManagerState {
     pub(crate) fn try_prefetch(&mut self, now: SimTime) {
         debug_assert!(self.controller.is_idle());
         debug_assert!(self.cfg.prefetch.enabled());
-        // Prefetching without reuse is pure waste: a speculative
-        // resident could never be claimed.
-        if !self.cfg.reuse_enabled {
-            return;
-        }
         let Some(job) = self.current.as_ref() else {
             // Between graphs (or idle): the index front segment is
             // retired, so there is no well-defined window. The

@@ -56,9 +56,6 @@ impl ManagerState {
         now: SimTime,
         policy: &mut P,
     ) -> bool {
-        if !self.cfg.reuse_enabled {
-            return false;
-        }
         let Some(ru) = self.pool.try_claim_reuse(config) else {
             return false;
         };

@@ -8,7 +8,7 @@
 //! is *event triggered*: all scheduling actions happen at
 //! `job_arrival`, `new_task_graph`, `end_of_reconfiguration` /
 //! `reused_task` or `end_of_execution` events. Semantics (validated
-//! against the paper's Figs. 2, 3 and 7 — see `DESIGN.md` §2):
+//! against the paper's Figs. 2, 3 and 7 — see `tests/paper_examples.rs`):
 //!
 //! * Graphs execute strictly sequentially in arrival order; a graph's
 //!   reconfigurations start when it becomes current. When no arrived

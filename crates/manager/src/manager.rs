@@ -738,18 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn reuse_disabled_reloads_everything() {
-        let g = Arc::new(benchmarks::jpeg());
-        let jobs = vec![JobSpec::new(Arc::clone(&g)), JobSpec::new(g)];
-        let cfg = ManagerConfig::paper_default().with_reuse(false);
-        let out = run(&cfg, &jobs);
-        assert_eq!(out.stats.reuses, 0);
-        assert_eq!(out.stats.loads, 8);
-        // Both instances pay the initial exposed load.
-        assert_eq!(out.stats.makespan, ms(83 + 83));
-    }
-
-    #[test]
     fn graphs_execute_sequentially() {
         let jobs = vec![
             JobSpec::new(Arc::new(benchmarks::jpeg())),

@@ -291,9 +291,7 @@ pub trait ReplacementPolicy {
 
 /// Picks the first (lowest-index RU) candidate. This is both the
 /// fallback tie-break the paper describes for Local LFD and a useful
-/// "no intelligence" baseline; it is also the policy used for the
-/// no-reuse original-overhead baseline where victim choice cannot
-/// matter.
+/// "no intelligence" baseline; the mobility probes run under it.
 #[derive(Debug, Clone, Default)]
 pub struct FirstCandidatePolicy;
 

@@ -1,4 +1,4 @@
-//! Ablations beyond the paper's evaluation (DESIGN.md §7).
+//! Ablations beyond the paper's evaluation.
 //!
 //! * Dynamic-List window sweep (1–8 graphs): how much future knowledge
 //!   Local LFD actually needs.
@@ -6,49 +6,39 @@
 //! * Sequence-model sweep: burstier workloads give all policies more
 //!   reuse, but the LFD-family advantage persists.
 
-use crate::parallel::parallel_map_with;
+use crate::experiments::sweep;
+use crate::parallel::default_workers;
 use crate::policies::PolicyKind;
-use crate::runner::{pooled_workers, CellConfig};
-use crate::sequence::SequenceModel;
+use crate::runner::CellConfig;
+use crate::sequence::{multimedia_templates, SequenceModel};
 use crate::table::{fmt_f, Table};
-use rtr_core::TemplateRegistry;
 use rtr_hw::DeviceSpec;
+use rtr_manager::SimError;
 use rtr_sim::SimDuration;
 use rtr_taskgraph::TaskGraph;
 use std::sync::Arc;
 
-fn templates() -> Vec<Arc<TaskGraph>> {
-    rtr_taskgraph::benchmarks::multimedia_suite()
-        .into_iter()
-        .map(Arc::new)
-        .collect()
-}
-
 /// Sweep of the Dynamic-List window for Local LFD (reuse % and
 /// remaining overhead % on a fixed system).
-pub fn dl_window_sweep(apps: usize, seed: u64, rus: usize, windows: &[usize]) -> Table {
-    let seq = SequenceModel::UniformRandom.generate(&templates(), apps, seed);
-    let registry = Arc::new(TemplateRegistry::new());
-    let results = parallel_map_with(
-        windows.to_vec(),
-        crate::parallel::default_workers(),
-        pooled_workers(&registry),
-        |runner, w| {
-            let cell = CellConfig::new(
-                PolicyKind::LocalLfd {
-                    window: w,
-                    skip: false,
-                },
-                rus,
-            );
-            let out = runner.run(&seq, &cell).expect("sweep cell simulates");
-            (
-                w,
-                out.stats.reuse_rate_pct(),
-                out.stats.remaining_overhead_pct(),
-            )
-        },
-    );
+pub fn dl_window_sweep(
+    apps: usize,
+    seed: u64,
+    rus: usize,
+    windows: &[usize],
+) -> Result<Table, SimError> {
+    let seq = SequenceModel::UniformRandom.generate(&multimedia_templates(), apps, seed);
+    let results = sweep(windows.to_vec(), default_workers(), |runner, w| {
+        let policy = PolicyKind::LocalLfd {
+            window: w,
+            skip: false,
+        };
+        let out = runner.run(&seq, &CellConfig::new(policy, rus))?;
+        Ok((
+            w,
+            out.stats.reuse_rate_pct(),
+            out.stats.remaining_overhead_pct(),
+        ))
+    })?;
     let mut t = Table::new(
         format!("Ablation — DL window sweep ({rus} RUs, {apps} apps)"),
         &["DL window", "Reuse (%)", "Remaining overhead (%)"],
@@ -56,12 +46,17 @@ pub fn dl_window_sweep(apps: usize, seed: u64, rus: usize, windows: &[usize]) ->
     for (w, reuse, rem) in results {
         t.push_row(vec![w.to_string(), fmt_f(reuse, 2), fmt_f(rem, 2)]);
     }
-    t
+    Ok(t)
 }
 
 /// Sweep of the reconfiguration latency for a fixed policy pair.
-pub fn latency_sweep(apps: usize, seed: u64, rus: usize, latencies_ms: &[u64]) -> Table {
-    let seq = SequenceModel::UniformRandom.generate(&templates(), apps, seed);
+pub fn latency_sweep(
+    apps: usize,
+    seed: u64,
+    rus: usize,
+    latencies_ms: &[u64],
+) -> Result<Table, SimError> {
+    let seq = SequenceModel::UniformRandom.generate(&multimedia_templates(), apps, seed);
     let grid: Vec<(u64, PolicyKind)> = latencies_ms
         .iter()
         .flat_map(|&l| {
@@ -78,18 +73,12 @@ pub fn latency_sweep(apps: usize, seed: u64, rus: usize, latencies_ms: &[u64]) -
             ]
         })
         .collect();
-    let registry = Arc::new(TemplateRegistry::new());
-    let results = parallel_map_with(
-        grid,
-        crate::parallel::default_workers(),
-        pooled_workers(&registry),
-        |runner, (l, policy)| {
-            let mut cell = CellConfig::new(policy, rus);
-            cell.device = DeviceSpec::paper_default().with_latency(SimDuration::from_ms(l));
-            let out = runner.run(&seq, &cell).expect("sweep cell simulates");
-            (l, policy, out.stats.total_overhead().as_ms_f64())
-        },
-    );
+    let results = sweep(grid, default_workers(), |runner, (l, policy)| {
+        let mut cell = CellConfig::new(policy, rus);
+        cell.device = DeviceSpec::paper_default().with_latency(SimDuration::from_ms(l));
+        let out = runner.run(&seq, &cell)?;
+        Ok((l, policy, out.stats.total_overhead().as_ms_f64()))
+    })?;
     let mut t = Table::new(
         format!("Ablation — reconfiguration latency sweep ({rus} RUs, overhead in ms)"),
         &["Latency (ms)", "LRU", "Local LFD (1)", "LFD"],
@@ -115,16 +104,16 @@ pub fn latency_sweep(apps: usize, seed: u64, rus: usize, latencies_ms: &[u64]) -
             fmt_f(get(&PolicyKind::Lfd), 1),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Tie-break ablation: the paper's first-candidate rule vs an LRU
 /// tie-break among equally-distant victims, across DL windows.
-pub fn tie_break_sweep(apps: usize, seed: u64, rus: usize) -> Table {
+pub fn tie_break_sweep(apps: usize, seed: u64, rus: usize) -> Result<Table, SimError> {
     use rtr_core::{LfdPolicy, TieBreak};
     use rtr_manager::{Engine, JobSpec, Lookahead, ManagerConfig};
 
-    let seq = SequenceModel::UniformRandom.generate(&templates(), apps, seed);
+    let seq = SequenceModel::UniformRandom.generate(&multimedia_templates(), apps, seed);
     let jobs: Vec<JobSpec> = seq.iter().map(|g| JobSpec::new(Arc::clone(g))).collect();
     let mut t = Table::new(
         format!("Ablation — Local LFD tie-break ({rus} RUs, reuse % / overhead ms)"),
@@ -142,14 +131,14 @@ pub fn tie_break_sweep(apps: usize, seed: u64, rus: usize) -> Table {
         policy.reset();
         engine.reset(cfg, &jobs);
         engine.run(policy);
-        engine.outcome().expect("tie-break cell simulates")
+        engine.outcome()
     };
     for window in [1usize, 2, 4] {
         let cfg = base_cfg.clone().with_lookahead(Lookahead::Graphs(window));
         let mut first = LfdPolicy::local(window);
-        let a = run(&mut engine, &cfg, &mut first);
+        let a = run(&mut engine, &cfg, &mut first)?;
         let mut lru = LfdPolicy::local(window).with_tie_break(TieBreak::LeastRecentlyUsed);
-        let b = run(&mut engine, &cfg, &mut lru);
+        let b = run(&mut engine, &cfg, &mut lru)?;
         t.push_row(vec![
             window.to_string(),
             format!(
@@ -164,18 +153,18 @@ pub fn tie_break_sweep(apps: usize, seed: u64, rus: usize) -> Table {
             ),
         ]);
     }
-    t
+    Ok(t)
 }
 
 /// Sweep of the sequence model (workload shape).
-pub fn sequence_model_sweep(apps: usize, seed: u64, rus: usize) -> Table {
+pub fn sequence_model_sweep(apps: usize, seed: u64, rus: usize) -> Result<Table, SimError> {
     let models: Vec<(&str, SequenceModel)> = vec![
         ("Uniform", SequenceModel::UniformRandom),
         ("Bursty 0.5", SequenceModel::Bursty { repeat_prob: 0.5 }),
         ("Bursty 0.8", SequenceModel::Bursty { repeat_prob: 0.8 }),
         ("RoundRobin", SequenceModel::RoundRobin),
     ];
-    let tpls = templates();
+    let tpls = multimedia_templates();
     let grid: Vec<(usize, PolicyKind)> = (0..models.len())
         .flat_map(|i| {
             [
@@ -195,19 +184,10 @@ pub fn sequence_model_sweep(apps: usize, seed: u64, rus: usize) -> Table {
         .iter()
         .map(|(_, m)| m.generate(&tpls, apps, seed))
         .collect();
-    let registry = Arc::new(TemplateRegistry::new());
-    let results = parallel_map_with(
-        grid,
-        crate::parallel::default_workers(),
-        pooled_workers(&registry),
-        |runner, (mi, policy)| {
-            let cell = CellConfig::new(policy, rus);
-            let out = runner
-                .run(&sequences[mi], &cell)
-                .expect("sweep cell simulates");
-            (mi, policy, out.stats.reuse_rate_pct())
-        },
-    );
+    let results = sweep(grid, default_workers(), |runner, (mi, policy)| {
+        let out = runner.run(&sequences[mi], &CellConfig::new(policy, rus))?;
+        Ok((mi, policy, out.stats.reuse_rate_pct()))
+    })?;
     let mut t = Table::new(
         format!("Ablation — workload model sweep ({rus} RUs, reuse %)"),
         &["Model", "LRU", "Local LFD (1)", "LFD"],
@@ -233,7 +213,7 @@ pub fn sequence_model_sweep(apps: usize, seed: u64, rus: usize) -> Table {
             fmt_f(get(&PolicyKind::Lfd), 2),
         ]);
     }
-    t
+    Ok(t)
 }
 
 #[cfg(test)]
@@ -242,24 +222,22 @@ mod tests {
 
     #[test]
     fn dl_sweep_reuse_is_monotonic_ish() {
-        let t = dl_window_sweep(60, 5, 4, &[1, 2, 4, 8]);
+        let t = dl_window_sweep(60, 5, 4, &[1, 2, 4, 8]).unwrap();
         assert_eq!(t.len(), 4);
     }
 
     #[test]
     fn tie_break_sweep_runs() {
-        let t = tie_break_sweep(60, 9, 6);
+        let t = tie_break_sweep(60, 9, 6).unwrap();
         assert_eq!(t.len(), 3);
         assert!(t.to_markdown().contains("LRU tie-break"));
     }
 
     #[test]
     fn latency_sweep_overhead_grows_with_latency() {
-        let t = latency_sweep(40, 6, 4, &[1, 4, 16]);
-        let csv = t.to_csv();
-        let rows: Vec<&str> = csv.lines().skip(1).collect();
-        let overhead = |row: &str| -> f64 { row.split(',').nth(3).unwrap().parse().unwrap() };
-        assert!(overhead(rows[2]) >= overhead(rows[0]));
+        let t = latency_sweep(40, 6, 4, &[1, 4, 16]).unwrap();
+        let lfd: Vec<f64> = t.rows().map(|r| r.num("LFD")).collect();
+        assert!(lfd[2] >= lfd[0]);
     }
 
     #[test]
@@ -268,12 +246,14 @@ mod tests {
         // graph reuse its resident configurations); LRU may not — its
         // own loads evict the configs the repeat needs (the pathology
         // the paper's Fig. 2 illustrates).
-        let t = sequence_model_sweep(300, 7, 4);
-        let csv = t.to_csv();
-        let rows: Vec<&str> = csv.lines().skip(1).collect();
-        let lfd = |row: &str| -> f64 { row.split(',').nth(3).unwrap().parse().unwrap() };
-        let uniform = lfd(rows[0]);
-        let bursty8 = lfd(rows[2]);
+        let t = sequence_model_sweep(300, 7, 4).unwrap();
+        let lfd = |model: &str| {
+            t.rows()
+                .find(|r| r.get("Model") == model)
+                .unwrap()
+                .num("LFD")
+        };
+        let (uniform, bursty8) = (lfd("Uniform"), lfd("Bursty 0.8"));
         assert!(
             bursty8 > uniform,
             "bursty 0.8 ({bursty8}) should beat uniform ({uniform}) for LFD"

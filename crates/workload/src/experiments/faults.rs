@@ -16,23 +16,47 @@
 //! The fault-off rows are the plain batch path: `FaultRate::Off` is
 //! [`FaultPlan::off`], which every [`CellConfig`] already holds.
 
-use crate::parallel::parallel_map_with;
+use crate::experiments::sweep;
+use crate::parallel::default_workers;
 use crate::policies::PolicyKind;
-use crate::runner::{pooled_workers, CellConfig};
-use crate::sequence::SequenceModel;
+use crate::runner::CellConfig;
+use crate::sequence::{multimedia_templates, SequenceModel};
 use crate::table::{fmt_f, Table};
-use rtr_core::TemplateRegistry;
-use rtr_manager::FaultPlan;
-use rtr_taskgraph::TaskGraph;
-use std::sync::Arc;
+use rtr_manager::{FaultPlan, SimError};
 
+/// Applications per run.
+const APPS: usize = 200;
+/// Seed for the sequence and fault streams.
+const SEED: u64 = 42;
 /// Salt decorrelating the fault-decision stream from the
 /// application-sequence stream drawn with the same experiment seed.
 const FAULT_SEED_SALT: u64 = 0xDE6A_DE01;
+/// RU counts (the degraded-pool axis).
+const RUS: [usize; 3] = [2, 4, 6];
+/// Replacement policies compared.
+const POLICIES: [PolicyKind; 2] = [PolicyKind::Lru, PolicyKind::Lfd];
+
+const HEADERS: [&str; 15] = [
+    "Faults",
+    "Policy",
+    "RUs",
+    "Jobs",
+    "Injected",
+    "Retries",
+    "Repairs",
+    "Quarantines",
+    "Heals",
+    "Degraded (ms)",
+    "Lost work (ms)",
+    "Availability (%)",
+    "Reuse (%)",
+    "Loads",
+    "Makespan (ms)",
+];
 
 /// The fault-rate axis, benign → hostile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultRate {
+enum FaultRate {
     /// No faults — the exact pre-fault code path (the control row).
     Off,
     /// [`FaultPlan::low`]: occasional corruption, rare upsets/hard
@@ -45,10 +69,10 @@ pub enum FaultRate {
 
 impl FaultRate {
     /// All rates, in sweep order (the control row first).
-    pub const ALL: [FaultRate; 3] = [FaultRate::Off, FaultRate::Low, FaultRate::High];
+    const ALL: [FaultRate; 3] = [FaultRate::Off, FaultRate::Low, FaultRate::High];
 
     /// Stable label (table rows, CSV).
-    pub fn label(&self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             FaultRate::Off => "off",
             FaultRate::Low => "low",
@@ -56,188 +80,102 @@ impl FaultRate {
         }
     }
 
-    /// The plan this rate decodes to under `seed`.
-    pub fn plan(&self, seed: u64) -> FaultPlan {
+    /// The plan this rate decodes to.
+    fn plan(self) -> FaultPlan {
         match self {
             FaultRate::Off => FaultPlan::off(),
-            FaultRate::Low => FaultPlan::low(seed ^ FAULT_SEED_SALT),
-            FaultRate::High => FaultPlan::high(seed ^ FAULT_SEED_SALT),
-        }
-    }
-}
-
-/// Grid parameters.
-#[derive(Debug, Clone)]
-pub struct FaultParams {
-    /// Applications per run.
-    pub apps: usize,
-    /// Seed for the sequence and fault streams.
-    pub seed: u64,
-    /// RU counts to sweep (the degraded-pool axis).
-    pub rus: Vec<usize>,
-    /// Replacement policies to compare.
-    pub policies: Vec<PolicyKind>,
-    /// Fault-rate classes to sweep.
-    pub rates: Vec<FaultRate>,
-    /// Worker threads for the sweep.
-    pub workers: usize,
-}
-
-impl Default for FaultParams {
-    fn default() -> Self {
-        FaultParams {
-            apps: 200,
-            seed: 42,
-            rus: vec![2, 4, 6],
-            policies: vec![PolicyKind::Lru, PolicyKind::Lfd],
-            rates: FaultRate::ALL.to_vec(),
-            workers: crate::parallel::default_workers(),
-        }
-    }
-}
-
-impl FaultParams {
-    /// A small grid for tests and CI smoke runs.
-    pub fn smoke() -> Self {
-        FaultParams {
-            apps: 60,
-            seed: 7,
-            rus: vec![2, 4],
-            policies: vec![PolicyKind::Lru],
-            ..FaultParams::default()
+            FaultRate::Low => FaultPlan::low(SEED ^ FAULT_SEED_SALT),
+            FaultRate::High => FaultPlan::high(SEED ^ FAULT_SEED_SALT),
         }
     }
 }
 
 /// Runs the (rate × policy × RU) grid and tabulates it.
-pub fn fig_faults(params: &FaultParams) -> Table {
-    let templates: Vec<Arc<TaskGraph>> = rtr_taskgraph::benchmarks::multimedia_suite()
-        .into_iter()
-        .map(Arc::new)
-        .collect();
-    let sequence = SequenceModel::UniformRandom.generate(&templates, params.apps, params.seed);
+pub fn run() -> Result<Table, SimError> {
+    let sequence = SequenceModel::UniformRandom.generate(&multimedia_templates(), APPS, SEED);
 
-    let mut grid: Vec<(FaultRate, PolicyKind, usize)> = Vec::new();
-    for &rate in &params.rates {
-        for &policy in &params.policies {
-            for &rus in &params.rus {
+    let mut grid = Vec::new();
+    for rate in FaultRate::ALL {
+        for policy in POLICIES {
+            for rus in RUS {
                 grid.push((rate, policy, rus));
             }
         }
     }
 
-    let registry = Arc::new(TemplateRegistry::new());
-    let rows = parallel_map_with(
-        grid,
-        params.workers,
-        pooled_workers(&registry),
-        |runner, (rate, policy, rus)| {
-            let cell = CellConfig::new(policy, rus).with_faults(rate.plan(params.seed));
-            let out = runner
-                .run(&sequence, &cell)
-                .expect("fault cell simulates to completion");
-            let f = &out.stats.faults;
-            vec![
-                rate.label().to_string(),
-                policy.label(),
-                rus.to_string(),
-                out.stats.graph_completions.len().to_string(),
-                f.injected.to_string(),
-                f.retries.to_string(),
-                f.repairs.to_string(),
-                f.quarantines.to_string(),
-                f.heals.to_string(),
-                fmt_f(f.degraded_time.as_ms_f64(), 1),
-                fmt_f(f.lost_work_cycles.as_ms_f64(), 1),
-                fmt_f(out.stats.availability_pct(), 2),
-                fmt_f(out.stats.reuse_rate_pct(), 2),
-                out.stats.loads.to_string(),
-                fmt_f(out.stats.makespan.as_ms_f64(), 1),
-            ]
-        },
-    );
+    let rows = sweep(grid, default_workers(), |runner, (rate, policy, rus)| {
+        let cell = CellConfig::new(policy, rus).with_faults(rate.plan());
+        let out = runner.run(&sequence, &cell)?;
+        let f = &out.stats.faults;
+        Ok(vec![
+            rate.label().to_string(),
+            policy.label(),
+            rus.to_string(),
+            out.stats.graph_completions.len().to_string(),
+            f.injected.to_string(),
+            f.retries.to_string(),
+            f.repairs.to_string(),
+            f.quarantines.to_string(),
+            f.heals.to_string(),
+            fmt_f(f.degraded_time.as_ms_f64(), 1),
+            fmt_f(f.lost_work_cycles.as_ms_f64(), 1),
+            fmt_f(out.stats.availability_pct(), 2),
+            fmt_f(out.stats.reuse_rate_pct(), 2),
+            out.stats.loads.to_string(),
+            fmt_f(out.stats.makespan.as_ms_f64(), 1),
+        ])
+    })?;
 
     let mut t = Table::new(
-        format!(
-            "fig_faults — {} apps, seed {} (off = fault-free control)",
-            params.apps, params.seed
-        ),
-        &[
-            "Faults",
-            "Policy",
-            "RUs",
-            "Jobs",
-            "Injected",
-            "Retries",
-            "Repairs",
-            "Quarantines",
-            "Heals",
-            "Degraded (ms)",
-            "Lost work (ms)",
-            "Availability (%)",
-            "Reuse (%)",
-            "Loads",
-            "Makespan (ms)",
-        ],
+        format!("fig_faults — {APPS} apps, seed {SEED} (off = fault-free control)"),
+        &HEADERS,
     );
     for row in rows {
         t.push_row(row);
     }
-    t
+    Ok(t)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_grid_is_deterministic() {
-        let params = FaultParams::smoke();
-        let a = fig_faults(&params);
-        let b = fig_faults(&params);
-        assert_eq!(a.to_csv(), b.to_csv());
-        assert_eq!(
-            a.len(),
-            params.rates.len() * params.policies.len() * params.rus.len()
-        );
-    }
-
-    /// The acceptance properties: the degraded-pool path never loses a
-    /// job (every row completes the full batch), the low-rate rows
-    /// keep availability above 90%, and faults actually inject at both
-    /// non-zero rates.
-    #[test]
-    fn low_rate_keeps_availability_and_no_jobs_are_lost() {
-        let params = FaultParams::smoke();
-        let csv = fig_faults(&params).to_csv();
-        let mut low_rows = 0;
-        let mut injected_by_rate = [0u64; 3];
-        for line in csv.lines().skip(1) {
-            let c: Vec<&str> = line.split(',').collect();
-            let jobs: u64 = c[3].parse().expect("jobs");
-            assert_eq!(
-                jobs, params.apps as u64,
-                "a fault row lost jobs:\n{line}\n{csv}"
-            );
-            let rate_idx = FaultRate::ALL
-                .iter()
-                .position(|r| r.label() == c[0])
-                .expect("rate label");
-            injected_by_rate[rate_idx] += c[4].parse::<u64>().expect("injected");
-            if c[0] == "low" {
-                low_rows += 1;
-                let availability: f64 = c[11].parse().expect("availability");
-                assert!(
-                    availability > 90.0,
-                    "low-rate availability {availability}% !> 90%:\n{line}"
-                );
+/// The acceptance check over [`run`]'s table: the degraded-pool path
+/// never loses a job (every row completes all of them), the low-rate
+/// rows keep availability above 90%, the `off` rows inject no fault
+/// and both non-zero rates inject some.
+pub fn check(t: &Table) -> Result<String, String> {
+    let mut worst_low_availability = f64::INFINITY;
+    for rate in FaultRate::ALL {
+        let mut injected = 0.0;
+        for row in t.rows().filter(|r| r.get("Faults") == rate.label()) {
+            if row.get("Jobs") != APPS.to_string() {
+                return Err(format!(
+                    "{} / {} / {} RUs completed {} of {APPS} jobs",
+                    rate.label(),
+                    row.get("Policy"),
+                    row.get("RUs"),
+                    row.get("Jobs")
+                ));
+            }
+            injected += row.num("Injected");
+            if rate == FaultRate::Low {
+                worst_low_availability = worst_low_availability.min(row.num("Availability (%)"));
             }
         }
-        assert!(low_rows > 0, "low-rate rows present:\n{csv}");
-        assert_eq!(injected_by_rate[0], 0, "off rows must not inject");
-        assert!(
-            injected_by_rate[1] > 0 && injected_by_rate[2] > 0,
-            "non-zero rates must inject, got {injected_by_rate:?}:\n{csv}"
-        );
+        match rate {
+            FaultRate::Off if injected > 0.0 => {
+                return Err(format!("the off rows injected {injected} faults"));
+            }
+            FaultRate::Low | FaultRate::High if injected == 0.0 => {
+                return Err(format!("the {} rows injected no fault", rate.label()));
+            }
+            _ => {}
+        }
     }
+    if worst_low_availability <= 90.0 {
+        return Err(format!(
+            "worst low-rate availability {worst_low_availability}% is not above 90%"
+        ));
+    }
+    Ok(format!(
+        "no jobs lost in any cell; worst low-rate availability {worst_low_availability}% > 90%; \
+         off injects nothing, low and high inject"
+    ))
 }

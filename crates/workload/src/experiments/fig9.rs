@@ -14,12 +14,12 @@
 //! averages across seeds; the paper's single 500-app run corresponds to
 //! one seed.
 
-use crate::parallel::parallel_map_with;
+use crate::experiments::sweep;
 use crate::policies::PolicyKind;
-use crate::runner::{pooled_workers, CellConfig};
-use crate::sequence::SequenceModel;
+use crate::runner::CellConfig;
+use crate::sequence::{multimedia_templates, SequenceModel};
 use crate::table::{fmt_f, Table};
-use rtr_core::TemplateRegistry;
+use rtr_manager::SimError;
 use rtr_taskgraph::TaskGraph;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -72,20 +72,11 @@ pub struct Fig9Cell {
     /// Mean remaining reconfiguration overhead in percent of the
     /// original overhead.
     pub remaining_pct: f64,
-    /// Mean absolute overhead in milliseconds.
-    pub overhead_ms: f64,
-    /// Mean loads performed.
-    pub loads: f64,
-    /// Mean energy spent on reconfigurations, mJ.
-    pub energy_mj: f64,
 }
 
 /// Runs the full grid for the given policies.
-pub fn run_matrix(params: &Fig9Params, policies: &[PolicyKind]) -> Vec<Fig9Cell> {
-    let templates: Vec<Arc<TaskGraph>> = rtr_taskgraph::benchmarks::multimedia_suite()
-        .into_iter()
-        .map(Arc::new)
-        .collect();
+pub fn run_matrix(params: &Fig9Params, policies: &[PolicyKind]) -> Result<Vec<Fig9Cell>, SimError> {
+    let templates = multimedia_templates();
     // Pre-generate one sequence per seed (shared template Arcs).
     let sequences: Vec<Vec<Arc<TaskGraph>>> = params
         .seeds
@@ -102,60 +93,40 @@ pub fn run_matrix(params: &Fig9Params, policies: &[PolicyKind]) -> Vec<Fig9Cell>
         }
     }
 
-    // One design-time registry for the whole grid; each worker owns a
-    // pooled engine (via its CellRunner) reused across its cells.
-    let registry = Arc::new(TemplateRegistry::new());
-    let results = parallel_map_with(
-        grid,
-        params.workers,
-        pooled_workers(&registry),
-        |runner, (rus, policy, seed_idx)| {
-            let cell = CellConfig::new(policy, rus);
-            let out = runner
-                .run(&sequences[seed_idx], &cell)
-                .expect("benchmark workloads simulate to completion");
-            (
-                rus,
-                policy,
-                out.stats.reuse_rate_pct(),
-                out.stats.remaining_overhead_pct(),
-                out.stats.total_overhead().as_ms_f64(),
-                out.stats.loads as f64,
-                out.stats.traffic.energy_uj as f64 / 1_000.0,
-            )
-        },
-    );
+    let results = sweep(grid, params.workers, |runner, (rus, policy, seed_idx)| {
+        let out = runner.run(&sequences[seed_idx], &CellConfig::new(policy, rus))?;
+        Ok((
+            rus,
+            policy,
+            out.stats.reuse_rate_pct(),
+            out.stats.remaining_overhead_pct(),
+        ))
+    })?;
 
-    // Average over seeds, keyed by (rus, policy position).
-    // Running sums of the five per-cell metrics plus the sample count.
-    type MetricAcc = (f64, f64, f64, f64, f64, u32);
+    // Average over seeds, keyed by (rus, policy position): running sums
+    // of reuse and remaining overhead plus the sample count.
     let policy_pos = |p: &PolicyKind| policies.iter().position(|q| q == p).expect("known policy");
-    let mut acc: BTreeMap<(usize, usize), MetricAcc> = BTreeMap::new();
-    for (rus, policy, reuse, remaining, overhead, loads, energy) in results {
+    let mut acc: BTreeMap<(usize, usize), (f64, f64, u32)> = BTreeMap::new();
+    for (rus, policy, reuse, remaining) in results {
         let e = acc
             .entry((rus, policy_pos(&policy)))
-            .or_insert((0.0, 0.0, 0.0, 0.0, 0.0, 0));
+            .or_insert((0.0, 0.0, 0));
         e.0 += reuse;
         e.1 += remaining;
-        e.2 += overhead;
-        e.3 += loads;
-        e.4 += energy;
-        e.5 += 1;
+        e.2 += 1;
     }
-    acc.into_iter()
-        .map(|((rus, pos), (r, rem, o, l, en, n))| {
+    Ok(acc
+        .into_iter()
+        .map(|((rus, pos), (r, rem, n))| {
             let n = f64::from(n);
             Fig9Cell {
                 rus,
                 policy: policies[pos],
                 reuse_pct: r / n,
                 remaining_pct: rem / n,
-                overhead_ms: o / n,
-                loads: l / n,
-                energy_mj: en / n,
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Builds a paper-style table (rows = RU counts + "Avg.", one column per
@@ -195,42 +166,42 @@ fn metric_table(
 }
 
 /// Fig. 9a: reuse rates, ASAP.
-pub fn fig9a(params: &Fig9Params) -> Table {
+pub fn fig9a(params: &Fig9Params) -> Result<Table, SimError> {
     let policies = PolicyKind::fig9a_set();
-    let cells = run_matrix(params, &policies);
-    metric_table(
+    let cells = run_matrix(params, &policies)?;
+    Ok(metric_table(
         "Fig. 9a — task reuse rate (%), ASAP (no skip events)",
         &cells,
         &policies,
         &params.rus,
         |c| c.reuse_pct,
-    )
+    ))
 }
 
 /// Fig. 9b: reuse rates with Skip Events.
-pub fn fig9b(params: &Fig9Params) -> Table {
+pub fn fig9b(params: &Fig9Params) -> Result<Table, SimError> {
     let policies = PolicyKind::fig9b_set();
-    let cells = run_matrix(params, &policies);
-    metric_table(
+    let cells = run_matrix(params, &policies)?;
+    Ok(metric_table(
         "Fig. 9b — task reuse rate (%) with Skip Events",
         &cells,
         &policies,
         &params.rus,
         |c| c.reuse_pct,
-    )
+    ))
 }
 
 /// Fig. 9c: remaining reconfiguration overhead.
-pub fn fig9c(params: &Fig9Params) -> Table {
+pub fn fig9c(params: &Fig9Params) -> Result<Table, SimError> {
     let policies = PolicyKind::fig9c_set();
-    let cells = run_matrix(params, &policies);
-    metric_table(
+    let cells = run_matrix(params, &policies)?;
+    Ok(metric_table(
         "Fig. 9c — remaining reconfiguration overhead (% of original)",
         &cells,
         &policies,
         &params.rus,
         |c| c.remaining_pct,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -241,7 +212,7 @@ mod tests {
     fn smoke_matrix_covers_grid_and_orders_policies() {
         let params = Fig9Params::smoke();
         let policies = PolicyKind::fig9a_set();
-        let cells = run_matrix(&params, &policies);
+        let cells = run_matrix(&params, &policies).unwrap();
         assert_eq!(cells.len(), params.rus.len() * policies.len());
 
         // Qualitative shape on every RU count: LFD >= Local LFD (4) >=
@@ -273,7 +244,7 @@ mod tests {
     #[test]
     fn tables_have_rus_plus_avg_rows() {
         let params = Fig9Params::smoke();
-        let t = fig9a(&params);
+        let t = fig9a(&params).unwrap();
         assert_eq!(t.len(), params.rus.len() + 1);
         assert!(t.to_markdown().contains("Avg."));
     }

@@ -9,164 +9,125 @@
 //! rate *and* the traffic-free demand reuse rate (a prefetch hit hides
 //! the port latency but still moved a bitstream on the speculative
 //! lane — the two columns bracket that trade), visible overhead,
-//! loads, and the prefetch issue/hit/cancel/waste counters.
+//! loads, the prefetch issue/hit/cancel/waste counters and the mean
+//! sojourn time (completion − arrival).
 //!
 //! Depth 0 rows are the prefetch-off baseline: the plain streaming
 //! path, which runs no speculation (the `prefetch-off-invisible`
-//! checker pins that on every validated run).
+//! checker pins that on every validated run). They double as the
+//! policy × RU count × arrival intensity table of the streaming
+//! engine.
 
 use crate::arrivals::ArrivalProcess;
-use crate::parallel::parallel_map_with;
+use crate::experiments::sweep;
+use crate::parallel::default_workers;
 use crate::policies::PolicyKind;
-use crate::runner::{pooled_workers, CellConfig};
-use crate::sequence::SequenceModel;
+use crate::runner::CellConfig;
+use crate::sequence::{multimedia_templates, SequenceModel};
 use crate::table::{fmt_f, Table};
-use rtr_core::TemplateRegistry;
-use rtr_taskgraph::TaskGraph;
-use std::sync::Arc;
+use rtr_manager::SimError;
 
+/// Applications per run.
+const APPS: usize = 200;
+/// Seed for the sequence and arrival streams.
+const SEED: u64 = 42;
 /// Salt decorrelating arrival instants from the application sequence.
 const ARRIVAL_SEED_SALT: u64 = 0xF16A_7713;
+/// RU counts.
+const RUS: [usize; 2] = [4, 8];
+/// Policies compared.
+const POLICIES: [PolicyKind; 4] = [
+    PolicyKind::Lru,
+    PolicyKind::LocalLfd {
+        window: 1,
+        skip: false,
+    },
+    PolicyKind::LocalLfd {
+        window: 4,
+        skip: false,
+    },
+    PolicyKind::Lfd,
+];
+// The Poisson intensities sit around the suite's ~70 ms mean service
+// time on 4 RUs.
+/// Poisson arrivals 25 ms apart on average: overload.
+const HEAVY: ArrivalProcess = ArrivalProcess::Poisson {
+    mean_gap_us: 25_000,
+};
+/// 100 ms apart: near saturation.
+const STREAMING: ArrivalProcess = ArrivalProcess::Poisson {
+    mean_gap_us: 100_000,
+};
+/// 400 ms apart: light load.
+const LIGHT: ArrivalProcess = ArrivalProcess::Poisson {
+    mean_gap_us: 400_000,
+};
+/// The arrival axis: batch (the paper's setting), the Poisson sweep,
+/// and periodic and bursty feeds at the middle intensity.
+const PROCESSES: [ArrivalProcess; 6] = [
+    ArrivalProcess::Batch,
+    HEAVY,
+    STREAMING,
+    LIGHT,
+    ArrivalProcess::Periodic { period_us: 100_000 },
+    ArrivalProcess::Bursty {
+        size: 8,
+        mean_gap_us: 800_000,
+    },
+];
+/// Prefetch depths (0 = off).
+const DEPTHS: [usize; 4] = [0, 1, 2, 4];
 
-/// Grid parameters.
-#[derive(Debug, Clone)]
-pub struct PrefetchParams {
-    /// Applications per run.
-    pub apps: usize,
-    /// Seed for sequence + arrival streams.
-    pub seed: u64,
-    /// RU counts to sweep.
-    pub rus: Vec<usize>,
-    /// Policies to compare.
-    pub policies: Vec<PolicyKind>,
-    /// Arrival processes to sweep (the intensity axis; includes batch
-    /// as the paper-setting control).
-    pub processes: Vec<ArrivalProcess>,
-    /// Prefetch depths to sweep (0 = off baseline).
-    pub depths: Vec<usize>,
-    /// Worker threads for the sweep.
-    pub workers: usize,
-}
-
-impl Default for PrefetchParams {
-    fn default() -> Self {
-        PrefetchParams {
-            apps: 200,
-            seed: 42,
-            rus: vec![4, 8],
-            policies: vec![
-                PolicyKind::Lru,
-                PolicyKind::LocalLfd {
-                    window: 1,
-                    skip: false,
-                },
-                PolicyKind::LocalLfd {
-                    window: 4,
-                    skip: false,
-                },
-                PolicyKind::Lfd,
-            ],
-            processes: default_processes(),
-            depths: vec![0, 1, 2, 4],
-            workers: crate::parallel::default_workers(),
-        }
-    }
-}
-
-impl PrefetchParams {
-    /// A small grid for tests and CI smoke runs.
-    pub fn smoke() -> Self {
-        PrefetchParams {
-            apps: 40,
-            seed: 7,
-            rus: vec![4],
-            policies: vec![
-                PolicyKind::LocalLfd {
-                    window: 1,
-                    skip: false,
-                },
-                PolicyKind::Lfd,
-            ],
-            processes: vec![
-                ArrivalProcess::Batch,
-                ArrivalProcess::Poisson {
-                    mean_gap_us: 100_000,
-                },
-            ],
-            depths: vec![0, 4],
-            workers: 2,
-        }
-    }
-}
-
-/// The arrival-intensity axis: batch (the paper's setting) plus the
-/// Poisson sweep and the structured feeds of `fig_arrivals`.
-pub fn default_processes() -> Vec<ArrivalProcess> {
-    vec![
-        ArrivalProcess::Batch,
-        ArrivalProcess::Poisson {
-            mean_gap_us: 25_000,
-        },
-        ArrivalProcess::Poisson {
-            mean_gap_us: 100_000,
-        },
-        ArrivalProcess::Poisson {
-            mean_gap_us: 400_000,
-        },
-        ArrivalProcess::Periodic { period_us: 100_000 },
-        ArrivalProcess::Bursty {
-            size: 8,
-            mean_gap_us: 800_000,
-        },
-    ]
-}
+const HEADERS: [&str; 14] = [
+    "Arrivals",
+    "RUs",
+    "Policy",
+    "Depth",
+    "Reuse (%)",
+    "Demand reuse (%)",
+    "Overhead (ms)",
+    "Remaining (%)",
+    "Loads",
+    "PF issued",
+    "PF hits",
+    "PF cancelled",
+    "PF wasted",
+    "Mean sojourn (ms)",
+];
 
 /// Runs the (process × RU × policy × depth) grid and tabulates it.
-///
-/// # Panics
-/// Panics on the driving thread — before any worker spawns — if a
-/// degenerate arrival process is configured (see
-/// [`ArrivalProcess::validate`]).
-pub fn fig_prefetch(params: &PrefetchParams) -> Table {
-    for p in &params.processes {
-        p.validate()
-            .unwrap_or_else(|e| panic!("fig_prefetch parameters: {e}"));
-    }
-    let templates: Vec<Arc<TaskGraph>> = rtr_taskgraph::benchmarks::multimedia_suite()
-        .into_iter()
-        .map(Arc::new)
-        .collect();
-    let sequence = SequenceModel::UniformRandom.generate(&templates, params.apps, params.seed);
-    let arrival_streams: Vec<Vec<rtr_sim::SimTime>> = params
-        .processes
+pub fn run() -> Result<Table, SimError> {
+    let sequence = SequenceModel::UniformRandom.generate(&multimedia_templates(), APPS, SEED);
+    let arrival_streams: Vec<Vec<rtr_sim::SimTime>> = PROCESSES
         .iter()
-        .map(|p| p.generate(params.apps, params.seed ^ ARRIVAL_SEED_SALT))
+        .map(|p| p.generate(APPS, SEED ^ ARRIVAL_SEED_SALT))
         .collect();
 
-    let mut grid: Vec<(usize, usize, PolicyKind, usize)> = Vec::new();
-    for proc_idx in 0..params.processes.len() {
-        for &rus in &params.rus {
-            for &policy in &params.policies {
-                for &depth in &params.depths {
+    let mut grid = Vec::new();
+    for proc_idx in 0..PROCESSES.len() {
+        for rus in RUS {
+            for policy in POLICIES {
+                for depth in DEPTHS {
                     grid.push((proc_idx, rus, policy, depth));
                 }
             }
         }
     }
 
-    let registry = Arc::new(TemplateRegistry::new());
-    let rows = parallel_map_with(
+    let rows = sweep(
         grid,
-        params.workers,
-        pooled_workers(&registry),
+        default_workers(),
         |runner, (proc_idx, rus, policy, depth)| {
             let cell = CellConfig::new(policy, rus).with_prefetch_depth(depth);
-            let out = runner
-                .run_with_arrivals(&sequence, Some(&arrival_streams[proc_idx]), &cell)
-                .expect("prefetch cell simulates to completion");
+            let out = runner.run_with_arrivals_qos(
+                &sequence,
+                Some(&arrival_streams[proc_idx]),
+                None,
+                &cell,
+            )?;
             let pf = out.stats.prefetch;
-            vec![
-                params.processes[proc_idx].label(),
+            Ok(vec![
+                PROCESSES[proc_idx].label(),
                 rus.to_string(),
                 policy.label(),
                 depth.to_string(),
@@ -180,95 +141,81 @@ pub fn fig_prefetch(params: &PrefetchParams) -> Table {
                 pf.cancelled.to_string(),
                 pf.wasted.to_string(),
                 fmt_f(out.stats.mean_sojourn_ms(), 1),
-            ]
+            ])
         },
-    );
+    )?;
 
     let mut t = Table::new(
-        format!(
-            "fig_prefetch — {} apps, seed {} (depth 0 = prefetch off)",
-            params.apps, params.seed
-        ),
-        &[
-            "Arrivals",
-            "RUs",
-            "Policy",
-            "Depth",
-            "Reuse (%)",
-            "Demand reuse (%)",
-            "Overhead (ms)",
-            "Remaining (%)",
-            "Loads",
-            "PF issued",
-            "PF hits",
-            "PF cancelled",
-            "PF wasted",
-            "Mean sojourn (ms)",
-        ],
+        format!("fig_prefetch — {APPS} apps, seed {SEED} (depth 0 = prefetch off)"),
+        &HEADERS,
     );
     for row in rows {
         t.push_row(row);
     }
-    t
+    Ok(t)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_grid_is_deterministic() {
-        let params = PrefetchParams::smoke();
-        let a = fig_prefetch(&params);
-        let b = fig_prefetch(&params);
-        assert_eq!(a.to_csv(), b.to_csv());
-        assert_eq!(
-            a.len(),
-            params.processes.len() * params.rus.len() * params.policies.len() * params.depths.len()
+/// The acceptance check over [`run`]'s table:
+///
+/// * at `poisson(100ms)` on 4 RUs, depth 4 lowers the visible overhead
+///   of Local LFD (1) and of LFD without lowering their reuse rate;
+/// * with prefetch off, every policy on every RU count has a longer
+///   mean sojourn under the heaviest Poisson load than under the
+///   lightest.
+pub fn check(t: &Table) -> Result<String, String> {
+    let cell = |arrivals: ArrivalProcess, rus: usize, policy: &str, depth: usize| {
+        let arrivals = arrivals.label();
+        t.rows()
+            .find(|r| {
+                r.get("Arrivals") == arrivals
+                    && r.get("RUs") == rus.to_string()
+                    && r.get("Policy") == policy
+                    && r.get("Depth") == depth.to_string()
+            })
+            .ok_or_else(|| format!("no row {arrivals}, {rus} RUs, {policy}, depth {depth}"))
+    };
+    let mut summary = Vec::new();
+    for policy in ["Local LFD (1)", "LFD"] {
+        let (off, on) = (
+            cell(STREAMING, 4, policy, 0)?,
+            cell(STREAMING, 4, policy, 4)?,
         );
+        let (overhead_off, overhead_on) = (off.num("Overhead (ms)"), on.num("Overhead (ms)"));
+        let (reuse_off, reuse_on) = (off.num("Reuse (%)"), on.num("Reuse (%)"));
+        if overhead_on >= overhead_off {
+            return Err(format!(
+                "{policy}: depth 4 overhead {overhead_on} ms is not below depth 0's {overhead_off} ms"
+            ));
+        }
+        if reuse_on < reuse_off {
+            return Err(format!(
+                "{policy}: the guard traded reuse away ({reuse_on}% < {reuse_off}%)"
+            ));
+        }
+        summary.push(format!(
+            "{policy} at depth 4 cuts overhead {overhead_off} -> {overhead_on} ms, \
+             reuse {reuse_off}% -> {reuse_on}%"
+        ));
     }
-
-    /// The acceptance property: on a non-batch arrival intensity, both
-    /// Local LFD and the LFD oracle see their visible reconfiguration
-    /// overhead drop with prefetch on — without losing reuse rate.
-    #[test]
-    fn prefetch_improves_lfd_policies_on_streaming_arrivals() {
-        let params = PrefetchParams::smoke();
-        let csv = fig_prefetch(&params).to_csv();
-        let cell = |policy: &str, depth: usize| -> (f64, f64) {
-            let row = csv
-                .lines()
-                .find(|l| {
-                    let c: Vec<&str> = l.split(',').collect();
-                    c[0] == "poisson(100ms)" && c[2] == policy && c[3] == depth.to_string()
-                })
-                .unwrap_or_else(|| panic!("missing row {policy}/{depth} in\n{csv}"));
-            let c: Vec<&str> = row.split(',').collect();
-            (
-                c[4].parse().expect("reuse"),
-                c[6].parse().expect("overhead"),
-            )
-        };
-        for policy in ["Local LFD (1)", "LFD"] {
-            let (reuse_off, overhead_off) = cell(policy, 0);
-            let (reuse_on, overhead_on) = cell(policy, 4);
-            assert!(
-                overhead_on < overhead_off,
-                "{policy}: prefetch-on overhead {overhead_on} !< {overhead_off}"
-            );
-            assert!(
-                reuse_on >= reuse_off,
-                "{policy}: the guard must not trade reuse away \
-                 ({reuse_on} < {reuse_off})"
-            );
+    for rus in RUS {
+        for policy in POLICIES {
+            let label = policy.label();
+            let heavy = cell(HEAVY, rus, &label, 0)?.num("Mean sojourn (ms)");
+            let light = cell(LIGHT, rus, &label, 0)?.num("Mean sojourn (ms)");
+            if heavy <= light {
+                return Err(format!(
+                    "{label} on {rus} RUs: mean sojourn {heavy} ms under {} is not above \
+                     {light} ms under {}",
+                    HEAVY.label(),
+                    LIGHT.label()
+                ));
+            }
         }
     }
-
-    #[test]
-    #[should_panic(expected = "batch setting")]
-    fn degenerate_processes_fail_on_the_driving_thread() {
-        let mut params = PrefetchParams::smoke();
-        params.processes = vec![ArrivalProcess::Poisson { mean_gap_us: 0 }];
-        let _ = fig_prefetch(&params);
-    }
+    summary.push(format!(
+        "every depth-0 mean sojourn is longer under {} than under {}",
+        HEAVY.label(),
+        LIGHT.label()
+    ));
+    Ok(summary.join("; "))
 }

@@ -2,7 +2,7 @@
 //! arrivals.
 //!
 //! Sweeps preemption mode × QoS class mix × arrival intensity on the
-//! multimedia workload. Every `stride`-th application is promoted to a
+//! multimedia workload. Every 4th application is promoted to a
 //! high-priority lane with a deadline derived from its ideal makespan;
 //! the engine either ignores the lanes for suspension
 //! ([`PreemptionMode::Off`] — the run-to-completion baseline), kills
@@ -19,173 +19,113 @@
 //! default class.
 
 use crate::arrivals::ArrivalProcess;
-use crate::parallel::parallel_map_with;
+use crate::experiments::sweep;
+use crate::parallel::default_workers;
 use crate::policies::PolicyKind;
 use crate::qos::QosSpec;
-use crate::runner::{pooled_workers, CellConfig};
-use crate::sequence::SequenceModel;
+use crate::runner::CellConfig;
+use crate::sequence::{multimedia_templates, SequenceModel};
 use crate::table::{fmt_f, Table};
-use rtr_core::TemplateRegistry;
-use rtr_manager::PreemptionMode;
-use rtr_taskgraph::TaskGraph;
-use std::sync::Arc;
+use rtr_manager::{ClassSojournStats, PreemptionMode, SimError};
+use rtr_sim::SimDuration;
 
+/// Applications per run.
+const APPS: usize = 200;
+/// Seed for the sequence and arrival streams.
+const SEED: u64 = 42;
 /// Salt decorrelating arrival instants from the application sequence.
 const ARRIVAL_SEED_SALT: u64 = 0xF16A_7713;
-
-/// Grid parameters.
-#[derive(Debug, Clone)]
-pub struct QosParams {
-    /// Applications per run.
-    pub apps: usize,
-    /// Seed for sequence + arrival streams.
-    pub seed: u64,
-    /// RU count.
-    pub rus: usize,
-    /// Replacement policy driving every cell.
-    pub policy: PolicyKind,
-    /// Arrival processes, ordered light → heavy (the intensity axis).
-    pub processes: Vec<ArrivalProcess>,
-    /// Preemption modes to compare.
-    pub modes: Vec<PreemptionMode>,
-    /// Class mixes to compare (uniform is the pre-QoS control).
-    pub mixes: Vec<QosSpec>,
-    /// Worker threads for the sweep.
-    pub workers: usize,
-}
-
-impl Default for QosParams {
-    fn default() -> Self {
-        QosParams {
-            apps: 200,
-            seed: 42,
-            rus: 4,
-            policy: PolicyKind::Lru,
-            processes: default_processes(),
-            modes: PreemptionMode::ALL.to_vec(),
-            mixes: vec![QosSpec::UNIFORM, QosSpec::strided(4, 5, 150)],
-            workers: crate::parallel::default_workers(),
-        }
-    }
-}
-
-impl QosParams {
-    /// A small grid for tests and CI smoke runs.
-    pub fn smoke() -> Self {
-        QosParams {
-            apps: 60,
-            seed: 7,
-            processes: vec![
-                ArrivalProcess::Poisson {
-                    mean_gap_us: 200_000,
-                },
-                ArrivalProcess::Poisson {
-                    mean_gap_us: 30_000,
-                },
-            ],
-            ..QosParams::default()
-        }
-    }
-
-    /// The heaviest configured intensity (the last process — the axis
-    /// is ordered light → heavy).
-    pub fn highest_intensity(&self) -> &ArrivalProcess {
-        self.processes.last().expect("at least one process")
-    }
-}
-
+/// RU count.
+const RUS: usize = 4;
+/// Replacement policy driving every cell.
+const POLICY: PolicyKind = PolicyKind::Lru;
 /// The arrival-intensity axis, light → heavy: generous gaps first,
 /// then gaps well under the suite's ideal makespans so queues build
 /// and the run-to-completion baseline blows promoted deadlines.
-pub fn default_processes() -> Vec<ArrivalProcess> {
-    vec![
-        ArrivalProcess::Poisson {
-            mean_gap_us: 400_000,
-        },
-        ArrivalProcess::Poisson {
-            mean_gap_us: 100_000,
-        },
-        ArrivalProcess::Poisson {
-            mean_gap_us: 30_000,
-        },
-    ]
-}
+const PROCESSES: [ArrivalProcess; 3] = [
+    ArrivalProcess::Poisson {
+        mean_gap_us: 400_000,
+    },
+    ArrivalProcess::Poisson {
+        mean_gap_us: 100_000,
+    },
+    ArrivalProcess::Poisson {
+        mean_gap_us: 30_000,
+    },
+];
+/// Every 4th job promoted to priority 5 with a deadline of 150% of its
+/// ideal makespan.
+const PROMOTED: QosSpec = QosSpec::strided(4, 5, 150);
+/// Class mixes compared (uniform is the pre-QoS control).
+const MIXES: [QosSpec; 2] = [QosSpec::UNIFORM, PROMOTED];
+
+const HEADERS: [&str; 17] = [
+    "Arrivals",
+    "Mix",
+    "Preemption",
+    "Hi jobs",
+    "Hi misses",
+    "Hi miss (%)",
+    "Hi p50 (ms)",
+    "Hi p95 (ms)",
+    "Hi max (ms)",
+    "Lo mean (ms)",
+    "Preempts",
+    "Checkpoints",
+    "Replays",
+    "Lost work (ms)",
+    "Reuse (%)",
+    "Loads",
+    "Makespan (ms)",
+];
 
 /// Runs the (process × mix × mode) grid and tabulates it.
-///
-/// # Panics
-/// Panics on the driving thread — before any worker spawns — if a
-/// degenerate arrival process is configured.
-pub fn fig_qos(params: &QosParams) -> Table {
-    for p in &params.processes {
-        p.validate()
-            .unwrap_or_else(|e| panic!("fig_qos parameters: {e}"));
-    }
-    let templates: Vec<Arc<TaskGraph>> = rtr_taskgraph::benchmarks::multimedia_suite()
-        .into_iter()
-        .map(Arc::new)
-        .collect();
-    let sequence = SequenceModel::UniformRandom.generate(&templates, params.apps, params.seed);
-    let arrival_streams: Vec<Vec<rtr_sim::SimTime>> = params
-        .processes
+pub fn run() -> Result<Table, SimError> {
+    let sequence = SequenceModel::UniformRandom.generate(&multimedia_templates(), APPS, SEED);
+    let arrival_streams: Vec<Vec<rtr_sim::SimTime>> = PROCESSES
         .iter()
-        .map(|p| p.generate(params.apps, params.seed ^ ARRIVAL_SEED_SALT))
+        .map(|p| p.generate(APPS, SEED ^ ARRIVAL_SEED_SALT))
         .collect();
     let class_streams: Vec<Vec<Option<Vec<rtr_manager::QosClass>>>> = arrival_streams
         .iter()
         .map(|arrivals| {
-            params
-                .mixes
+            MIXES
                 .iter()
-                .map(|mix| mix.assign(&sequence, arrivals, params.rus))
+                .map(|mix| mix.assign(&sequence, arrivals, RUS))
                 .collect()
         })
         .collect();
 
-    let mut grid: Vec<(usize, usize, PreemptionMode)> = Vec::new();
-    for proc_idx in 0..params.processes.len() {
-        for mix_idx in 0..params.mixes.len() {
-            for &mode in &params.modes {
+    let mut grid = Vec::new();
+    for proc_idx in 0..PROCESSES.len() {
+        for mix_idx in 0..MIXES.len() {
+            for mode in PreemptionMode::ALL {
                 grid.push((proc_idx, mix_idx, mode));
             }
         }
     }
 
-    let registry = Arc::new(TemplateRegistry::new());
-    let rows = parallel_map_with(
+    let rows = sweep(
         grid,
-        params.workers,
-        pooled_workers(&registry),
+        default_workers(),
         |runner, (proc_idx, mix_idx, mode)| {
-            let cell = CellConfig::new(params.policy, params.rus).with_preemption(mode);
-            let out = runner
-                .run_with_arrivals_qos(
-                    &sequence,
-                    Some(&arrival_streams[proc_idx]),
-                    class_streams[proc_idx][mix_idx].as_deref(),
-                    &cell,
-                )
-                .expect("qos cell simulates to completion");
-            let mix = &params.mixes[mix_idx];
+            let cell = CellConfig::new(POLICY, RUS).with_preemption(mode);
+            let out = runner.run_with_arrivals_qos(
+                &sequence,
+                Some(&arrival_streams[proc_idx]),
+                class_streams[proc_idx][mix_idx].as_deref(),
+                &cell,
+            )?;
+            let mix = &MIXES[mix_idx];
             let q = &out.stats.qos;
-            let high = q.class(mix.priority).cloned().unwrap_or_else(|| {
-                rtr_manager::ClassSojournStats::from_samples(
-                    mix.priority,
-                    &mut Vec::new(),
-                    0,
-                    rtr_sim::SimDuration::ZERO,
-                )
-            });
-            let low = q.class(0).cloned().unwrap_or_else(|| {
-                rtr_manager::ClassSojournStats::from_samples(
-                    0,
-                    &mut Vec::new(),
-                    0,
-                    rtr_sim::SimDuration::ZERO,
-                )
-            });
-            vec![
-                params.processes[proc_idx].label(),
+            let class = |priority| {
+                q.class(priority).cloned().unwrap_or_else(|| {
+                    ClassSojournStats::from_samples(priority, &mut Vec::new(), 0, SimDuration::ZERO)
+                })
+            };
+            let (high, low) = (class(mix.priority), class(0));
+            Ok(vec![
+                PROCESSES[proc_idx].label(),
                 mix_label(mix),
                 mode.label().to_string(),
                 high.jobs.to_string(),
@@ -202,46 +142,25 @@ pub fn fig_qos(params: &QosParams) -> Table {
                 fmt_f(out.stats.reuse_rate_pct(), 2),
                 out.stats.loads.to_string(),
                 fmt_f(out.stats.makespan.as_ms_f64(), 1),
-            ]
+            ])
         },
-    );
+    )?;
 
     let mut t = Table::new(
         format!(
-            "fig_qos — {} apps, seed {}, {} RUs, {} (uniform mix = pre-QoS control)",
-            params.apps,
-            params.seed,
-            params.rus,
-            params.policy.label()
+            "fig_qos — {APPS} apps, seed {SEED}, {RUS} RUs, {} (uniform mix = pre-QoS control)",
+            POLICY.label()
         ),
-        &[
-            "Arrivals",
-            "Mix",
-            "Preemption",
-            "Hi jobs",
-            "Hi misses",
-            "Hi miss (%)",
-            "Hi p50 (ms)",
-            "Hi p95 (ms)",
-            "Hi max (ms)",
-            "Lo mean (ms)",
-            "Preempts",
-            "Checkpoints",
-            "Replays",
-            "Lost work (ms)",
-            "Reuse (%)",
-            "Loads",
-            "Makespan (ms)",
-        ],
+        &HEADERS,
     );
     for row in rows {
         t.push_row(row);
     }
-    t
+    Ok(t)
 }
 
 /// Stable mix label for CSV rows.
-pub fn mix_label(mix: &QosSpec) -> String {
+fn mix_label(mix: &QosSpec) -> String {
     if mix.is_uniform() {
         "uniform".to_string()
     } else {
@@ -252,79 +171,63 @@ pub fn mix_label(mix: &QosSpec) -> String {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_grid_is_deterministic() {
-        let params = QosParams::smoke();
-        let a = fig_qos(&params);
-        let b = fig_qos(&params);
-        assert_eq!(a.to_csv(), b.to_csv());
-        assert_eq!(
-            a.len(),
-            params.processes.len() * params.mixes.len() * params.modes.len()
-        );
+/// The acceptance check over [`run`]'s table:
+///
+/// * at the heaviest intensity, run-to-completion (`off`) misses some
+///   promoted deadlines, and `checkpoint` misses at most half as many
+///   (by rate);
+/// * with nobody promoted there is nothing to preempt, so the uniform
+///   rows are identical across the three modes.
+pub fn check(t: &Table) -> Result<String, String> {
+    let peak = PROCESSES[PROCESSES.len() - 1].label();
+    let promoted = mix_label(&PROMOTED);
+    let miss_of = |mode: PreemptionMode| {
+        t.rows()
+            .find(|r| {
+                r.get("Arrivals") == peak
+                    && r.get("Mix") == promoted
+                    && r.get("Preemption") == mode.label()
+            })
+            .map(|r| r.num("Hi miss (%)"))
+            .ok_or_else(|| format!("no {promoted} row for {} at {peak}", mode.label()))
+    };
+    let off = miss_of(PreemptionMode::Off)?;
+    let ckpt = miss_of(PreemptionMode::Checkpoint)?;
+    if off <= 0.0 {
+        return Err(format!(
+            "run-to-completion must miss promoted deadlines at {peak}, got {off}%"
+        ));
     }
-
-    /// The acceptance property: at the highest arrival intensity,
-    /// checkpointing preemption cuts the promoted class's deadline-miss
-    /// rate by at least half relative to run-to-completion — and the
-    /// CSV carries the reuse cost alongside.
-    #[test]
-    fn checkpoint_halves_high_priority_misses_at_peak_intensity() {
-        let params = QosParams::smoke();
-        let csv = fig_qos(&params).to_csv();
-        let peak = params.highest_intensity().label();
-        let cell = |mode: &str| -> (f64, f64) {
-            let row = csv
-                .lines()
-                .find(|l| {
-                    let c: Vec<&str> = l.split(',').collect();
-                    c[0] == peak && c[1] != "uniform" && c[2] == mode
-                })
-                .unwrap_or_else(|| panic!("missing row {mode} in\n{csv}"));
-            let c: Vec<&str> = row.split(',').collect();
-            (
-                c[5].parse().expect("miss rate"),
-                c[14].parse().expect("reuse"),
-            )
-        };
-        let (off_miss, _) = cell("off");
-        let (ckpt_miss, ckpt_reuse) = cell("checkpoint");
-        assert!(
-            off_miss > 0.0,
-            "the baseline must miss deadlines at peak intensity, got {off_miss}%"
-        );
-        assert!(
-            ckpt_miss <= off_miss / 2.0,
-            "checkpoint miss rate {ckpt_miss}% !<= half of off's {off_miss}%"
-        );
-        assert!(ckpt_reuse.is_finite());
+    if ckpt > off / 2.0 {
+        return Err(format!(
+            "checkpoint miss rate {ckpt}% is above half of off's {off}% at {peak}"
+        ));
     }
-
-    #[test]
-    fn uniform_rows_are_mode_invariant() {
-        // With nobody promoted there is nothing to preempt: all three
-        // modes must produce identical uniform-mix rows (modulo the
-        // mode column itself).
-        let params = QosParams::smoke();
-        let csv = fig_qos(&params).to_csv();
-        for process in &params.processes {
-            let rows: Vec<Vec<&str>> = csv
-                .lines()
-                .filter(|l| {
-                    let c: Vec<&str> = l.split(',').collect();
-                    c[0] == process.label() && c[1] == "uniform"
-                })
-                .map(|l| l.split(',').skip(3).collect())
-                .collect();
-            assert_eq!(rows.len(), PreemptionMode::ALL.len());
-            assert!(
-                rows.windows(2).all(|w| w[0] == w[1]),
-                "uniform rows diverged across modes:\n{csv}"
-            );
+    for process in PROCESSES {
+        let label = process.label();
+        let uniform: Vec<Vec<&str>> = t
+            .rows()
+            .filter(|r| r.get("Arrivals") == label && r.get("Mix") == "uniform")
+            .map(|r| {
+                HEADERS
+                    .iter()
+                    .filter(|&&h| h != "Preemption")
+                    .map(|h| r.get(h))
+                    .collect()
+            })
+            .collect();
+        if uniform.len() != PreemptionMode::ALL.len() {
+            return Err(format!(
+                "{} uniform rows at {label}, expected one per mode",
+                uniform.len()
+            ));
+        }
+        if uniform.windows(2).any(|w| w[0] != w[1]) {
+            return Err(format!("uniform rows diverge across modes at {label}"));
         }
     }
+    Ok(format!(
+        "checkpoint misses {ckpt}% of promoted deadlines at {peak}, at most half of \
+         off's {off}%; uniform rows agree across all modes"
+    ))
 }

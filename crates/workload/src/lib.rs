@@ -40,7 +40,7 @@ pub mod vopr;
 pub use arrivals::{ArrivalError, ArrivalProcess};
 pub use policies::PolicyKind;
 pub use qos::QosSpec;
-pub use runner::{run_cell, run_cell_with_arrivals, CellConfig};
+pub use runner::{run_cell, CellConfig};
 pub use scenario::Scenario;
 pub use sequence::SequenceModel;
 pub use table::Table;

@@ -8,7 +8,7 @@
 //! future view).
 
 use rtr_core::{FifoPolicy, LfdPolicy, LfuPolicy, LruPolicy, MruPolicy, RandomPolicy};
-use rtr_manager::{FirstCandidatePolicy, Lookahead, ReplacementPolicy};
+use rtr_manager::{Lookahead, ReplacementPolicy};
 use serde::{Deserialize, Serialize};
 
 /// Policy selector for experiment grids.
@@ -37,8 +37,6 @@ pub enum PolicyKind {
     },
     /// The clairvoyant LFD oracle (full future knowledge, no skips).
     Lfd,
-    /// Lowest-index candidate (used for the no-reuse baseline).
-    FirstCandidate,
 }
 
 impl PolicyKind {
@@ -56,7 +54,6 @@ impl PolicyKind {
                 LfdPolicy::local(window)
             }),
             PolicyKind::Lfd => Box::new(LfdPolicy::oracle()),
-            PolicyKind::FirstCandidate => Box::new(FirstCandidatePolicy),
         }
     }
 
@@ -97,7 +94,6 @@ impl PolicyKind {
                 format!("Local LFD ({window}) + Skip Events")
             }
             PolicyKind::Lfd => "LFD".into(),
-            PolicyKind::FirstCandidate => "FirstCandidate".into(),
         }
     }
 

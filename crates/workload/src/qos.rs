@@ -40,7 +40,7 @@ impl QosSpec {
 
     /// Promotes every `stride`-th job to `priority` with a deadline of
     /// `stretch_pct`% of its ideal makespan after arrival.
-    pub fn strided(stride: usize, priority: u8, stretch_pct: u64) -> Self {
+    pub const fn strided(stride: usize, priority: u8, stretch_pct: u64) -> Self {
         QosSpec {
             stride,
             priority,

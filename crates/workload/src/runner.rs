@@ -81,7 +81,6 @@ impl CellConfig {
             device: self.device.clone(),
             lookahead: self.policy.lookahead(),
             skip_events: self.policy.skip_events(),
-            reuse_enabled: true,
             record_trace: self.record_trace,
             prefetch: self.prefetch,
             preemption: self.preemption,
@@ -171,16 +170,14 @@ impl ReplacementPolicy for TimingPolicy<'_> {
 }
 
 /// Builds a cell's job sequence into `out` through the given
-/// design-time registry — the single job-construction path shared by
-/// the one-shot [`prepare_jobs`] helpers and the pooled [`CellRunner`],
-/// so arrival stamping and mobility gating can never diverge between
-/// them. Returns the wall-clock design time of *this call* (≈ 0 when
-/// the registry already holds the cell's artifacts; always zero when
-/// the policy needs no mobility).
+/// design-time registry, stamping arrivals and QoS classes and gating
+/// mobility on the policy. Returns the wall-clock design time of *this
+/// call* (≈ 0 when the registry already holds the cell's artifacts;
+/// always zero when the policy needs no mobility).
 ///
 /// # Panics
-/// Panics if `arrivals` is provided with a length different from
-/// `sequence`.
+/// Panics if `arrivals` or `qos` is provided with a length different
+/// from `sequence`.
 fn build_jobs_into(
     registry: &TemplateRegistry,
     out: &mut Vec<JobSpec>,
@@ -225,41 +222,6 @@ fn build_jobs_into(
     }
 }
 
-/// Builds the job sequence for a cell, preparing mobility annotations
-/// (design time) when the policy requires them. Returns the jobs and
-/// the wall-clock design time.
-pub fn prepare_jobs(
-    sequence: &[Arc<TaskGraph>],
-    cell: &CellConfig,
-) -> Result<(Vec<JobSpec>, Duration), SimError> {
-    prepare_jobs_with_arrivals(sequence, None, cell)
-}
-
-/// Like [`prepare_jobs`], additionally stamping per-job arrival
-/// instants for streaming runs (`None` = the batch setting, all t = 0).
-/// One-shot form: design time runs against a private registry, so it is
-/// fully attributed to this call.
-///
-/// # Panics
-/// Panics if `arrivals` is provided with a length different from
-/// `sequence`.
-pub fn prepare_jobs_with_arrivals(
-    sequence: &[Arc<TaskGraph>],
-    arrivals: Option<&[SimTime]>,
-    cell: &CellConfig,
-) -> Result<(Vec<JobSpec>, Duration), SimError> {
-    let mut jobs = Vec::new();
-    let design_time = build_jobs_into(
-        &TemplateRegistry::new(),
-        &mut jobs,
-        sequence,
-        arrivals,
-        None,
-        cell,
-    );
-    Ok((jobs, design_time))
-}
-
 /// Runs one cell over an application sequence (batch: all arrivals at
 /// t = 0).
 ///
@@ -267,18 +229,7 @@ pub fn prepare_jobs_with_arrivals(
 /// registry), so design-time cost is attributed to this cell alone.
 /// Sweeps should hold a `CellRunner` instead and amortise both.
 pub fn run_cell(sequence: &[Arc<TaskGraph>], cell: &CellConfig) -> Result<CellResult, SimError> {
-    run_cell_with_arrivals(sequence, None, cell)
-}
-
-/// Runs one cell over a streaming application sequence whose jobs enter
-/// the manager's online queue at the given instants (one-shot form, see
-/// [`run_cell`]).
-pub fn run_cell_with_arrivals(
-    sequence: &[Arc<TaskGraph>],
-    arrivals: Option<&[SimTime]>,
-    cell: &CellConfig,
-) -> Result<CellResult, SimError> {
-    CellRunner::new().run_with_arrivals(sequence, arrivals, cell)
+    CellRunner::new().run(sequence, cell)
 }
 
 /// A reusable cell executor: one pooled [`Engine`] plus a (typically
@@ -300,7 +251,7 @@ pub struct CellRunner {
 }
 
 /// Per-worker pooled [`CellRunner`] factory sharing one design-time
-/// `registry` — the worker-init closure the sweep experiments pass to
+/// `registry` — the worker-init closure a sweep passes to
 /// [`parallel_map_with`](crate::parallel::parallel_map_with).
 pub fn pooled_workers(registry: &Arc<TemplateRegistry>) -> impl Fn() -> CellRunner + Sync + '_ {
     move || CellRunner::with_registry(Arc::clone(registry))
@@ -332,27 +283,12 @@ impl CellRunner {
         sequence: &[Arc<TaskGraph>],
         cell: &CellConfig,
     ) -> Result<CellResult, SimError> {
-        self.run_with_arrivals(sequence, None, cell)
+        self.run_with_arrivals_qos(sequence, None, None, cell)
     }
 
     /// Runs one cell, streaming jobs in at the given instants (`None` =
-    /// batch).
-    ///
-    /// # Panics
-    /// Panics if `arrivals` is provided with a length different from
-    /// `sequence`.
-    pub fn run_with_arrivals(
-        &mut self,
-        sequence: &[Arc<TaskGraph>],
-        arrivals: Option<&[SimTime]>,
-        cell: &CellConfig,
-    ) -> Result<CellResult, SimError> {
-        self.run_with_arrivals_qos(sequence, arrivals, None, cell)
-    }
-
-    /// Runs one cell with per-job QoS classes (priority lanes and
-    /// deadlines). `None` = every job in the default class, which is
-    /// bit-exact with [`CellRunner::run_with_arrivals`].
+    /// batch) with per-job QoS classes (priority lanes and deadlines;
+    /// `None` = every job in the default class).
     ///
     /// # Panics
     /// Panics if `arrivals` or `qos` is provided with a length
@@ -408,15 +344,10 @@ impl Default for CellRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequence::SequenceModel;
-    use rtr_taskgraph::benchmarks;
+    use crate::sequence::{multimedia_templates, SequenceModel};
 
     fn small_sequence(seed: u64) -> Vec<Arc<TaskGraph>> {
-        let templates: Vec<Arc<TaskGraph>> = benchmarks::multimedia_suite()
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        SequenceModel::UniformRandom.generate(&templates, 40, seed)
+        SequenceModel::UniformRandom.generate(&multimedia_templates(), 40, seed)
     }
 
     #[test]
@@ -484,15 +415,23 @@ mod tests {
         }
         .generate(seq.len(), 11);
         let cell = CellConfig::new(PolicyKind::Lru, 4);
-        let (jobs, _) = prepare_jobs_with_arrivals(&seq, Some(&arrivals), &cell).unwrap();
-        assert!(jobs.iter().zip(&arrivals).all(|(j, &a)| j.arrival == a));
-        let out = run_cell_with_arrivals(&seq, Some(&arrivals), &cell).unwrap();
+        let mut runner = CellRunner::new();
+        let out = runner
+            .run_with_arrivals_qos(&seq, Some(&arrivals), None, &cell)
+            .unwrap();
+        assert!(runner
+            .jobs
+            .iter()
+            .zip(&arrivals)
+            .all(|(j, &a)| j.arrival == a));
         assert_eq!(
             out.stats.executed as usize,
             seq.iter().map(|g| g.len()).sum::<usize>()
         );
         // Sojourns are well-defined and the run is deterministic.
-        let again = run_cell_with_arrivals(&seq, Some(&arrivals), &cell).unwrap();
+        let again = CellRunner::new()
+            .run_with_arrivals_qos(&seq, Some(&arrivals), None, &cell)
+            .unwrap();
         assert_eq!(out.stats.mean_sojourn_ms(), again.stats.mean_sojourn_ms());
     }
 
@@ -501,8 +440,12 @@ mod tests {
     fn mismatched_arrival_length_panics() {
         let seq = small_sequence(7);
         let arrivals = vec![SimTime::ZERO; seq.len() - 1];
-        let _ =
-            prepare_jobs_with_arrivals(&seq, Some(&arrivals), &CellConfig::new(PolicyKind::Lru, 4));
+        let _ = CellRunner::new().run_with_arrivals_qos(
+            &seq,
+            Some(&arrivals),
+            None,
+            &CellConfig::new(PolicyKind::Lru, 4),
+        );
     }
 
     #[test]

@@ -6,16 +6,15 @@
 //! be versioned next to their results.
 
 use crate::arrivals::ArrivalProcess;
-use crate::parallel::parallel_map_with;
+use crate::experiments::sweep;
 use crate::policies::PolicyKind;
 use crate::qos::QosSpec;
-use crate::runner::{pooled_workers, CellConfig};
+use crate::runner::CellConfig;
 use crate::sequence::SequenceModel;
 use crate::table::{fmt_f, Table};
-use rtr_core::TemplateRegistry;
 use rtr_hw::DeviceSpec;
 use rtr_manager::fleet::simulate_fleet;
-use rtr_manager::{FaultPlan, FleetSpec, JobSpec, PreemptionMode, TenantId};
+use rtr_manager::{FaultPlan, FleetSpec, JobSpec, PreemptionMode, SimError, TenantId};
 use rtr_taskgraph::serialize::GraphSpec;
 use rtr_taskgraph::TaskGraph;
 use serde::{Deserialize, Serialize};
@@ -161,7 +160,7 @@ impl Scenario {
 
     /// Runs every policy of the scenario sequentially and tabulates the
     /// outcome. Equivalent to [`Scenario::run_with_workers`]`(1)`.
-    pub fn run(&self) -> Table {
+    pub fn run(&self) -> Result<Table, SimError> {
         self.run_with_workers(1)
     }
 
@@ -171,7 +170,11 @@ impl Scenario {
     /// Scenarios carrying a `fleet` section route through the pooled
     /// devices instead; everything else takes the exact pre-fleet
     /// single-device path.
-    pub fn run_with_workers(&self, workers: usize) -> Table {
+    ///
+    /// A loaded scenario can still fail to simulate, for instance when
+    /// its fault plan quarantines RUs it never repairs; the first
+    /// failing policy cell's [`SimError`] is returned.
+    pub fn run_with_workers(&self, workers: usize) -> Result<Table, SimError> {
         if let Some(spec) = &self.fleet {
             return self.run_fleet_with_workers(spec, workers);
         }
@@ -197,41 +200,44 @@ impl Scenario {
                 "Loads",
             ],
         );
-        let registry = Arc::new(TemplateRegistry::new());
         let qos = self.qos.assign(&sequence, &arrivals, self.rus);
-        let rows = parallel_map_with(
-            self.policies.clone(),
-            workers,
-            pooled_workers(&registry),
-            |runner, policy| {
-                let mut cell = CellConfig::new(policy, self.rus);
-                cell.device = self.device.clone();
-                cell.preemption = self.preemption;
-                cell.faults = self.faults;
-                let out = runner
-                    .run_with_arrivals_qos(&sequence, Some(&arrivals), qos.as_deref(), &cell)
-                    .expect("scenario cell simulates");
-                vec![
-                    policy.label(),
-                    fmt_f(out.stats.reuse_rate_pct(), 2),
-                    fmt_f(out.stats.total_overhead().as_ms_f64(), 1),
-                    fmt_f(out.stats.remaining_overhead_pct(), 2),
-                    fmt_f(out.stats.mean_sojourn_ms(), 1),
-                    out.stats.loads.to_string(),
-                ]
-            },
-        );
+        let rows = sweep(self.policies.clone(), workers, |runner, policy| {
+            let out = runner.run_with_arrivals_qos(
+                &sequence,
+                Some(&arrivals),
+                qos.as_deref(),
+                &self.cell(policy),
+            )?;
+            Ok(vec![
+                policy.label(),
+                fmt_f(out.stats.reuse_rate_pct(), 2),
+                fmt_f(out.stats.total_overhead().as_ms_f64(), 1),
+                fmt_f(out.stats.remaining_overhead_pct(), 2),
+                fmt_f(out.stats.mean_sojourn_ms(), 1),
+                out.stats.loads.to_string(),
+            ])
+        })?;
         for row in rows {
             t.push_row(row);
         }
-        t
+        Ok(t)
+    }
+
+    /// The cell one policy of this scenario runs on.
+    fn cell(&self, policy: PolicyKind) -> CellConfig {
+        CellConfig {
+            device: self.device.clone(),
+            preemption: self.preemption,
+            faults: self.faults,
+            ..CellConfig::new(policy, self.rus)
+        }
     }
 
     /// The fleet path of [`Scenario::run_with_workers`]: the same
     /// generated workload, tenant-stamped round-robin over
     /// `spec.tenants`, submitted to the pooled devices with one fresh
     /// policy instance per device.
-    fn run_fleet_with_workers(&self, spec: &FleetSpec, workers: usize) -> Table {
+    fn run_fleet_with_workers(&self, spec: &FleetSpec, workers: usize) -> Result<Table, SimError> {
         let templates = self.template_graphs();
         let sequence = self.model.generate(&templates, self.apps, self.seed);
         let arrivals = self
@@ -270,35 +276,22 @@ impl Scenario {
                 "Makespan (ms)",
             ],
         );
-        let registry = Arc::new(TemplateRegistry::new());
-        let rows = parallel_map_with(
-            self.policies.clone(),
-            workers,
-            pooled_workers(&registry),
-            |_runner, policy| {
-                let cell = CellConfig {
-                    device: self.device.clone(),
-                    preemption: self.preemption,
-                    faults: self.faults,
-                    ..CellConfig::new(policy, self.rus)
-                };
-                let fleet_cfg = spec.to_config(&cell.manager_config());
-                let outcome = simulate_fleet(&fleet_cfg, &jobs, || policy.build())
-                    .expect("fleet scenario cell simulates");
-                vec![
-                    policy.label(),
-                    fmt_f(outcome.stats.cross_device_reuse_rate_pct(), 2),
-                    outcome.stats.admitted.to_string(),
-                    outcome.stats.rejected.to_string(),
-                    fmt_f(outcome.stats.fairness_index(), 3),
-                    fmt_f(outcome.stats.makespan.as_ms_f64(), 1),
-                ]
-            },
-        );
+        let rows = sweep(self.policies.clone(), workers, |_runner, policy| {
+            let fleet_cfg = spec.to_config(&self.cell(policy).manager_config());
+            let s = simulate_fleet(&fleet_cfg, &jobs, || policy.build())?.stats;
+            Ok(vec![
+                policy.label(),
+                fmt_f(s.cross_device_reuse_rate_pct(), 2),
+                s.admitted.to_string(),
+                s.rejected.to_string(),
+                fmt_f(s.fairness_index(), 3),
+                fmt_f(s.makespan.as_ms_f64(), 1),
+            ])
+        })?;
         for row in rows {
             t.push_row(row);
         }
-        t
+        Ok(t)
     }
 }
 
@@ -351,15 +344,27 @@ mod tests {
         let back = Scenario::from_json(&legacy).expect("legacy file loads");
         assert!(back.faults.is_off());
         assert_eq!(back, s, "defaults equal the freshly built scenario");
-        assert_eq!(s.run().to_csv(), back.run().to_csv());
+        assert_eq!(s.run().unwrap().to_csv(), back.run().unwrap().to_csv());
     }
 
     #[test]
     fn fault_scenario_runs_to_a_table() {
         let mut s = Scenario::paper_fig9(4, 24, 21);
         s.faults = FaultPlan::low(99);
-        let t = s.run();
+        let t = s.run().unwrap();
         assert_eq!(t.len(), s.policies.len());
+    }
+
+    #[test]
+    fn unrepaired_ru_faults_return_an_error() {
+        // A valid plan can still leave the run unable to finish: every
+        // load hard-faults its RU and nothing is ever repaired. The run
+        // must report that as an error, not panic inside a worker.
+        let mut s = Scenario::paper_fig9(2, 10, 1);
+        s.faults = FaultPlan::off().with_seed(9).with_ru_faults(1000, None);
+        let loaded = Scenario::from_json(&s.to_json()).expect("the plan is valid");
+        assert!(loaded.run().is_err());
+        assert!(loaded.run_with_workers(2).is_err());
     }
 
     #[test]
@@ -382,7 +387,7 @@ mod tests {
         assert_eq!(back.qos, QosSpec::UNIFORM);
         assert_eq!(back, s, "defaults equal the freshly built scenario");
         // And the loaded scenario still runs bit-identically.
-        assert_eq!(s.run().to_csv(), back.run().to_csv());
+        assert_eq!(s.run().unwrap().to_csv(), back.run().unwrap().to_csv());
     }
 
     #[test]
@@ -397,7 +402,7 @@ mod tests {
         );
         s.preemption = PreemptionMode::Checkpoint;
         s.qos = QosSpec::strided(3, 5, 130);
-        let t = s.run();
+        let t = s.run().unwrap();
         assert_eq!(t.len(), s.policies.len());
     }
 
@@ -433,7 +438,7 @@ mod tests {
         let back = Scenario::from_json(&legacy).expect("legacy file loads");
         assert!(back.fleet.is_none());
         assert_eq!(back, s, "defaults equal the freshly built scenario");
-        assert_eq!(s.run().to_csv(), back.run().to_csv());
+        assert_eq!(s.run().unwrap().to_csv(), back.run().unwrap().to_csv());
     }
 
     #[test]
@@ -453,12 +458,12 @@ mod tests {
             quota: None,
             tenants: 3,
         });
-        let t = s.run_with_workers(2);
+        let t = s.run_with_workers(2).unwrap();
         assert_eq!(t.len(), s.policies.len());
         assert!(t.to_markdown().contains("2 devices"));
         assert!(t.to_markdown().contains("reuse-affinity"));
         // The fleet path is deterministic across worker counts.
-        assert_eq!(t.to_csv(), s.run().to_csv());
+        assert_eq!(t.to_csv(), s.run().unwrap().to_csv());
     }
 
     #[test]
@@ -558,7 +563,7 @@ mod tests {
     #[test]
     fn runs_to_a_table() {
         let s = Scenario::paper_fig9(5, 30, 3);
-        let t = s.run();
+        let t = s.run().unwrap();
         assert_eq!(t.len(), s.policies.len());
         assert!(t.to_markdown().contains("LFD"));
     }
@@ -583,8 +588,8 @@ mod tests {
             let back = Scenario::from_json(&s.to_json()).unwrap();
             assert_eq!(back, s);
             assert_eq!(
-                s.run().to_csv(),
-                back.run().to_csv(),
+                s.run().unwrap().to_csv(),
+                back.run().unwrap().to_csv(),
                 "round-tripped scenario diverged under {:?}",
                 s.arrivals
             );
@@ -603,7 +608,7 @@ mod tests {
         );
         let back = Scenario::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
-        let t = s.run();
+        let t = s.run().unwrap();
         assert_eq!(t.len(), s.policies.len());
         assert!(t.to_markdown().contains("poisson(80ms)"));
     }

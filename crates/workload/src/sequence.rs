@@ -125,31 +125,28 @@ impl SequenceModel {
     }
 }
 
+/// The paper's benchmark templates {JPEG, MPEG-1, Hough}, shared by
+/// every sequence drawn from them.
+pub(crate) fn multimedia_templates() -> Vec<Arc<TaskGraph>> {
+    rtr_taskgraph::benchmarks::multimedia_suite()
+        .into_iter()
+        .map(Arc::new)
+        .collect()
+}
+
 /// The paper's experimental workload: 500 uniform-random picks from
 /// {JPEG, MPEG-1, Hough}.
 pub fn paper_workload(seed: u64) -> Vec<Arc<TaskGraph>> {
-    let templates: Vec<Arc<TaskGraph>> = rtr_taskgraph::benchmarks::multimedia_suite()
-        .into_iter()
-        .map(Arc::new)
-        .collect();
-    SequenceModel::UniformRandom.generate(&templates, 500, seed)
+    SequenceModel::UniformRandom.generate(&multimedia_templates(), 500, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtr_taskgraph::benchmarks;
-
-    fn templates() -> Vec<Arc<TaskGraph>> {
-        benchmarks::multimedia_suite()
-            .into_iter()
-            .map(Arc::new)
-            .collect()
-    }
 
     #[test]
     fn uniform_is_deterministic_and_covers_templates() {
-        let t = templates();
+        let t = multimedia_templates();
         let a = SequenceModel::UniformRandom.generate(&t, 500, 42);
         let b = SequenceModel::UniformRandom.generate(&t, 500, 42);
         assert_eq!(a.len(), 500);
@@ -162,7 +159,7 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let t = templates();
+        let t = multimedia_templates();
         let a = SequenceModel::UniformRandom.generate(&t, 100, 1);
         let b = SequenceModel::UniformRandom.generate(&t, 100, 2);
         assert!(a.iter().zip(&b).any(|(x, y)| !Arc::ptr_eq(x, y)));
@@ -170,28 +167,28 @@ mod tests {
 
     #[test]
     fn weighted_respects_zero_weight() {
-        let t = templates();
+        let t = multimedia_templates();
         let seq = SequenceModel::Weighted(vec![1.0, 0.0, 0.0]).generate(&t, 50, 3);
         assert!(seq.iter().all(|g| Arc::ptr_eq(g, &t[0])));
     }
 
     #[test]
     fn bursty_one_repeats_forever() {
-        let t = templates();
+        let t = multimedia_templates();
         let seq = SequenceModel::Bursty { repeat_prob: 1.0 }.generate(&t, 20, 5);
         assert!(seq.iter().all(|g| Arc::ptr_eq(g, &seq[0])));
     }
 
     #[test]
     fn bursty_zero_equals_uniform_draws() {
-        let t = templates();
+        let t = multimedia_templates();
         let seq = SequenceModel::Bursty { repeat_prob: 0.0 }.generate(&t, 50, 5);
         assert_eq!(seq.len(), 50);
     }
 
     #[test]
     fn round_robin_cycles() {
-        let t = templates();
+        let t = multimedia_templates();
         let seq = SequenceModel::RoundRobin.generate(&t, 7, 0);
         for (i, g) in seq.iter().enumerate() {
             assert!(Arc::ptr_eq(g, &t[i % 3]));

@@ -45,6 +45,14 @@ impl Table {
         self.rows.is_empty()
     }
 
+    /// The data rows, in order, with cells read by column header.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        self.rows.iter().map(|cells| Row {
+            headers: &self.headers,
+            cells,
+        })
+    }
+
     /// Renders as aligned GitHub-flavoured Markdown.
     pub fn to_markdown(&self) -> String {
         let cols = self.headers.len();
@@ -116,6 +124,39 @@ impl Table {
     }
 }
 
+/// One data row of a [`Table`], read by column header.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row<'a> {
+    headers: &'a [String],
+    cells: &'a [String],
+}
+
+impl<'a> Row<'a> {
+    /// The cell under `header`.
+    ///
+    /// # Panics
+    /// Panics if the table has no such column.
+    pub(crate) fn get(&self, header: &str) -> &'a str {
+        let col = self
+            .headers
+            .iter()
+            .position(|h| h == header)
+            .unwrap_or_else(|| panic!("no column {header:?} in {:?}", self.headers));
+        &self.cells[col]
+    }
+
+    /// The cell under `header`, parsed as a number.
+    ///
+    /// # Panics
+    /// Panics if the table has no such column or the cell is not a
+    /// number.
+    pub(crate) fn num(&self, header: &str) -> f64 {
+        let cell = self.get(header);
+        cell.parse()
+            .unwrap_or_else(|_| panic!("column {header:?} holds {cell:?}, not a number"))
+    }
+}
+
 /// Formats a float with `digits` decimals (helper for table cells).
 pub fn fmt_f(x: f64, digits: usize) -> String {
     format!("{x:.digits$}")
@@ -146,6 +187,20 @@ mod tests {
         t.push_row(vec!["x,y".into(), "say \"hi\"".into()]);
         let csv = t.to_csv();
         assert!(csv.contains("\"x,y\",\"say \"\"hi\"\"\""));
+    }
+
+    #[test]
+    fn rows_read_cells_by_header() {
+        let t = sample();
+        let lfd: Vec<f64> = t.rows().map(|r| r.num("LFD")).collect();
+        assert_eq!(lfd, [46.0, 48.2]);
+        assert_eq!(t.rows().last().map(|r| r.get("RUs")), Some("10"));
+    }
+
+    #[test]
+    #[should_panic(expected = "no column \"MRU\"")]
+    fn unknown_header_panics() {
+        let _ = sample().rows().next().map(|r| r.get("MRU"));
     }
 
     #[test]

@@ -76,7 +76,7 @@ fn zero_app_scenario_runs_end_to_end() {
         },
     ] {
         let s = Scenario::streaming(4, 0, 11, arrivals);
-        let t = s.run();
+        let t = s.run().unwrap();
         assert_eq!(t.len(), s.policies.len());
     }
 }
@@ -93,6 +93,6 @@ fn single_app_scenario_runs_end_to_end() {
             mean_gap_us: 100_000,
         },
     );
-    let t = s.run();
+    let t = s.run().unwrap();
     assert_eq!(t.len(), s.policies.len());
 }

@@ -48,8 +48,8 @@ fn scenario_tables_identical_sequential_vs_parallel() {
             },
         ),
     ] {
-        let sequential = scenario.run_with_workers(1);
-        let parallel = scenario.run_with_workers(8);
+        let sequential = scenario.run_with_workers(1).unwrap();
+        let parallel = scenario.run_with_workers(8).unwrap();
         assert_eq!(
             sequential.to_markdown(),
             parallel.to_markdown(),

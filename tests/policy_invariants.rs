@@ -196,8 +196,8 @@ fn skip_events_reduce_overhead_under_high_competition() {
         "4 RUs: skip overhead {skip4} ms exceeds LFD {lfd4} ms (paper's inversion)"
     );
     // At larger RU counts the reuse-for-makespan trade gives back some
-    // overhead (EXPERIMENTS.md records ~25% at 8 RUs); bound the
-    // give-back so a regression cannot silently blow it up.
+    // overhead; bound the give-back so a regression cannot silently
+    // blow it up.
     for rus in [6usize, 8] {
         let plain = total_overhead_ms(
             PolicyKind::LocalLfd {

@@ -113,16 +113,6 @@ proptest! {
     }
 
     #[test]
-    fn no_reuse_baseline_reloads_everything(w in arb_workload()) {
-        let cfg = ManagerConfig::paper_default()
-            .with_rus(w.rus)
-            .with_reuse(false);
-        let out = manager::simulate(&cfg, &w.jobs, &mut FirstCandidatePolicy).unwrap();
-        prop_assert_eq!(out.stats.reuses, 0);
-        prop_assert_eq!(out.stats.loads, out.stats.executed);
-    }
-
-    #[test]
     fn mobility_annotation_is_jointly_feasible(seed in any::<u64>(), kind in 0u8..4) {
         // On arbitrary generated graphs the full mobility assignment
         // must reproduce the reference makespan when applied as forced
