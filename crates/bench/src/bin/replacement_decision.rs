@@ -1,7 +1,7 @@
 //! Replacement-decision hot path: legacy linear scan vs. the
 //! incremental [`ReuseIndex`].
 //!
-//! Measures one `select_victim` call of the paper's LFD policy over the
+//! Times one `select_victim` call of the paper's LFD policy over the
 //! *same* decision, backed two ways:
 //!
 //! * `scan` — a [`FutureView`] over the visible stream, resolved by the
@@ -12,23 +12,28 @@
 //!
 //! The grid is stream length {10², 10³, 10⁴} × RU count {4, 8, 16};
 //! half the candidates never occur in the stream (the worst case that
-//! forces the scan to walk the whole window) and half occur late.
-//! Besides the criterion timings, running the bench writes
-//! `results/replacement_decision.csv` with per-cell medians and the
-//! scan/index speedup — the ISSUE 3 acceptance number.
+//! forces the scan to walk the whole window) and half occur late. Every
+//! cell first asserts that both backings pick the same victim, then
+//! `results/replacement_decision.csv` receives the per-cell medians and
+//! the scan/index speedup.
+//!
+//! ```text
+//! cargo run --release -p rtr-bench --bin replacement_decision
+//! ```
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use rtr_bench::median_ns;
 use rtr_core::LfdPolicy;
 use rtr_hw::RuId;
 use rtr_manager::{DecisionContext, FutureView, ReplacementPolicy, ReuseIndex, VictimCandidate};
 use rtr_sim::SimTime;
 use rtr_taskgraph::ConfigId;
-use std::hint::black_box;
+use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 const STREAM_LENS: [usize; 3] = [100, 1_000, 10_000];
 const RU_COUNTS: [usize; 3] = [4, 8, 16];
+/// Decisions per timed batch.
+const CALLS: u32 = 200;
 
 /// One decision scenario shared by both backings.
 struct Scenario {
@@ -44,8 +49,7 @@ impl Scenario {
     /// candidates hold configs whose next occurrence is in the last
     /// tenth of the stream (a deep but successful scan).
     fn new(stream_len: usize, rus: usize) -> Self {
-        // Small xorshift so the stream is reproducible without pulling
-        // RNG deps into the bench.
+        // Small xorshift so the stream is reproducible without an RNG.
         let mut state = 0x9E37_79B9_u64 | stream_len as u64;
         let mut next = move || {
             state ^= state << 13;
@@ -107,89 +111,29 @@ impl Scenario {
     }
 }
 
-fn bench_replacement_decision(c: &mut Criterion) {
-    let mut group = c.benchmark_group("replacement_decision");
-    for &n in &STREAM_LENS {
-        for &rus in &RU_COUNTS {
-            let sc = Scenario::new(n, rus);
-            let mut policy = LfdPolicy::oracle();
-            assert_eq!(
-                sc.decide_scan(&mut policy),
-                sc.decide_index(&mut policy),
-                "backings must agree before being compared for speed"
-            );
-            group.bench_with_input(
-                BenchmarkId::new("scan", format!("n{n}_ru{rus}")),
-                &sc,
-                |b, sc| {
-                    let mut policy = LfdPolicy::oracle();
-                    b.iter(|| black_box(sc.decide_scan(&mut policy)));
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new("index", format!("n{n}_ru{rus}")),
-                &sc,
-                |b, sc| {
-                    let mut policy = LfdPolicy::oracle();
-                    b.iter(|| black_box(sc.decide_index(&mut policy)));
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-/// Median nanoseconds per call of `f` (fixed batches, warmed up).
-fn median_ns<F: FnMut() -> RuId>(mut f: F) -> f64 {
-    const BATCHES: usize = 15;
-    const CALLS: u32 = 200;
-    for _ in 0..CALLS {
-        black_box(f());
-    }
-    let mut samples: Vec<f64> = (0..BATCHES)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..CALLS {
-                black_box(f());
-            }
-            t0.elapsed().as_nanos() as f64 / f64::from(CALLS)
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[BATCHES / 2]
-}
-
-/// Writes `results/replacement_decision.csv`: per-cell median decision
-/// times for both backings and the scan/index speedup.
-fn write_summary_csv() -> std::io::Result<()> {
+fn main() -> std::io::Result<()> {
     let mut csv = String::from("stream_len,rus,scan_ns,index_ns,speedup\n");
     for &n in &STREAM_LENS {
         for &rus in &RU_COUNTS {
             let sc = Scenario::new(n, rus);
             let mut p_scan = LfdPolicy::oracle();
             let mut p_index = LfdPolicy::oracle();
-            let scan = median_ns(|| sc.decide_scan(&mut p_scan));
-            let index = median_ns(|| sc.decide_index(&mut p_index));
+            assert_eq!(
+                sc.decide_scan(&mut p_scan),
+                sc.decide_index(&mut p_index),
+                "n={n} rus={rus}: backings must agree before being compared for speed"
+            );
+            let scan = median_ns(CALLS, || sc.decide_scan(&mut p_scan));
+            let index = median_ns(CALLS, || sc.decide_index(&mut p_index));
             let speedup = scan / index;
             csv.push_str(&format!("{n},{rus},{scan:.1},{index:.1},{speedup:.2}\n"));
-            println!(
-                "summary: n={n} rus={rus} scan={scan:.1}ns index={index:.1}ns speedup={speedup:.2}x"
-            );
+            println!("n={n} rus={rus} scan={scan:.1}ns index={index:.1}ns speedup={speedup:.2}x");
         }
     }
-    // Anchor on the manifest so the CSV lands in the workspace-root
-    // results/ directory regardless of the bench runner's CWD.
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-    std::fs::create_dir_all(dir)?;
-    let path = format!("{dir}/replacement_decision.csv");
+    let results = Path::new("results");
+    std::fs::create_dir_all(results)?;
+    let path = results.join("replacement_decision.csv");
     std::fs::write(&path, csv)?;
-    println!("wrote {path}");
+    println!("CSV written to {}", path.display());
     Ok(())
-}
-
-criterion_group!(benches, bench_replacement_decision);
-
-fn main() {
-    benches();
-    write_summary_csv().expect("summary CSV is writable");
 }

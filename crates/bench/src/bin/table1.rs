@@ -1,7 +1,6 @@
 //! Regenerates the paper's Table I: worst-case run-time execution time
 //! of the replacement strategies (victim absent from every list, all 4
-//! RUs candidates). For rigorous statistics use the Criterion bench:
-//! `cargo bench -p rtr-bench --bench table1`.
+//! RUs candidates).
 //!
 //! ```text
 //! cargo run --release -p rtr-bench --bin table1

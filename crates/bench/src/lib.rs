@@ -1,10 +1,13 @@
 //! Shared helpers for the figure binaries: paper-style schedule
-//! rendering and the one driver every `fig_*` sweep binary runs.
+//! rendering, the one driver every `fig_*` sweep binary runs, and the
+//! micro-timer of the `table2` and `replacement_decision` binaries.
 
 use rtr_manager::{SimError, SimulationOutcome, Trace};
 use rtr_workload::Table;
+use std::hint::black_box;
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// Renders a simulation's schedule as an ASCII Gantt chart plus a
 /// paper-style caption (`Reuse: X% / Overhead: Y ms`).
@@ -58,6 +61,26 @@ pub fn sweep_figure(
             ExitCode::FAILURE
         }
     }
+}
+
+/// Median wall-clock nanoseconds per call of `f`: one warm-up batch,
+/// then 15 timed batches of `calls` calls each.
+pub fn median_ns<T>(calls: u32, mut f: impl FnMut() -> T) -> f64 {
+    const BATCHES: usize = 15;
+    for _ in 0..calls {
+        black_box(f());
+    }
+    let mut samples: Vec<f64> = (0..BATCHES)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..calls {
+                black_box(f());
+            }
+            t0.elapsed().as_nanos() as f64 / f64::from(calls)
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[BATCHES / 2]
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! The paper's contribution: configuration-replacement policies that
-//! maximise task reuse, and the hybrid design-time/run-time pipeline.
+//! maximise task reuse, and the design-time phase of the hybrid
+//! design-time/run-time technique.
 //!
 //! * [`lfd`] — the Longest-Forward-Distance policy. With the manager's
 //!   `Lookahead::All` it is Belady's clairvoyant LFD (the paper's
@@ -15,16 +16,12 @@
 //!   ([`TemplateRegistry`]): structural artifacts plus mobility
 //!   vectors computed once per template and system (the "bulk of the
 //!   computations at design time"), shared across grid cells, worker
-//!   threads and pooled engines.
-//! * [`pipeline`] — end-to-end helpers that build annotated job
-//!   sequences the hybrid way (precomputed once per template) or the
-//!   purely run-time way (recomputed at every arrival), backing the
-//!   paper's 10× claim.
+//!   threads and pooled engines. The `table2` binary times it against
+//!   recomputing mobility at every arrival (the paper's 10× claim).
 
 pub mod history;
 pub mod lfd;
 pub mod mobility;
-pub mod pipeline;
 pub mod registry;
 mod stamp;
 

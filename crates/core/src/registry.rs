@@ -158,13 +158,14 @@ mod tests {
         for g in [
             Arc::new(benchmarks::jpeg()),
             Arc::new(benchmarks::mpeg1()),
+            Arc::new(benchmarks::hough()),
             Arc::new(benchmarks::fig3_tg2()),
         ] {
             let memo = reg.mobility(&g, &cfg).unwrap();
             let direct = compute_mobility(&g, &cfg).unwrap();
             assert_eq!(*memo, direct, "graph {}", g.name());
         }
-        assert_eq!(reg.templates(), 3);
+        assert_eq!(reg.templates(), 4);
     }
 
     #[test]

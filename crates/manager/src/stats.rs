@@ -26,8 +26,7 @@ impl PrefetchStats {
     /// The closed-ledger identities every run must satisfy: each
     /// issued speculative load either completed or was cancelled, and
     /// hit/waste attribution never exceeds the completions. The
-    /// `prefetch-accounting` checker asserts this on every validated
-    /// run.
+    /// `ledger` checker asserts this on every validated run.
     pub fn balanced(&self) -> bool {
         self.issued == self.completed + self.cancelled && self.hits + self.wasted <= self.completed
     }
@@ -81,9 +80,9 @@ impl Default for FaultStats {
 }
 
 impl FaultStats {
-    /// Internal-consistency identities the `fault-accounting` checker
-    /// asserts: a unit can only heal after being quarantined, and a
-    /// run that never lost a unit accrued no degraded time.
+    /// Internal-consistency identities the `ledger` checker asserts: a
+    /// unit can only heal after being quarantined, and a run that never
+    /// lost a unit accrued no degraded time.
     pub fn balanced(&self) -> bool {
         self.heals <= self.quarantines
             && (self.quarantines > 0 || self.degraded_time == SimDuration::ZERO)
@@ -216,8 +215,8 @@ impl QosStats {
         self.class_sojourns.iter().find(|c| c.priority == priority)
     }
 
-    /// Ledger identity checked by the `qos-accounting` checker: the
-    /// per-class miss/tardiness rows must sum to the run totals.
+    /// Ledger identity checked by the `ledger` checker: the per-class
+    /// miss/tardiness rows must sum to the run totals.
     pub fn balanced(&self) -> bool {
         let misses: u64 = self.class_sojourns.iter().map(|c| c.deadline_misses).sum();
         let tardiness: SimDuration = self.class_sojourns.iter().map(|c| c.tardiness_total).sum();

@@ -349,9 +349,8 @@ impl TraceEvent {
 /// Event-kind totals of one trace, including the hit/waste attribution
 /// of speculative loads (a completed prefetch later claimed by the
 /// demand path is a *hit*; one overwritten before any claim is
-/// *wasted*). The single source of truth the `counter-equality` and
-/// `prefetch-accounting` checkers compare [`RunStats`] counters
-/// against.
+/// *wasted*). The single source of truth the `ledger` checker
+/// compares [`RunStats`] counters against.
 ///
 /// [`RunStats`]: crate::stats::RunStats
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

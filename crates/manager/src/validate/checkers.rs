@@ -12,9 +12,10 @@
 use super::{CheckContext, CheckOutput, Checker};
 use crate::job::JobSpec;
 use crate::trace::{FaultKind, TraceEvent};
-use rtr_sim::SimTime;
+use rtr_sim::{SimDuration, SimTime};
 use rtr_taskgraph::{reconfiguration_sequence, ConfigId, NodeId};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt;
 
 /// Every checker this crate defines, in canonical order.
 pub fn standard_checkers() -> Vec<Box<dyn Checker>> {
@@ -26,17 +27,13 @@ pub fn standard_checkers() -> Vec<Box<dyn Checker>> {
         Box::new(Precedence),
         Box::new(ReuseResidency),
         Box::new(PrefetchGuard),
-        Box::new(CounterEquality),
-        Box::new(TrafficEquality),
-        Box::new(PrefetchAccounting),
+        Box::new(Ledger),
         Box::new(PrefetchOffInvisible),
         Box::new(NoLostWork),
         Box::new(PreemptionOrder),
-        Box::new(QosAccounting),
         Box::new(FaultRetryBounded),
         Box::new(QuarantineIsolation),
         Box::new(CorruptNeverReused),
-        Box::new(FaultAccounting),
         Box::new(PooledIdentity),
         Box::new(TenantIsolation),
         Box::new(PlacementResidency),
@@ -481,7 +478,7 @@ struct NodeLife {
     ru: Option<u16>,
     /// Expected duration of the *next* run, when a checkpoint changed
     /// it (`remainder + restore penalty`); `None` = design time.
-    expected: Option<rtr_sim::SimDuration>,
+    expected: Option<SimDuration>,
 }
 
 impl Checker for TaskLifecycle {
@@ -604,10 +601,9 @@ impl Checker for TaskLifecycle {
                             // The resumed run covers the remainder plus
                             // the restore penalty (one reconfiguration).
                             let expected = entry.expected.unwrap_or_else(|| {
-                                jobs.get(job as usize)
-                                    .map_or(rtr_sim::SimDuration::ZERO, |spec| {
-                                        spec.graph.exec_time(NodeId(node.0))
-                                    })
+                                jobs.get(job as usize).map_or(SimDuration::ZERO, |spec| {
+                                    spec.graph.exec_time(NodeId(node.0))
+                                })
                             });
                             entry.expected = Some((s + expected).since(at) + cx.latency);
                         }
@@ -917,172 +913,64 @@ impl Checker for PrefetchGuard {
     }
 }
 
-/// Event counters in [`RunStats`](crate::stats::RunStats) match the
-/// trace: loads, reuses, execs, skips, stalls and the prefetch
-/// issue/complete/cancel/hit/waste ledger.
-struct CounterEquality;
+/// The run ledger: every [`RunStats`](crate::stats::RunStats) field the
+/// trace determines is re-derived from it and compared field by field,
+/// one probe per field, each naming the field it checks.
+///
+/// Without stats the checker still asserts the ledger's trace-only
+/// identities: every issued speculative load completed or was
+/// cancelled and hit/waste attribution never exceeds completions; the
+/// per-class fault injections sum to the total, every quarantine came
+/// from a give-up or a hard fault, and heals never outnumber
+/// quarantines; every suspension resumed.
+///
+/// With stats, [`Trace::counts`](crate::trace::Trace::counts) plus one
+/// walk re-derive:
+///
+/// * the event counters (`loads`, `reuses`, `executed`, `skips`,
+///   `stalls`) and the five `prefetch` counters;
+/// * the `traffic` write counts (a demand retry rewrites a full
+///   bitstream; a corrupt speculative completion moved one without a
+///   `PrefetchEnd`), the port busy time and the makespan;
+/// * the `qos` counters, the lost work of kills (each `NodeKilled`
+///   instant minus its RU's last `ExecStart`), the deadline ledger and
+///   the per-class `jobs`/miss/tardiness/sojourn rows, all from the
+///   `GraphEnd` instants against the job specs;
+/// * `graph_completions` (the `GraphEnd` instants, in order) and
+///   `graph_arrivals` (the same jobs' arrivals);
+/// * every `faults` counter, the degraded-pool time (closed at the
+///   makespan if a unit is still down) and the lost work of hard faults;
+/// * the `balanced()` identities of the prefetch, QoS and fault stats.
+///
+/// Left unchecked: `traffic.bytes_moved` and `traffic.energy_uj` scale
+/// the write counts by the device's bitstream size and energy model,
+/// which [`CheckContext`] does not carry; and the class rows' `p50`,
+/// `p95` and `max`, whose re-derivation would share the engine's
+/// nearest-rank percentile code rather than check it.
+struct Ledger;
 
-impl Checker for CounterEquality {
-    fn name(&self) -> &'static str {
-        "counter-equality"
-    }
-    fn description(&self) -> &'static str {
-        "RunStats event counters equal the trace tallies"
-    }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
-        let Some(s) = cx.stats else { return };
-        let c = cx.trace.counts();
-        out.probe(s.loads == c.loads, || {
-            format!("stats.loads {} != trace {}", s.loads, c.loads)
-        });
-        out.probe(s.reuses == c.reuses, || {
-            format!("stats.reuses {} != trace {}", s.reuses, c.reuses)
-        });
-        out.probe(s.executed == c.executed, || {
-            format!("stats.executed {} != trace {}", s.executed, c.executed)
-        });
-        out.probe(s.skips == c.skips, || {
-            format!("stats.skips {} != trace {}", s.skips, c.skips)
-        });
-        out.probe(s.stalls == c.stalls, || {
-            format!("stats.stalls {} != trace {}", s.stalls, c.stalls)
-        });
-        let pf = s.prefetch;
-        out.probe(
-            (pf.issued, pf.completed, pf.cancelled)
-                == (
-                    c.prefetch_issued,
-                    c.prefetch_completed,
-                    c.prefetch_cancelled,
-                ),
-            || {
-                format!(
-                    "stats.prefetch issued/completed/cancelled {:?} != trace {:?}",
-                    (pf.issued, pf.completed, pf.cancelled),
-                    (
-                        c.prefetch_issued,
-                        c.prefetch_completed,
-                        c.prefetch_cancelled
-                    )
-                )
-            },
-        );
-        out.probe(
-            (pf.hits, pf.wasted) == (c.prefetch_hits, c.prefetch_wasted),
-            || {
-                format!(
-                    "stats.prefetch hits/wasted {:?} != trace {:?}",
-                    (pf.hits, pf.wasted),
-                    (c.prefetch_hits, c.prefetch_wasted)
-                )
-            },
-        );
-    }
+/// One QoS class row as the trace implies it.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct ClassTally {
+    jobs: u64,
+    deadline_misses: u64,
+    tardiness_total: SimDuration,
+    sojourn_total: SimDuration,
 }
 
-/// Traffic totals, port busy time and makespan in
-/// [`RunStats`](crate::stats::RunStats) match the trace.
-struct TrafficEquality;
-
-impl Checker for TrafficEquality {
-    fn name(&self) -> &'static str {
-        "traffic-equality"
-    }
-    fn description(&self) -> &'static str {
-        "RunStats traffic, port busy time and makespan equal the trace"
-    }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
-        let Some(s) = cx.stats else { return };
-        let latency = cx.latency;
-        // Port write time actually spent (vs `port_busy_time`).
-        let mut port_busy_total = rtr_sim::SimDuration::ZERO;
-        // In-flight speculative load: `(ru, current write-window start)`
-        // — a backoff retry moves the window.
-        let mut spec: Option<(u16, SimTime)> = None;
-        // Extra bus transfers the fault path performs: every demand
-        // retry rewrites the full bitstream (traffic.loads), and a
-        // corrupt speculative completion moved the bits even though no
-        // PrefetchEnd was recorded (traffic.prefetch_loads).
-        let mut demand_retries = 0u64;
-        let mut spec_corrupts = 0u64;
-        let mut last_graph_end: Option<SimTime> = None;
-        for ev in cx.trace.iter() {
-            match *ev {
-                TraceEvent::LoadEnd { .. } => port_busy_total += latency,
-                TraceEvent::PrefetchStart { ru, at, .. } => spec = Some((ru.0, at)),
-                TraceEvent::PrefetchEnd { at, .. } | TraceEvent::PrefetchCancel { at, .. } => {
-                    if let Some((_, window)) = spec.take() {
-                        port_busy_total += at.saturating_since(window);
-                    }
-                }
-                TraceEvent::FaultInject {
-                    kind: FaultKind::TransientLoad,
-                    at,
-                    ..
-                } => {
-                    // A corrupt completion held the port for a full
-                    // write on either lane.
-                    port_busy_total += latency;
-                    if let Some((_, window)) = spec.as_mut() {
-                        spec_corrupts += 1;
-                        // The write is accounted; only time after the
-                        // corrupt completion charges the next window.
-                        *window = at;
-                    }
-                }
-                TraceEvent::FaultRetry { until, .. } => match spec.as_mut() {
-                    // The rewrite occupies `[until - latency, until]`.
-                    Some((_, window)) => *window = until - latency,
-                    None => demand_retries += 1,
-                },
-                TraceEvent::GraphEnd { at, .. } => last_graph_end = Some(at),
-                _ => {}
-            }
-        }
-        let c = cx.trace.counts();
-        out.probe(
-            s.traffic.loads == c.loads + demand_retries
-                && s.traffic.reuses == c.reuses
-                && s.traffic.prefetch_loads == c.prefetch_completed + spec_corrupts,
-            || {
-                format!(
-                    "stats.traffic load/reuse/prefetch counters {:?} != trace {:?} \
-                     (incl. {demand_retries} demand retries, {spec_corrupts} corrupt \
-                     speculative completions)",
-                    (s.traffic.loads, s.traffic.reuses, s.traffic.prefetch_loads),
-                    (c.loads, c.reuses, c.prefetch_completed)
-                )
-            },
-        );
-        out.probe(s.port_busy_time == port_busy_total, || {
-            format!(
-                "stats.port_busy_time {} != trace total {port_busy_total}",
-                s.port_busy_time
-            )
-        });
-        if let Some(last_end) = last_graph_end {
-            out.probe(s.makespan == last_end.since(SimTime::ZERO), || {
-                format!(
-                    "stats.makespan {} != last graph completion {last_end} (no \
-                     trailing event may extend the makespan)",
-                    s.makespan
-                )
-            });
-        }
-    }
+/// One ledger probe: stats field `name` equals its trace-derived value.
+fn field<T: PartialEq + fmt::Debug>(out: &mut CheckOutput, name: &str, stats: T, trace: T) {
+    out.probe(stats == trace, || {
+        format!("stats.{name} {stats:?} != {trace:?} re-derived from the trace")
+    });
 }
 
-/// The closed prefetch ledger: every issued speculative load completes
-/// or is cancelled, attribution never exceeds completions, and only
-/// completed speculative loads move bitstreams.
-struct PrefetchAccounting;
-
-impl Checker for PrefetchAccounting {
+impl Checker for Ledger {
     fn name(&self) -> &'static str {
-        "prefetch-accounting"
+        "ledger"
     }
     fn description(&self) -> &'static str {
-        "issued = completed + cancelled; hits + wasted never exceed completions"
+        "every RunStats ledger field re-derives from the trace"
     }
     fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
         let c = cx.trace.counts();
@@ -1105,39 +993,208 @@ impl Checker for PrefetchAccounting {
                 )
             },
         );
-        if let Some(s) = cx.stats {
-            out.probe(s.prefetch.balanced(), || {
-                format!("stats prefetch ledger is open: {:?}", s.prefetch)
-            });
-            // Corrupt speculative completions moved a bitstream without
-            // a PrefetchEnd; count them from the trace.
-            let mut spec_inflight = false;
-            let mut spec_corrupts = 0u64;
-            for ev in cx.trace.iter() {
-                match *ev {
-                    TraceEvent::PrefetchStart { .. } => spec_inflight = true,
-                    TraceEvent::PrefetchEnd { .. } | TraceEvent::PrefetchCancel { .. } => {
-                        spec_inflight = false
+        out.probe(
+            c.fault_injected == c.fault_transients + c.fault_upsets + c.fault_ru,
+            || {
+                format!(
+                    "per-class injections {} + {} + {} do not sum to the total {}",
+                    c.fault_transients, c.fault_upsets, c.fault_ru, c.fault_injected
+                )
+            },
+        );
+        out.probe(c.ru_quarantines == c.fault_giveups + c.fault_ru, || {
+            format!(
+                "{} quarantines for {} give-ups + {} hard faults",
+                c.ru_quarantines, c.fault_giveups, c.fault_ru
+            )
+        });
+        out.probe(c.ru_heals <= c.ru_quarantines, || {
+            format!(
+                "{} heals recorded for only {} quarantines",
+                c.ru_heals, c.ru_quarantines
+            )
+        });
+        out.probe(c.resumes == c.preemptions, || {
+            format!(
+                "trace has {} preemptions but {} resumes (every suspension must resume)",
+                c.preemptions, c.resumes
+            )
+        });
+        let Some(s) = cx.stats else { return };
+        let latency = cx.latency;
+        let mut port_busy = SimDuration::ZERO;
+        // Write-window start of the in-flight speculative load; a
+        // backoff retry moves it, a corrupt completion restarts it.
+        let mut spec_window: Option<SimTime> = None;
+        let mut demand_retries = 0u64;
+        let mut spec_corrupts = 0u64;
+        let mut exec_started: HashMap<u16, SimTime> = HashMap::new();
+        let mut killed_work = SimDuration::ZERO;
+        let mut hard_fault_work = SimDuration::ZERO;
+        let mut degraded = SimDuration::ZERO;
+        let mut down = 0u32;
+        let mut down_since: Option<SimTime> = None;
+        let mut completions: Vec<SimTime> = Vec::new();
+        let mut arrivals: Vec<SimTime> = Vec::new();
+        let mut classes: BTreeMap<u8, ClassTally> = BTreeMap::new();
+        for ev in cx.trace.iter() {
+            match *ev {
+                TraceEvent::LoadEnd { .. } => port_busy += latency,
+                TraceEvent::PrefetchStart { at, .. } => spec_window = Some(at),
+                TraceEvent::PrefetchEnd { at, .. } | TraceEvent::PrefetchCancel { at, .. } => {
+                    if let Some(window) = spec_window.take() {
+                        port_busy += at.saturating_since(window);
                     }
-                    TraceEvent::FaultInject {
-                        kind: FaultKind::TransientLoad,
-                        ..
-                    } if spec_inflight => spec_corrupts += 1,
-                    _ => {}
                 }
-            }
-            out.probe(
-                s.traffic.prefetch_loads == s.prefetch.completed + spec_corrupts,
-                || {
-                    format!(
-                        "only completed (or corrupt-completed) speculative loads move \
-                         bitstreams: traffic.prefetch_loads {} != prefetch.completed {} \
-                         + corrupt completions {spec_corrupts}",
-                        s.traffic.prefetch_loads, s.prefetch.completed
-                    )
+                TraceEvent::FaultInject { kind, ru, at, .. } => match kind {
+                    // A corrupt completion held the port for a full
+                    // write on either lane; on the speculative lane
+                    // only time after it charges the next window.
+                    FaultKind::TransientLoad => {
+                        port_busy += latency;
+                        if let Some(window) = spec_window.as_mut() {
+                            spec_corrupts += 1;
+                            *window = at;
+                        }
+                    }
+                    FaultKind::RuHard => {
+                        if let Some(start) = exec_started.remove(&ru.0) {
+                            hard_fault_work += at.saturating_since(start);
+                        }
+                    }
+                    FaultKind::Upset => {}
                 },
-            );
+                // The rewrite occupies `[until - latency, until]`.
+                TraceEvent::FaultRetry { until, .. } => match spec_window.as_mut() {
+                    Some(window) => *window = until - latency,
+                    None => demand_retries += 1,
+                },
+                TraceEvent::ExecStart { ru, at, .. } => {
+                    exec_started.insert(ru.0, at);
+                }
+                TraceEvent::ExecEnd { ru, .. } | TraceEvent::NodeCheckpointed { ru, .. } => {
+                    exec_started.remove(&ru.0);
+                }
+                TraceEvent::NodeKilled { ru, at, .. } => {
+                    if let Some(start) = exec_started.remove(&ru.0) {
+                        killed_work += at.saturating_since(start);
+                    }
+                }
+                TraceEvent::RuQuarantine { at, .. } => {
+                    down += 1;
+                    if down == 1 {
+                        down_since = Some(at);
+                    }
+                }
+                TraceEvent::RuHeal { at, .. } => {
+                    down = down.saturating_sub(1);
+                    if down == 0 {
+                        if let Some(since) = down_since.take() {
+                            degraded += at.saturating_since(since);
+                        }
+                    }
+                }
+                TraceEvent::GraphEnd { job, at } => {
+                    completions.push(at);
+                    if let Some(spec) = cx.jobs.get(job as usize) {
+                        arrivals.push(spec.arrival);
+                        let row = classes.entry(spec.qos.priority).or_default();
+                        row.jobs += 1;
+                        row.sojourn_total += at.saturating_since(spec.arrival);
+                        if let Some(deadline) = spec.qos.deadline.filter(|&d| at > d) {
+                            row.deadline_misses += 1;
+                            row.tardiness_total += at.since(deadline);
+                        }
+                    }
+                }
+                _ => {}
+            }
         }
+        // A stretch still open at end of trace closes at the makespan.
+        if let Some(open) = down_since {
+            degraded += (SimTime::ZERO + s.makespan).saturating_since(open);
+        }
+        let pf = &s.prefetch;
+        let q = &s.qos;
+        let f = &s.faults;
+        let misses: u64 = classes.values().map(|r| r.deadline_misses).sum();
+        let tardiness: SimDuration = classes.values().map(|r| r.tardiness_total).sum();
+        for (name, stats, trace) in [
+            ("loads", s.loads, c.loads),
+            ("reuses", s.reuses, c.reuses),
+            ("executed", s.executed, c.executed),
+            ("skips", s.skips, c.skips),
+            ("stalls", s.stalls, c.stalls),
+            ("prefetch.issued", pf.issued, c.prefetch_issued),
+            ("prefetch.completed", pf.completed, c.prefetch_completed),
+            ("prefetch.cancelled", pf.cancelled, c.prefetch_cancelled),
+            ("prefetch.hits", pf.hits, c.prefetch_hits),
+            ("prefetch.wasted", pf.wasted, c.prefetch_wasted),
+            ("traffic.loads", s.traffic.loads, c.loads + demand_retries),
+            ("traffic.reuses", s.traffic.reuses, c.reuses),
+            (
+                "traffic.prefetch_loads",
+                s.traffic.prefetch_loads,
+                c.prefetch_completed + spec_corrupts,
+            ),
+            ("qos.preemptions", q.preemptions, c.preemptions),
+            ("qos.checkpoints", q.checkpoints, c.checkpoints),
+            ("qos.replayed_nodes", q.replayed_nodes, c.killed_nodes),
+            ("qos.deadline_misses", q.deadline_misses, misses),
+            ("faults.injected", f.injected, c.fault_injected),
+            ("faults.retries", f.retries, c.fault_retries),
+            ("faults.repairs", f.repairs, c.fault_repairs),
+            ("faults.quarantines", f.quarantines, c.ru_quarantines),
+            ("faults.heals", f.heals, c.ru_heals),
+        ] {
+            field(out, name, stats, trace);
+        }
+        for (name, stats, trace) in [
+            ("port_busy_time", s.port_busy_time, port_busy),
+            ("qos.lost_work_cycles", q.lost_work_cycles, killed_work),
+            ("qos.tardiness_total", q.tardiness_total, tardiness),
+            ("faults.degraded_time", f.degraded_time, degraded),
+            (
+                "faults.lost_work_cycles",
+                f.lost_work_cycles,
+                hard_fault_work,
+            ),
+        ] {
+            field(out, name, stats, trace);
+        }
+        if let Some(&last) = completions.last() {
+            field(out, "makespan", s.makespan, last.since(SimTime::ZERO));
+        }
+        field(out, "graph_completions", &s.graph_completions, &completions);
+        field(out, "graph_arrivals", &s.graph_arrivals, &arrivals);
+        let rows: Vec<(u8, ClassTally)> = q
+            .class_sojourns
+            .iter()
+            .map(|r| {
+                let tally = ClassTally {
+                    jobs: r.jobs,
+                    deadline_misses: r.deadline_misses,
+                    tardiness_total: r.tardiness_total,
+                    sojourn_total: r.sojourn_total,
+                };
+                (r.priority, tally)
+            })
+            .collect();
+        field(
+            out,
+            "qos.class_sojourns",
+            rows,
+            classes.into_iter().collect(),
+        );
+        out.probe(pf.balanced(), || {
+            format!("stats.prefetch ledger is open: {pf:?}")
+        });
+        out.probe(q.balanced(), || {
+            format!("stats.qos per-class miss/tardiness rows do not sum to the run totals: {q:?}")
+        });
+        out.probe(f.balanced(), || {
+            format!("stats.faults internal identities do not hold: {f:?}")
+        });
     }
 }
 
@@ -1329,87 +1386,6 @@ impl Checker for PreemptionOrder {
         }
         out.probe(stack.is_empty(), || {
             format!("graphs {stack:?} were suspended but never resumed")
-        });
-    }
-}
-
-/// The QoS ledger closes: preemption/checkpoint/replay counters in
-/// [`RunStats`](crate::stats::RunStats) match the trace, deadline
-/// misses and tardiness re-derive from completions against the job
-/// specs, and the per-class rows sum to the run totals.
-struct QosAccounting;
-
-impl Checker for QosAccounting {
-    fn name(&self) -> &'static str {
-        "qos-accounting"
-    }
-    fn description(&self) -> &'static str {
-        "stats QoS counters equal the trace; per-class rows sum to totals"
-    }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
-        let Some(s) = cx.stats else { return };
-        let q = &s.qos;
-        let c = cx.trace.counts();
-        out.probe(q.preemptions == c.preemptions, || {
-            format!(
-                "stats.qos.preemptions {} != trace {}",
-                q.preemptions, c.preemptions
-            )
-        });
-        out.probe(q.checkpoints == c.checkpoints, || {
-            format!(
-                "stats.qos.checkpoints {} != trace {}",
-                q.checkpoints, c.checkpoints
-            )
-        });
-        out.probe(q.replayed_nodes == c.killed_nodes, || {
-            format!(
-                "stats.qos.replayed_nodes {} != trace killed {}",
-                q.replayed_nodes, c.killed_nodes
-            )
-        });
-        out.probe(c.resumes == c.preemptions, || {
-            format!(
-                "trace has {} preemptions but {} resumes (every suspension must resume)",
-                c.preemptions, c.resumes
-            )
-        });
-        // Re-derive the deadline ledger from completions vs specs.
-        let mut misses = 0u64;
-        let mut tardiness = rtr_sim::SimDuration::ZERO;
-        let mut completed = 0u64;
-        for ev in cx.trace.iter() {
-            if let TraceEvent::GraphEnd { job, at } = *ev {
-                completed += 1;
-                if let Some(d) = cx.jobs.get(job as usize).and_then(|spec| spec.qos.deadline) {
-                    if at > d {
-                        misses += 1;
-                        tardiness += at.since(d);
-                    }
-                }
-            }
-        }
-        out.probe(q.deadline_misses == misses, || {
-            format!(
-                "stats.qos.deadline_misses {} != {misses} re-derived from the trace",
-                q.deadline_misses
-            )
-        });
-        out.probe(q.tardiness_total == tardiness, || {
-            format!(
-                "stats.qos.tardiness_total {} != {tardiness} re-derived from the trace",
-                q.tardiness_total
-            )
-        });
-        out.probe(q.balanced(), || {
-            format!("per-class miss/tardiness rows do not sum to the run totals: {q:?}")
-        });
-        let class_jobs: u64 = q.class_sojourns.iter().map(|r| r.jobs).sum();
-        out.probe(class_jobs == completed, || {
-            format!(
-                "per-class job counts sum to {class_jobs}, but the trace completed \
-                 {completed} graphs"
-            )
         });
     }
 }
@@ -1676,136 +1652,6 @@ impl Checker for CorruptNeverReused {
                 "{} residents marked corrupt by only {upsets} upsets",
                 corrupt.len()
             )
-        });
-    }
-}
-
-/// The fault ledger closes: [`RunStats`](crate::stats::RunStats) fault
-/// counters match the trace tallies, the per-class injections sum to
-/// the total, every give-up and hard fault quarantined a unit, and the
-/// degraded-pool time and lost work re-derive from the trace.
-struct FaultAccounting;
-
-impl Checker for FaultAccounting {
-    fn name(&self) -> &'static str {
-        "fault-accounting"
-    }
-    fn description(&self) -> &'static str {
-        "stats fault counters equal the trace; degraded time and lost work re-derive"
-    }
-    fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
-        let c = cx.trace.counts();
-        out.probe(
-            c.fault_injected == c.fault_transients + c.fault_upsets + c.fault_ru,
-            || {
-                format!(
-                    "per-class injections {} + {} + {} do not sum to the total {}",
-                    c.fault_transients, c.fault_upsets, c.fault_ru, c.fault_injected
-                )
-            },
-        );
-        out.probe(c.ru_quarantines == c.fault_giveups + c.fault_ru, || {
-            format!(
-                "{} quarantines for {} give-ups + {} hard faults",
-                c.ru_quarantines, c.fault_giveups, c.fault_ru
-            )
-        });
-        out.probe(c.ru_heals <= c.ru_quarantines, || {
-            format!(
-                "{} heals recorded for only {} quarantines",
-                c.ru_heals, c.ru_quarantines
-            )
-        });
-        // Re-derive the degraded-pool clock and the lost work.
-        let mut degraded = rtr_sim::SimDuration::ZERO;
-        let mut since: Option<SimTime> = None;
-        let mut depth = 0u32;
-        let mut lost = rtr_sim::SimDuration::ZERO;
-        let mut exec_started: HashMap<u16, SimTime> = HashMap::new();
-        for ev in cx.trace.iter() {
-            match *ev {
-                TraceEvent::RuQuarantine { at, .. } => {
-                    depth += 1;
-                    if depth == 1 {
-                        since = Some(at);
-                    }
-                }
-                TraceEvent::RuHeal { at, .. } => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        if let Some(s) = since.take() {
-                            degraded += at.since(s);
-                        }
-                    }
-                }
-                TraceEvent::ExecStart { ru, at, .. } => {
-                    exec_started.insert(ru.0, at);
-                }
-                TraceEvent::ExecEnd { ru, .. }
-                | TraceEvent::NodeKilled { ru, .. }
-                | TraceEvent::NodeCheckpointed { ru, .. } => {
-                    exec_started.remove(&ru.0);
-                }
-                TraceEvent::FaultInject {
-                    kind: FaultKind::RuHard,
-                    ru,
-                    at,
-                    ..
-                } => {
-                    if let Some(s) = exec_started.remove(&ru.0) {
-                        lost += at.since(s);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(s) = cx.stats else { return };
-        // A stretch still open at end of trace closes at the makespan.
-        if let Some(open) = since {
-            degraded += (SimTime::ZERO + s.makespan).saturating_since(open);
-        }
-        let f = &s.faults;
-        out.probe(f.injected == c.fault_injected, || {
-            format!(
-                "stats.faults.injected {} != trace {}",
-                f.injected, c.fault_injected
-            )
-        });
-        out.probe(f.retries == c.fault_retries, || {
-            format!(
-                "stats.faults.retries {} != trace {}",
-                f.retries, c.fault_retries
-            )
-        });
-        out.probe(f.repairs == c.fault_repairs, || {
-            format!(
-                "stats.faults.repairs {} != trace {}",
-                f.repairs, c.fault_repairs
-            )
-        });
-        out.probe(f.quarantines == c.ru_quarantines, || {
-            format!(
-                "stats.faults.quarantines {} != trace {}",
-                f.quarantines, c.ru_quarantines
-            )
-        });
-        out.probe(f.heals == c.ru_heals, || {
-            format!("stats.faults.heals {} != trace {}", f.heals, c.ru_heals)
-        });
-        out.probe(f.degraded_time == degraded, || {
-            format!(
-                "stats.faults.degraded_time {} != {degraded} re-derived from the trace",
-                f.degraded_time
-            )
-        });
-        out.probe(f.lost_work_cycles == lost, || {
-            format!(
-                "stats.faults.lost_work_cycles {} != {lost} re-derived from the trace",
-                f.lost_work_cycles
-            )
-        });
-        out.probe(f.balanced(), || {
-            format!("fault ledger internal identities do not hold: {f:?}")
         });
     }
 }

@@ -32,14 +32,14 @@
 //!   configuration whose next request comes strictly before the
 //!   fetched configuration's, checked against the *entire* remaining
 //!   request stream.
-//! * `counter-equality` — event counters in [`RunStats`] match the
-//!   trace (loads, reuses, execs, skips, stalls and the prefetch
-//!   issue/complete/cancel/hit/waste counters).
-//! * `traffic-equality` — the traffic totals, port busy time and
-//!   makespan in [`RunStats`] match the trace.
-//! * `prefetch-accounting` — internal prefetch identities: every
-//!   speculative load completes or is cancelled, and attribution never
-//!   exceeds completions.
+//! * `ledger` — every [`RunStats`] field the trace determines
+//!   re-derives from it, compared field by field: the event, prefetch,
+//!   traffic, QoS and fault counters, port busy time, makespan, lost
+//!   work, degraded-pool time, the completion/arrival vectors and the
+//!   per-class rows. Without stats it still asserts the trace-only
+//!   identities (issued = completed + cancelled, per-class fault
+//!   injections sum to the total, quarantines = give-ups + hard
+//!   faults, heals ≤ quarantines, resumes = preemptions).
 //! * `prefetch-off-invisible` — with depth 0 the trace records no
 //!   speculative events and all prefetch counters are zero.
 //! * `no-lost-work` — by each graph's completion every node finished
@@ -48,9 +48,6 @@
 //! * `preemption-order` — a preemptor's lane priority is strictly
 //!   above its victim's, the suspended stack is LIFO with priorities
 //!   increasing toward the top, and every suspension resumes.
-//! * `qos-accounting` — the QoS counters in [`RunStats`] match the
-//!   trace, deadline misses/tardiness re-derive from completions, and
-//!   the per-class rows sum to the run totals.
 //! * `fault-retry-bounded` — every corrupt load completion resolves at
 //!   the same instant into a retry or a give-up; attempts count up by
 //!   one, never exceed the fault plan's budget, retried writes honour
@@ -62,9 +59,6 @@
 //! * `corrupt-never-reused` — an upset resident never satisfies a
 //!   reuse claim or backs an execution start before a rewrite (or the
 //!   unit's quarantine) clears it.
-//! * `fault-accounting` — the fault counters in [`RunStats`] match the
-//!   trace tallies, per-class injections sum to the total, and the
-//!   degraded-pool time and lost work re-derive from the trace.
 //! * `pooled-identity` — the run is bit-exact with a reference
 //!   [`SimulationOutcome`] (stats and trace), the pooled-engine
 //!   contract.
@@ -109,9 +103,10 @@ impl fmt::Display for Violation {
 /// Everything a [`Checker`] may inspect about one run.
 ///
 /// `trace`, `jobs` and `latency` are always present; the optional
-/// fields widen the checkable surface: `stats` arms the accounting
-/// checkers, `reference` arms `pooled-identity`, and `prefetch_depth`
-/// arms `prefetch-off-invisible` (when it is `Some(0)`).
+/// fields widen the checkable surface: `stats` arms the `ledger`
+/// field comparisons, `reference` arms `pooled-identity`, and
+/// `prefetch_depth` arms `prefetch-off-invisible` (when it is
+/// `Some(0)`).
 #[derive(Debug, Clone, Copy)]
 pub struct CheckContext<'a> {
     /// The recorded schedule under validation.
@@ -462,17 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn detects_tampered_counts() {
-        let cfg = ManagerConfig::paper_default();
-        let jobs = jobs();
-        let out = simulate(&cfg, &jobs, &mut FirstCandidatePolicy).unwrap();
-        let mut bad = out.stats.clone();
-        bad.reuses += 1;
-        let violations = validate_trace(&out.trace, &jobs, cfg.device.reconfig_latency, Some(&bad));
-        assert!(!violations.is_empty());
-    }
-
-    #[test]
     fn detects_corrupted_trace() {
         let cfg = ManagerConfig::paper_default();
         let jobs = jobs();
@@ -499,10 +483,10 @@ mod tests {
         let cx = CheckContext::new(&out.trace, &jobs, cfg.device.reconfig_latency, Some(&bad));
         let mut registry = CheckerRegistry::standard();
         assert!(!registry.run(&cx).is_clean());
-        registry.set_enabled("counter-equality", false).unwrap();
+        registry.set_enabled("ledger", false).unwrap();
         let report = registry.run(&cx);
         assert!(report.is_clean(), "{}", report.render());
-        assert!(report.outcome("counter-equality").is_none());
+        assert!(report.outcome("ledger").is_none());
     }
 
     #[test]
@@ -523,7 +507,7 @@ mod tests {
         bad.reuses += 1;
         let cx = CheckContext::new(&out.trace, &jobs, cfg.device.reconfig_latency, Some(&bad));
         let report = CheckerRegistry::standard().run(&cx);
-        assert_eq!(report.failing(), vec!["counter-equality"]);
-        assert!(report.render().contains("checker counter-equality"));
+        assert_eq!(report.failing(), vec!["ledger"]);
+        assert!(report.render().contains("checker ledger"));
     }
 }

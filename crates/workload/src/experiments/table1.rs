@@ -8,8 +8,8 @@
 //!
 //! This module constructs exactly that scenario — candidate
 //! configurations absent from the visible stream — for each policy
-//! flavour, and measures wall-clock decision times. The bench crate
-//! re-measures the same contexts with Criterion for rigorous statistics.
+//! flavour, and measures wall-clock decision times; the `table1`
+//! binary prints and writes the resulting table.
 
 use crate::policies::PolicyKind;
 use crate::sequence::paper_workload;

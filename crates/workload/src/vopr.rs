@@ -99,7 +99,7 @@ pub enum Fault {
     /// Remove the first `ExecEnd` event from the trace (trips the
     /// lifecycle/counter checkers).
     DropExecEnd,
-    /// Increment `stats.reuses` by one (trips `counter-equality`).
+    /// Increment `stats.reuses` by one (trips `ledger`).
     BumpReuses,
 }
 

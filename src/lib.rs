@@ -18,7 +18,8 @@
 //! * [`manager`] — the execution manager, policy trait, traces,
 //!   validation, ideal baselines.
 //! * [`core`] — the paper's contribution: LFD / Local LFD, the LRU &
-//!   friends baselines, mobility calculation, hybrid pipeline.
+//!   friends baselines, mobility calculation, design-time template
+//!   registry.
 //! * [`workload`] — experiment harness: sequence generators, sweeps,
 //!   metric tables.
 //!

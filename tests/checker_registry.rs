@@ -2,16 +2,19 @@
 //! scenario suite must make **every** registered checker actually
 //! evaluate something (`fired > 0`). A checker that never fires is a
 //! silent hole — the campaign-level twin of this gate is the `vopr`
-//! smoke run's coverage gate.
+//! smoke run's coverage gate. The tamper table checks the converse for
+//! the `ledger` checker: corrupting any one `RunStats` field it
+//! re-derives must trip it.
 
 use rtr_core::LfdPolicy;
 use rtr_manager::{
     simulate, simulate_fleet, CheckContext, CheckerRegistry, FleetConfig, FleetOutcome, JobSpec,
-    Lookahead, ManagerConfig, PlacementKind, PrefetchConfig, ReplacementPolicy, SimulationOutcome,
-    TenantId,
+    Lookahead, ManagerConfig, PlacementKind, PrefetchConfig, ReplacementPolicy, RunStats,
+    SimulationOutcome, TenantId,
 };
 use rtr_sim::SimDuration;
 use rtr_taskgraph::{benchmarks, TaskGraph};
+use rtr_workload::vopr::{build_case, build_policy, Fingerprint};
 use rtr_workload::{ArrivalProcess, SequenceModel};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -247,4 +250,106 @@ fn disabling_a_checker_silences_only_that_checker() {
         CheckerRegistry::standard().names().len() - 1
     );
     assert!(report.is_clean());
+}
+
+/// One unit of simulated time (the clock counts microseconds).
+const TICK: SimDuration = SimDuration::from_us(1);
+
+/// A `RunStats` field and a one-unit corruption of it.
+type Tamper = (&'static str, fn(&mut RunStats));
+
+/// One row per `RunStats` field the `ledger` checker re-derives. Class
+/// rows are corrupted in the first row (every completed run has one).
+fn tampers() -> Vec<Tamper> {
+    vec![
+        ("loads", |s| s.loads += 1),
+        ("reuses", |s| s.reuses += 1),
+        ("executed", |s| s.executed += 1),
+        ("skips", |s| s.skips += 1),
+        ("stalls", |s| s.stalls += 1),
+        ("prefetch.issued", |s| s.prefetch.issued += 1),
+        ("prefetch.completed", |s| s.prefetch.completed += 1),
+        ("prefetch.cancelled", |s| s.prefetch.cancelled += 1),
+        ("prefetch.hits", |s| s.prefetch.hits += 1),
+        ("prefetch.wasted", |s| s.prefetch.wasted += 1),
+        ("traffic.loads", |s| s.traffic.loads += 1),
+        ("traffic.reuses", |s| s.traffic.reuses += 1),
+        ("traffic.prefetch_loads", |s| s.traffic.prefetch_loads += 1),
+        ("port_busy_time", |s| s.port_busy_time += TICK),
+        ("makespan", |s| s.makespan += TICK),
+        ("graph_arrivals", |s| s.graph_arrivals[0] += TICK),
+        ("graph_completions", |s| s.graph_completions[0] += TICK),
+        ("qos.preemptions", |s| s.qos.preemptions += 1),
+        ("qos.checkpoints", |s| s.qos.checkpoints += 1),
+        ("qos.replayed_nodes", |s| s.qos.replayed_nodes += 1),
+        ("qos.lost_work_cycles", |s| s.qos.lost_work_cycles += TICK),
+        ("qos.deadline_misses", |s| s.qos.deadline_misses += 1),
+        ("qos.tardiness_total", |s| s.qos.tardiness_total += TICK),
+        ("qos.class_sojourns.jobs", |s| {
+            s.qos.class_sojourns[0].jobs += 1
+        }),
+        ("qos.class_sojourns.deadline_misses", |s| {
+            s.qos.class_sojourns[0].deadline_misses += 1
+        }),
+        ("qos.class_sojourns.tardiness_total", |s| {
+            s.qos.class_sojourns[0].tardiness_total += TICK
+        }),
+        ("qos.class_sojourns.sojourn_total", |s| {
+            s.qos.class_sojourns[0].sojourn_total += TICK
+        }),
+        ("faults.injected", |s| s.faults.injected += 1),
+        ("faults.retries", |s| s.faults.retries += 1),
+        ("faults.repairs", |s| s.faults.repairs += 1),
+        ("faults.quarantines", |s| s.faults.quarantines += 1),
+        ("faults.heals", |s| s.faults.heals += 1),
+        ("faults.degraded_time", |s| s.faults.degraded_time += TICK),
+        ("faults.lost_work_cycles", |s| {
+            s.faults.lost_work_cycles += TICK
+        }),
+    ]
+}
+
+#[test]
+fn ledger_catches_every_tampered_field() {
+    let registry = CheckerRegistry::standard();
+    let mut completed = 0;
+    for case_index in 0..64 {
+        let case = build_case(&Fingerprint {
+            master_seed: 0x1ED6E5,
+            case_index,
+            fault: None,
+        });
+        let mut policy = build_policy(case.knobs.policy, case.knobs.scenario_seed);
+        let Ok(out) = simulate(&case.cfg, &case.jobs, policy.as_mut()) else {
+            continue; // a stalled case has no ledger to tamper with
+        };
+        completed += 1;
+        let run = |stats: &RunStats| {
+            let cx = CheckContext::new(
+                &out.trace,
+                &case.jobs,
+                case.cfg.device.reconfig_latency,
+                Some(stats),
+            )
+            .with_prefetch_depth(case.knobs.depth)
+            .with_fault_plan(&case.cfg.faults);
+            registry.run(&cx)
+        };
+        let clean = run(&out.stats);
+        assert!(
+            clean.is_clean(),
+            "case {case_index} must validate untampered:\n{}",
+            clean.render()
+        );
+        for (field, tamper) in tampers() {
+            let mut bad = out.stats.clone();
+            tamper(&mut bad);
+            let failing = run(&bad).failing();
+            assert!(
+                failing.contains(&"ledger"),
+                "case {case_index}: bumping {field} by one unit went unnoticed (failing: {failing:?})"
+            );
+        }
+    }
+    assert!(completed >= 32, "only {completed} of 64 cases completed");
 }

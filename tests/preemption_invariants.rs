@@ -12,9 +12,9 @@
 //! `remainder + restore` for `L1`. Under `Kill` the same schedule
 //! replays `L1` in full and books the elapsed slice as lost work. The
 //! timelines are pinned event-for-event through the expected stats, and
-//! every trace goes through the full checker registry — the three QoS
-//! checkers (`no-lost-work`, `preemption-order`, `qos-accounting`) must
-//! fire and stay clean.
+//! every trace goes through the full checker registry — the two QoS
+//! checkers (`no-lost-work`, `preemption-order`) and the `ledger`
+//! checker, which owns the QoS counters, must fire and stay clean.
 
 use rtr_core::LruPolicy;
 use rtr_manager::{
@@ -85,7 +85,7 @@ fn checkpoint_schedule_suspends_and_resumes() {
     // L2 runs 37-57.
     let (out, jobs) = run(PreemptionMode::Checkpoint, SimTime::from_us(10_000));
     let report = validate(&out, &jobs);
-    for name in ["no-lost-work", "preemption-order", "qos-accounting"] {
+    for name in ["no-lost-work", "preemption-order", "ledger"] {
         assert_fired(&report, name);
     }
     let c = out.trace.counts();
@@ -112,7 +112,7 @@ fn kill_schedule_replays_and_books_lost_work() {
     // 20 ms (19-39), then L2 runs 39-59.
     let (out, jobs) = run(PreemptionMode::Kill, SimTime::from_us(10_000));
     let report = validate(&out, &jobs);
-    for name in ["no-lost-work", "preemption-order", "qos-accounting"] {
+    for name in ["no-lost-work", "preemption-order", "ledger"] {
         assert_fired(&report, name);
     }
     let c = out.trace.counts();
@@ -151,7 +151,7 @@ fn preemption_off_runs_high_priority_last() {
     // blows its deadline — the contrast the fig_qos experiment plots.
     let (out, jobs) = run(PreemptionMode::Off, SimTime::from_us(10_000));
     let report = validate(&out, &jobs);
-    assert_fired(&report, "qos-accounting");
+    assert_fired(&report, "ledger");
     let c = out.trace.counts();
     assert_eq!(c.preemptions, 0);
     assert_eq!(c.resumes, 0);

@@ -106,7 +106,7 @@ fn streaming_prefetch_hides_loads_and_raises_reuse() {
             "prefetches must convert to hits"
         );
         // (issued = completed + cancelled is asserted on every `run`
-        // by the registry's `prefetch-accounting` checker.)
+        // by the registry's `ledger` checker.)
         // Prefetch hits surface as reuse claims.
         assert!(on.stats.reuses >= off.stats.reuses);
     }

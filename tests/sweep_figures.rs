@@ -1,19 +1,18 @@
-//! Golden test of the four sweep figures beyond the paper: each run
-//! must regenerate its committed `results/fig_*.csv` byte for byte and
-//! then pass the figure's acceptance check, the same one its binary
-//! runs.
+//! Golden test of the committed figure CSVs: the paper's Fig. 9 panels
+//! and the four sweep figures beyond the paper must each regenerate
+//! their `results/*.csv` byte for byte; the four sweeps then pass their
+//! acceptance check, the same one their binary runs.
 
 use rtr_manager::SimError;
+use rtr_workload::experiments::fig9::{fig9a, fig9b, fig9c, Fig9Params};
 use rtr_workload::experiments::{faults, fleet, prefetch, qos};
 use rtr_workload::Table;
 use std::path::Path;
 
-fn assert_golden(
-    name: &str,
-    run: fn() -> Result<Table, SimError>,
-    check: fn(&Table) -> Result<String, String>,
-) {
-    let table = run().unwrap_or_else(|e| panic!("{name}: a cell failed to simulate: {e}"));
+/// Fails unless `run` renders byte for byte as the committed
+/// `results/<name>.csv`; returns the table.
+fn assert_committed(name: &str, run: Result<Table, SimError>) -> Table {
+    let table = run.unwrap_or_else(|e| panic!("{name}: a cell failed to simulate: {e}"));
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("results")
         .join(format!("{name}.csv"));
@@ -31,7 +30,31 @@ fn assert_golden(
             path.display()
         );
     }
+    table
+}
+
+fn assert_golden(
+    name: &str,
+    run: fn() -> Result<Table, SimError>,
+    check: fn(&Table) -> Result<String, String>,
+) {
+    let table = assert_committed(name, run());
     check(&table).unwrap_or_else(|e| panic!("{name}: acceptance check failed: {e}"));
+}
+
+#[test]
+fn fig9a_reproduces_committed_csv() {
+    assert_committed("fig9a", fig9a(&Fig9Params::default()));
+}
+
+#[test]
+fn fig9b_reproduces_committed_csv() {
+    assert_committed("fig9b", fig9b(&Fig9Params::default()));
+}
+
+#[test]
+fn fig9c_reproduces_committed_csv() {
+    assert_committed("fig9c", fig9c(&Fig9Params::default()));
 }
 
 #[test]

@@ -53,8 +53,8 @@ fn fault_violations_are_attributed_to_named_checkers() {
     match &report.outcome.status {
         CaseStatus::Checked(r) => {
             assert!(
-                r.failing().contains(&"counter-equality"),
-                "a bumped reuse counter must trip counter-equality, got {:?}",
+                r.failing().contains(&"ledger"),
+                "a bumped reuse counter must trip ledger, got {:?}",
                 r.failing()
             );
         }
