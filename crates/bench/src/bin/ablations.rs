@@ -1,15 +1,12 @@
 //! Runs the extended ablations: Dynamic-List window sweep,
-//! reconfiguration-latency sweep, workload-model sweep and Local LFD
-//! tie-break comparison.
+//! reconfiguration-latency sweep and workload-model sweep.
 //!
 //! ```text
 //! cargo run --release -p rtr-bench --bin ablations
 //! ```
 
 use rtr_manager::SimError;
-use rtr_workload::experiments::ablations::{
-    dl_window_sweep, latency_sweep, sequence_model_sweep, tie_break_sweep,
-};
+use rtr_workload::experiments::ablations::{dl_window_sweep, latency_sweep, sequence_model_sweep};
 use std::path::Path;
 
 fn main() -> Result<(), SimError> {
@@ -30,10 +27,6 @@ fn main() -> Result<(), SimError> {
     let t = sequence_model_sweep(500, 42, 6)?;
     println!("{}", t.to_markdown());
     t.write_csv(&results.join("ablation_workload.csv")).unwrap();
-
-    let t = tie_break_sweep(500, 42, 6)?;
-    println!("{}", t.to_markdown());
-    t.write_csv(&results.join("ablation_tiebreak.csv")).unwrap();
 
     println!("CSV written under results/");
     Ok(())

@@ -1,10 +1,11 @@
 //! History-based replacement baselines.
 //!
 //! LRU is the paper's primary baseline ("the scheduler uses LRU, the
-//! reuse rate is very low"); FIFO, MRU, LFU and Random extend the
-//! comparison for the ablation experiments. All of them key their state
-//! by *configuration* (not RU): the quantity being cached is the
-//! bitstream.
+//! reuse rate is very low"). FIFO, MRU, LFU and Random widen the policy
+//! mix the vopr fuzzer, the property tests and
+//! `examples/multimedia_station.rs` run; no figure or ablation uses
+//! them. All of them key their state by *configuration* (not RU): the
+//! quantity being cached is the bitstream.
 //!
 //! A configuration counts as "used" when it is loaded, reused, or when
 //! a task running it starts or finishes — i.e. recency reflects the
@@ -78,7 +79,7 @@ impl ReplacementPolicy for LruPolicy {
 }
 
 /// Most Recently Used — pathological for looping workloads, included as
-/// an ablation extreme.
+/// an extreme of the policy mix.
 #[derive(Debug, Clone, Default)]
 pub struct MruPolicy {
     last_touch: ConfigStamp,

@@ -22,40 +22,13 @@
 //! candidate it finds" — among equal (including never-requested)
 //! distances the lowest-indexed RU wins.
 
-use crate::stamp::ConfigStamp;
 use rtr_hw::RuId;
 use rtr_manager::{DecisionContext, ReplacementPolicy};
-use rtr_sim::SimTime;
-use rtr_taskgraph::ConfigId;
-
-/// How [`LfdPolicy`] resolves ties (several candidates with the same —
-/// typically infinite — forward distance). The paper uses
-/// [`TieBreak::FirstCandidate`]; the alternatives exist for the
-/// tie-break ablation (`rtr_workload::experiments::ablations`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TieBreak {
-    /// "Local LFD selects the first candidate it finds" — lowest RU
-    /// index (the paper's behaviour).
-    #[default]
-    FirstCandidate,
-    /// Among tied candidates, evict the least recently used
-    /// configuration — recovers LRU's temporal-locality signal exactly
-    /// where the Dynamic List runs out of information.
-    LeastRecentlyUsed,
-}
 
 /// The LFD / Local LFD victim-selection policy.
 #[derive(Debug, Clone)]
 pub struct LfdPolicy {
-    /// Base name of the flavour ("LFD", "Local LFD (w)", …); the
-    /// displayed label is always rebuilt from this, so tie-break
-    /// overrides never stack or leave stale suffixes.
-    base_label: String,
     label: String,
-    tie_break: TieBreak,
-    /// Touch history, only maintained for the LRU tie-break.
-    last_touch: ConfigStamp,
-    clock: u64,
     /// Reusable distance buffer — one decision happens per load, so a
     /// fresh Vec here would be a per-load allocation on the hot path.
     dist_scratch: Vec<Option<usize>>,
@@ -64,11 +37,7 @@ pub struct LfdPolicy {
 impl LfdPolicy {
     fn new(label: String) -> Self {
         LfdPolicy {
-            base_label: label.clone(),
             label,
-            tie_break: TieBreak::FirstCandidate,
-            last_touch: ConfigStamp::default(),
-            clock: 0,
             dist_scratch: Vec::new(),
         }
     }
@@ -89,26 +58,6 @@ impl LfdPolicy {
     pub fn local_with_skip(window: usize) -> Self {
         Self::new(format!("Local LFD ({window}) + Skip"))
     }
-
-    /// Overrides the tie-break strategy (ablation). Idempotent: the
-    /// label is rebuilt from the base name on every call, so repeated
-    /// overrides never stack suffixes and switching back to
-    /// [`TieBreak::FirstCandidate`] restores the plain name.
-    pub fn with_tie_break(mut self, tie_break: TieBreak) -> Self {
-        self.label = match tie_break {
-            TieBreak::FirstCandidate => self.base_label.clone(),
-            other => format!("{} [tie: {other:?}]", self.base_label),
-        };
-        self.tie_break = tie_break;
-        self
-    }
-
-    fn touch(&mut self, config: ConfigId) {
-        if self.tie_break == TieBreak::LeastRecentlyUsed {
-            self.clock += 1;
-            self.last_touch.set(config, self.clock);
-        }
-    }
 }
 
 impl ReplacementPolicy for LfdPolicy {
@@ -127,8 +76,8 @@ impl ReplacementPolicy for LfdPolicy {
         let mut dist = std::mem::take(&mut self.dist_scratch);
         ctx.candidate_distances_into(&mut dist);
         // Farthest distance wins; infinity beats everything; among ties
-        // the configured tie-break decides (paper default: strict `>`
-        // keeps the earliest candidate).
+        // the strict `>` keeps the earliest candidate (the paper's
+        // "first candidate it finds").
         let mut best = 0usize;
         for i in 1..candidates.len() {
             let better = match (dist[i], dist[best]) {
@@ -136,31 +85,12 @@ impl ReplacementPolicy for LfdPolicy {
                 (Some(a), Some(b)) => a > b,
                 (None, None) | (Some(_), None) => false,
             };
-            let tied = dist[i] == dist[best];
-            let lru_override = tied
-                && self.tie_break == TieBreak::LeastRecentlyUsed
-                && self.last_touch.get(candidates[i].config)
-                    < self.last_touch.get(candidates[best].config);
-            if better || lru_override {
+            if better {
                 best = i;
             }
         }
         self.dist_scratch = dist;
         candidates[best].ru
-    }
-
-    fn on_load_complete(&mut self, config: ConfigId, _ru: RuId, _now: SimTime) {
-        self.touch(config);
-    }
-    fn on_reuse(&mut self, config: ConfigId, _ru: RuId, _now: SimTime) {
-        self.touch(config);
-    }
-    fn on_exec_end(&mut self, config: ConfigId, _now: SimTime) {
-        self.touch(config);
-    }
-    fn reset(&mut self) {
-        self.last_touch.clear();
-        self.clock = 0;
     }
 }
 
@@ -229,54 +159,5 @@ mod tests {
         assert_eq!(LfdPolicy::oracle().name(), "LFD");
         assert_eq!(LfdPolicy::local(4).name(), "Local LFD (4)");
         assert_eq!(LfdPolicy::local_with_skip(1).name(), "Local LFD (1) + Skip");
-        assert_eq!(
-            LfdPolicy::local(1)
-                .with_tie_break(TieBreak::LeastRecentlyUsed)
-                .name(),
-            "Local LFD (1) [tie: LeastRecentlyUsed]"
-        );
-    }
-
-    #[test]
-    fn tie_break_label_never_stacks_and_reverts_cleanly() {
-        // Regression: with_tie_break used to append a suffix to the
-        // *current* label, so repeated calls stacked "[tie: ...]" and
-        // switching back to FirstCandidate kept a stale suffix.
-        let p = LfdPolicy::local(2)
-            .with_tie_break(TieBreak::LeastRecentlyUsed)
-            .with_tie_break(TieBreak::LeastRecentlyUsed);
-        assert_eq!(p.name(), "Local LFD (2) [tie: LeastRecentlyUsed]");
-        let p = p.with_tie_break(TieBreak::FirstCandidate);
-        assert_eq!(p.name(), "Local LFD (2)");
-        let p = p.with_tie_break(TieBreak::LeastRecentlyUsed);
-        assert_eq!(p.name(), "Local LFD (2) [tie: LeastRecentlyUsed]");
-    }
-
-    #[test]
-    fn lru_tie_break_prefers_stale_config_among_ties() {
-        let mut p = LfdPolicy::local(1).with_tie_break(TieBreak::LeastRecentlyUsed);
-        // Touch config 1 more recently than config 2.
-        p.on_load_complete(ConfigId(2), RuId(1), SimTime::ZERO);
-        p.on_load_complete(ConfigId(1), RuId(0), SimTime::ZERO);
-        let victims = [cand(0, 1), cand(1, 2)];
-        // Neither config occurs in the future: a tie. LRU tie-break
-        // evicts config 2 (stale), not RU1-first.
-        let configs: Vec<ConfigId> = vec![ConfigId(9)];
-        let future = FutureView::new(vec![&configs]);
-        let ctx = DecisionContext::from_view(SimTime::ZERO, ConfigId(99), &victims, &future);
-        assert_eq!(p.select_victim(&ctx), RuId(1));
-    }
-
-    #[test]
-    fn lru_tie_break_never_overrides_distance_order() {
-        let mut p = LfdPolicy::local(1).with_tie_break(TieBreak::LeastRecentlyUsed);
-        p.on_load_complete(ConfigId(3), RuId(2), SimTime::ZERO);
-        let victims = [cand(0, 1), cand(2, 3)];
-        // Config 1 occurs sooner than config 3: farthest (3) must win
-        // regardless of recency.
-        let configs: Vec<ConfigId> = vec![ConfigId(1), ConfigId(3)];
-        let future = FutureView::new(vec![&configs]);
-        let ctx = DecisionContext::from_view(SimTime::ZERO, ConfigId(99), &victims, &future);
-        assert_eq!(p.select_victim(&ctx), RuId(2));
     }
 }

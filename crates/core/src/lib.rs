@@ -7,8 +7,8 @@
 //!   optimal-reuse upper bound); with `Lookahead::Graphs(w)` it is the
 //!   paper's **Local LFD (w)**, which only sees the Dynamic List.
 //! * [`history`] — the run-time baselines: LRU (the paper's main
-//!   comparison point), and FIFO / MRU / LFU / Random for the extended
-//!   ablations.
+//!   comparison point), and FIFO / MRU / LFU / Random, which widen the
+//!   policy mix of the fuzzer and the property tests.
 //! * [`mobility`] — the design-time phase (the paper's Fig. 6): per-task
 //!   *mobility* values obtained by probing delayed schedules against the
 //!   reference ASAP schedule.
@@ -26,7 +26,7 @@ pub mod registry;
 mod stamp;
 
 pub use history::{FifoPolicy, LfuPolicy, LruPolicy, MruPolicy, RandomPolicy};
-pub use lfd::{LfdPolicy, TieBreak};
+pub use lfd::LfdPolicy;
 pub use mobility::{compute_mobility, MobilityError};
 pub use registry::TemplateRegistry;
 // The incremental next-occurrence index lives in `rtr-manager` (the

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rtr_core::{LfdPolicy, ReuseIndex, TieBreak};
+use rtr_core::{LfdPolicy, ReuseIndex};
 use rtr_hw::RuId;
 use rtr_manager::{DecisionContext, FutureView, ReplacementPolicy, VictimCandidate};
 use rtr_sim::SimTime;
@@ -123,9 +123,8 @@ fn assert_equivalent(case: &Case) {
     prop_assert_eq!(a, b, "iterator views diverged on {:?}", case);
 
     // The paper's policy picks the same victim — tie-break included —
-    // for the oracle flavour, the Local-LFD flavour (same selection
-    // logic, window set by the caller) and the LRU tie-break ablation
-    // with primed history.
+    // for the oracle flavour and the Local-LFD flavour (same selection
+    // logic, window set by the caller).
     let mut oracle = LfdPolicy::oracle();
     prop_assert_eq!(
         oracle.select_victim(&by_view),
@@ -138,16 +137,6 @@ fn assert_equivalent(case: &Case) {
         local.select_victim(&by_view),
         local.select_victim(&by_index),
         "Local LFD victim diverged on {:?}",
-        case
-    );
-    let mut lru_tb = LfdPolicy::local(visible).with_tie_break(TieBreak::LeastRecentlyUsed);
-    for (i, cand) in case.candidates.iter().enumerate() {
-        lru_tb.on_load_complete(cand.config, cand.ru, SimTime::from_ms(i as u64));
-    }
-    prop_assert_eq!(
-        lru_tb.select_victim(&by_view),
-        lru_tb.select_victim(&by_index),
-        "LRU-tie-break victim diverged on {:?}",
         case
     );
 }

@@ -5,29 +5,39 @@
 //! controller tracks the in-flight operation and enforces that
 //! exclusivity; the manager polls [`ReconfigController::is_idle`] at
 //! every event, exactly like the `reconfiguration_circuitry_idle()`
-//! checks in the paper's Fig. 4 pseudo-code.
+//! checks in the paper's Fig. 4 pseudo-code. The port's [`InFlight`]
+//! record is the engine's only record of the pending reconfiguration:
+//! its `completes` instant is when the manager's
+//! `end_of_reconfiguration` event fires, and its lane says how the
+//! landed load is used.
 //!
 //! The port carries two *lanes* sharing the one physical interface:
 //!
 //! * [`LoadLane::Demand`] — a load the current graph's reconfiguration
-//!   sequence requires now. Demand loads always run to completion.
+//!   sequence requires now, for the node it names. Demand loads always
+//!   run to completion.
 //! * [`LoadLane::Speculative`] — a prefetch issued while the port was
 //!   otherwise idle. A speculative load is *cancellable*: when the
 //!   demand path needs the port mid-write, [`cancel`] aborts the write
 //!   (the partially written target RU is discarded) so demand is never
 //!   delayed by speculation.
 //!
+//! Both lanes start through the one [`start`], which also re-arms the
+//! backoff retry of a corrupt transfer.
+//!
 //! [`cancel`]: ReconfigController::cancel
+//! [`start`]: ReconfigController::start
 
 use crate::ru::RuId;
 use rtr_sim::{SimDuration, SimTime};
-use rtr_taskgraph::ConfigId;
+use rtr_taskgraph::{ConfigId, NodeId};
 
 /// Which lane an in-flight reconfiguration belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadLane {
-    /// A load the current graph demands now; runs to completion.
-    Demand,
+    /// A load the current graph demands now for the given node; runs to
+    /// completion.
+    Demand(NodeId),
     /// A speculative prefetch; cancellable when demand needs the port.
     Speculative,
 }
@@ -39,7 +49,8 @@ pub struct InFlight {
     pub ru: RuId,
     /// Configuration being written.
     pub config: ConfigId,
-    /// When the write started.
+    /// When the write starts: the start call's instant, or the end of a
+    /// retry's backoff wait.
     pub started: SimTime,
     /// When the write completes.
     pub completes: SimTime,
@@ -91,74 +102,34 @@ impl ReconfigController {
         self.in_flight
     }
 
-    /// Starts a demand load of `config` into `ru` at time `now`;
-    /// returns the completion time.
+    /// Starts loading `config` into `ru` on `lane`; returns the
+    /// completion time. The port is held from the call on, but the
+    /// write itself occupies `[writes_from, writes_from + latency]` and
+    /// only that window is accounted as busy time. A first attempt
+    /// writes from `now`; a backoff retry of a corrupt load passes
+    /// `now + backoff` and keeps its lane, so a speculative retry stays
+    /// cancellable by demand (for free during the backoff wait).
     ///
     /// # Panics
     /// Panics if the controller is busy — callers must check
     /// [`Self::is_idle`] first (the manager does, mirroring Fig. 4),
     /// cancelling any speculative occupant before claiming the port.
-    pub fn start(&mut self, ru: RuId, config: ConfigId, now: SimTime) -> SimTime {
-        self.start_in_lane(ru, config, now, LoadLane::Demand)
-    }
-
-    /// Starts a speculative (prefetch) load of `config` into `ru`;
-    /// returns the completion time. Same exclusivity rules as
-    /// [`Self::start`], but the operation may later be aborted through
-    /// [`Self::cancel`].
-    pub fn start_speculative(&mut self, ru: RuId, config: ConfigId, now: SimTime) -> SimTime {
-        self.start_in_lane(ru, config, now, LoadLane::Speculative)
-    }
-
-    fn start_in_lane(
+    pub fn start(
         &mut self,
         ru: RuId,
         config: ConfigId,
-        now: SimTime,
         lane: LoadLane,
+        writes_from: SimTime,
     ) -> SimTime {
         assert!(
             self.in_flight.is_none(),
             "reconfiguration controller is single-ported: start() while busy"
         );
-        let completes = now + self.latency;
+        let completes = writes_from + self.latency;
         self.in_flight = Some(InFlight {
             ru,
             config,
-            started: now,
-            completes,
-            lane,
-        });
-        completes
-    }
-
-    /// Re-arms the port for a backoff retry of a corrupt load: the
-    /// port is held from `now`, but the actual rewrite only occupies
-    /// `[now + backoff, now + backoff + latency]` — only that write
-    /// window is accounted as busy time. The retry keeps its lane, so
-    /// a speculative retry stays cancellable by demand (including
-    /// during the backoff wait, which then costs no port time).
-    ///
-    /// # Panics
-    /// Panics if the controller is busy, like [`Self::start`].
-    pub fn start_retry(
-        &mut self,
-        ru: RuId,
-        config: ConfigId,
-        now: SimTime,
-        lane: LoadLane,
-        backoff: SimDuration,
-    ) -> SimTime {
-        assert!(
-            self.in_flight.is_none(),
-            "reconfiguration controller is single-ported: start() while busy"
-        );
-        let started = now + backoff;
-        let completes = started + self.latency;
-        self.in_flight = Some(InFlight {
-            ru,
-            config,
-            started,
+            started: writes_from,
             completes,
             lane,
         });
@@ -237,6 +208,9 @@ impl ReconfigController {
 mod tests {
     use super::*;
 
+    const DEMAND: LoadLane = LoadLane::Demand(NodeId(0));
+    const SPEC: LoadLane = LoadLane::Speculative;
+
     fn ctl() -> ReconfigController {
         ReconfigController::new(SimDuration::from_ms(4))
     }
@@ -245,17 +219,17 @@ mod tests {
     fn starts_idle_and_tracks_in_flight() {
         let mut c = ctl();
         assert!(c.is_idle());
-        let done = c.start(RuId(0), ConfigId(1), SimTime::from_ms(10));
+        let done = c.start(RuId(0), ConfigId(1), DEMAND, SimTime::from_ms(10));
         assert_eq!(done, SimTime::from_ms(14));
         assert!(!c.is_idle());
         assert_eq!(c.in_flight().unwrap().config, ConfigId(1));
-        assert_eq!(c.in_flight().unwrap().lane, LoadLane::Demand);
+        assert_eq!(c.in_flight().unwrap().lane, DEMAND);
     }
 
     #[test]
     fn complete_updates_stats() {
         let mut c = ctl();
-        c.start(RuId(1), ConfigId(2), SimTime::ZERO);
+        c.start(RuId(1), ConfigId(2), DEMAND, SimTime::ZERO);
         let op = c.complete(SimTime::from_ms(4));
         assert_eq!(op.ru, RuId(1));
         assert!(c.is_idle());
@@ -266,23 +240,23 @@ mod tests {
     #[should_panic(expected = "single-ported")]
     fn concurrent_loads_rejected() {
         let mut c = ctl();
-        c.start(RuId(0), ConfigId(1), SimTime::ZERO);
-        c.start(RuId(1), ConfigId(2), SimTime::ZERO);
+        c.start(RuId(0), ConfigId(1), DEMAND, SimTime::ZERO);
+        c.start(RuId(1), ConfigId(2), DEMAND, SimTime::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "single-ported")]
     fn speculative_respects_exclusivity() {
         let mut c = ctl();
-        c.start_speculative(RuId(0), ConfigId(1), SimTime::ZERO);
-        c.start(RuId(1), ConfigId(2), SimTime::ZERO);
+        c.start(RuId(0), ConfigId(1), SPEC, SimTime::ZERO);
+        c.start(RuId(1), ConfigId(2), DEMAND, SimTime::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "wrong time")]
     fn completion_time_is_checked() {
         let mut c = ctl();
-        c.start(RuId(0), ConfigId(1), SimTime::ZERO);
+        c.start(RuId(0), ConfigId(1), DEMAND, SimTime::ZERO);
         c.complete(SimTime::from_ms(3));
     }
 
@@ -295,9 +269,9 @@ mod tests {
     #[test]
     fn busy_time_accumulates() {
         let mut c = ctl();
-        c.start(RuId(0), ConfigId(1), SimTime::ZERO);
+        c.start(RuId(0), ConfigId(1), DEMAND, SimTime::ZERO);
         c.complete(SimTime::from_ms(4));
-        c.start(RuId(1), ConfigId(2), SimTime::from_ms(10));
+        c.start(RuId(1), ConfigId(2), DEMAND, SimTime::from_ms(10));
         c.complete(SimTime::from_ms(14));
         assert_eq!(c.busy_time(), SimDuration::from_ms(8));
     }
@@ -305,22 +279,22 @@ mod tests {
     #[test]
     fn speculative_completion_counts_in_its_lane() {
         let mut c = ctl();
-        c.start_speculative(RuId(0), ConfigId(9), SimTime::ZERO);
+        c.start(RuId(0), ConfigId(9), SPEC, SimTime::ZERO);
         let op = c.complete(SimTime::from_ms(4));
-        assert_eq!(op.lane, LoadLane::Speculative);
+        assert_eq!(op.lane, SPEC);
         assert_eq!(c.busy_time(), SimDuration::from_ms(4));
     }
 
     #[test]
     fn cancel_frees_the_port_and_charges_partial_time() {
         let mut c = ctl();
-        c.start_speculative(RuId(2), ConfigId(7), SimTime::from_ms(10));
+        c.start(RuId(2), ConfigId(7), SPEC, SimTime::from_ms(10));
         let op = c.cancel(SimTime::from_ms(13));
         assert_eq!(op.ru, RuId(2));
         assert!(c.is_idle());
         assert_eq!(c.busy_time(), SimDuration::from_ms(3));
         // The port is immediately available for a demand load.
-        let done = c.start(RuId(0), ConfigId(1), SimTime::from_ms(13));
+        let done = c.start(RuId(0), ConfigId(1), DEMAND, SimTime::from_ms(13));
         assert_eq!(done, SimTime::from_ms(17));
     }
 
@@ -328,7 +302,7 @@ mod tests {
     #[should_panic(expected = "only speculative")]
     fn demand_loads_are_not_cancellable() {
         let mut c = ctl();
-        c.start(RuId(0), ConfigId(1), SimTime::ZERO);
+        c.start(RuId(0), ConfigId(1), DEMAND, SimTime::ZERO);
         c.cancel(SimTime::from_ms(1));
     }
 
@@ -336,13 +310,7 @@ mod tests {
     fn retry_delays_the_write_window() {
         let mut c = ctl();
         // Backoff 8 ms from t = 10: the rewrite occupies [18, 22].
-        let done = c.start_retry(
-            RuId(0),
-            ConfigId(1),
-            SimTime::from_ms(10),
-            LoadLane::Demand,
-            SimDuration::from_ms(8),
-        );
+        let done = c.start(RuId(0), ConfigId(1), DEMAND, SimTime::from_ms(18));
         assert_eq!(done, SimTime::from_ms(22));
         assert!(!c.is_idle());
         let op = c.complete(SimTime::from_ms(22));
@@ -354,17 +322,12 @@ mod tests {
     #[test]
     fn cancel_during_backoff_charges_nothing() {
         let mut c = ctl();
-        c.start_retry(
-            RuId(0),
-            ConfigId(1),
-            SimTime::from_ms(10),
-            LoadLane::Speculative,
-            SimDuration::from_ms(8),
-        );
-        // Demand claims the port at t = 12, before the rewrite begins
-        // at t = 18: no port time was spent.
+        // Backoff 8 ms from t = 10: the rewrite would begin at t = 18.
+        c.start(RuId(0), ConfigId(1), SPEC, SimTime::from_ms(18));
+        // Demand claims the port at t = 12, before the rewrite begins:
+        // no port time was spent.
         let op = c.cancel(SimTime::from_ms(12));
-        assert_eq!(op.lane, LoadLane::Speculative);
+        assert_eq!(op.lane, SPEC);
         assert!(c.is_idle());
         assert_eq!(c.busy_time(), SimDuration::ZERO);
     }
@@ -372,9 +335,9 @@ mod tests {
     #[test]
     fn reset_zeroes_every_counter() {
         let mut c = ctl();
-        c.start(RuId(0), ConfigId(1), SimTime::ZERO);
+        c.start(RuId(0), ConfigId(1), DEMAND, SimTime::ZERO);
         c.complete(SimTime::from_ms(4));
-        c.start_speculative(RuId(1), ConfigId(2), SimTime::from_ms(4));
+        c.start(RuId(1), ConfigId(2), SPEC, SimTime::from_ms(4));
         c.cancel(SimTime::from_ms(6));
         c.reset(SimDuration::from_ms(4));
         assert!(c.is_idle());

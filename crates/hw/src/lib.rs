@@ -13,7 +13,10 @@
 //!   notion the replacement semantics need (a loaded-but-not-yet-run
 //!   task must not be evicted; a task that finished its execution is an
 //!   eviction candidate even while its graph is still running).
-//! * [`ReconfigController`] — the single reconfiguration port.
+//! * [`ReconfigController`] — the single reconfiguration port, with a
+//!   demand and a speculative lane. Its [`InFlight`] record is the
+//!   manager's only record of the pending reconfiguration, and its one
+//!   `start` serves first loads and backoff retries on both lanes.
 //! * [`device`] — named device presets (latency, bitstream size, energy
 //!   per load) with the paper's 4 ms setup as the default.
 //! * [`energy`] — energy/bus-traffic accounting: the paper argues that

@@ -7,7 +7,7 @@ use crate::policy::ReplacementPolicy;
 use crate::trace::TraceEvent;
 use rtr_hw::{LoadLane, RuId};
 use rtr_sim::SimTime;
-use rtr_taskgraph::{ConfigId, NodeId};
+use rtr_taskgraph::NodeId;
 
 /// Same-time event ordering (lower fires first): task completions are
 /// observed before reconfiguration completions, then arrivals enter the
@@ -29,12 +29,9 @@ pub(crate) enum Event {
     JobArrival { idx: usize },
     /// The longest-waiting arrived job becomes current.
     NewTaskGraph,
-    /// The in-flight demand reconfiguration finished.
-    EndOfReconfiguration { ru: RuId, node: NodeId },
-    /// The in-flight speculative reconfiguration finished (shares the
-    /// reconfiguration priority class — the port is single, so the two
-    /// can never be simultaneous).
-    EndOfPrefetch { ru: RuId, config: ConfigId },
+    /// The port's in-flight reconfiguration finished, on either lane
+    /// (the port's [`InFlight`](rtr_hw::InFlight) record says which).
+    EndOfReconfiguration,
     /// A task finished executing. `token` is the RU's execution
     /// generation at start time: a preemption that revokes the
     /// execution bumps the RU's counter, so this event arrives stale
@@ -92,9 +89,7 @@ impl ManagerState {
             Event::NewTaskGraph => {
                 debug_assert!(self.current.is_none(), "graphs execute sequentially");
                 debug_assert!(
-                    self.controller
-                        .in_flight()
-                        .is_none_or(|op| op.lane == LoadLane::Speculative),
+                    self.demand_port_free(),
                     "no cross-graph demand reconfigurations can be in flight \
                      (a speculative prefetch may span the boundary)"
                 );
@@ -135,17 +130,25 @@ impl ManagerState {
                 }
                 self.try_advance(now, policy);
             }
-            Event::EndOfReconfiguration { ru, node } => {
+            Event::EndOfReconfiguration => {
                 let op = self.controller.complete(now);
-                debug_assert_eq!(op.ru, ru);
                 if !self.cfg.faults.is_off() {
                     // Integrity-check the transfer before accepting it.
                     if self.faults.transfer_corrupt(self.cfg.faults.load_fault_pm) {
-                        self.fault_demand_corrupt(ru, node, op.config, now, policy);
+                        self.fault_corrupt_load(op, now, policy);
                         return;
                     }
                     self.faults.load_attempts = 0;
                 }
+                let ru = op.ru;
+                let LoadLane::Demand(node) = op.lane else {
+                    self.finish_prefetch(ru, op.config, now);
+                    // The speculative resident may satisfy the head (a
+                    // coalesced demand claims it via reuse here), and
+                    // the now-idle port may plan the next prefetch.
+                    self.try_advance(now, policy);
+                    return;
+                };
                 let config = self
                     .pool
                     .finish_load(ru)
@@ -182,23 +185,6 @@ impl ManagerState {
                     self.start_execution(node, now, policy);
                 }
                 // Fig. 4 line 9: invoke the replacement module again.
-                self.try_advance(now, policy);
-            }
-            Event::EndOfPrefetch { ru, config } => {
-                let op = self.controller.complete(now);
-                debug_assert_eq!(op.ru, ru);
-                if !self.cfg.faults.is_off() {
-                    // Integrity-check the transfer before accepting it.
-                    if self.faults.transfer_corrupt(self.cfg.faults.load_fault_pm) {
-                        self.fault_prefetch_corrupt(ru, config, now, policy);
-                        return;
-                    }
-                    self.faults.load_attempts = 0;
-                }
-                self.finish_prefetch(ru, config, now);
-                // The speculative resident may satisfy the head (a
-                // coalesced demand claims it via reuse here), and the
-                // now-idle port may plan the next prefetch.
                 self.try_advance(now, policy);
             }
             Event::EndOfExecution { ru, node, token } => {

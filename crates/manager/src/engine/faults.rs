@@ -6,13 +6,15 @@
 //! pooled, or retargeted — sees the identical fault schedule:
 //!
 //! * **Transient load corruption** — a completed reconfiguration
-//!   (demand or speculative) fails its integrity check. The load is
-//!   retried with exponential backoff (attempt *k* waits
-//!   `latency × 2^(k−1)` before rewriting); a speculative retry stays
-//!   cancellable by demand, including for free during the backoff wait.
-//!   Exhausting the retry budget condemns the unit (persistent port or
-//!   cell damage is indistinguishable from bad luck at that point) and
-//!   re-queues the demanded task for placement elsewhere.
+//!   (demand or speculative) fails its integrity check. One handler
+//!   serves both port lanes: the load is retried in its lane with
+//!   exponential backoff (attempt *k* waits `latency × 2^(k−1)` before
+//!   rewriting); a speculative retry stays cancellable by demand,
+//!   including for free during the backoff wait. Exhausting the retry
+//!   budget condemns the unit (persistent port or cell damage is
+//!   indistinguishable from bad luck at that point) and re-queues the
+//!   demanded task for placement elsewhere, or closes the prefetch as
+//!   cancelled.
 //! * **Resident upsets** — an SEU silently flips a resident, unclaimed
 //!   configuration. Residency stops counting it reusable, so the next
 //!   request misses and the rewrite repairs the unit lazily.
@@ -26,12 +28,12 @@
 //! this code runs and the engine stays bit-exact with the fault-free
 //! golden outputs.
 
-use super::{ActiveJob, Event, ManagerState, ReconfigKind, PRIO_RU_HEAL};
+use super::{ActiveJob, Event, ManagerState, PRIO_RU_HEAL};
 use crate::policy::ReplacementPolicy;
 use crate::trace::{FaultKind, TraceEvent};
-use rtr_hw::{LoadLane, RuId, RuState};
+use rtr_hw::{InFlight, LoadLane, RuId, RuState};
 use rtr_sim::{SimDuration, SimTime};
-use rtr_taskgraph::{ConfigId, NodeId};
+use rtr_taskgraph::NodeId;
 
 /// Per-run fault state: the deterministic draw stream, the retry
 /// counter of the single in-flight load and the degradation clock.
@@ -108,15 +110,16 @@ fn requeue(job: &mut ActiveJob, node: NodeId) {
 }
 
 impl ManagerState {
-    /// Handles a corrupt *demand* load completion of `config` into
-    /// `ru` for `node`: re-arm a backoff retry on the port, or give up,
-    /// quarantine the unit and re-queue the task for placement
-    /// elsewhere.
-    pub(crate) fn fault_demand_corrupt<P: ReplacementPolicy + ?Sized>(
+    /// Handles a corrupt load completion on either lane: re-arm a
+    /// backoff retry on the port in the load's lane (a speculative
+    /// retry stays cancellable by demand), or give up and quarantine
+    /// the unit. Giving up re-queues a demanded node for placement
+    /// elsewhere and closes a prefetch as cancelled.
+    pub(crate) fn fault_corrupt_load<P: ReplacementPolicy + ?Sized>(
         &mut self,
-        ru: RuId,
-        node: NodeId,
-        config: ConfigId,
+        InFlight {
+            ru, config, lane, ..
+        }: InFlight,
         now: SimTime,
         policy: &mut P,
     ) {
@@ -127,15 +130,20 @@ impl ManagerState {
             config: Some(config),
             at: now,
         });
+        let speculative = lane == LoadLane::Speculative;
+        if speculative {
+            // The corrupt transfer still moved the bits over the bus.
+            self.counters.speculative_writes += 1;
+        }
         self.faults.load_attempts += 1;
         let attempt = self.faults.load_attempts;
         if attempt <= self.cfg.faults.max_retries {
             let backoff = self.controller.latency() * (1u64 << (attempt - 1));
-            let completes = self
-                .controller
-                .start_retry(ru, config, now, LoadLane::Demand, backoff);
-            // The rewrite moves the full bitstream again.
-            self.counters.demand_writes += 1;
+            let completes = self.controller.start(ru, config, lane, now + backoff);
+            if !speculative {
+                // A demand rewrite is counted when it starts.
+                self.counters.demand_writes += 1;
+            }
             self.counters.faults.retries += 1;
             self.record(|| TraceEvent::FaultRetry {
                 ru,
@@ -144,7 +152,6 @@ impl ManagerState {
                 until: completes,
                 at: now,
             });
-            self.pending_reconfig = Some((completes, ru, ReconfigKind::Demand(node)));
             return;
         }
         self.faults.load_attempts = 0;
@@ -157,69 +164,24 @@ impl ManagerState {
         self.pool
             .cancel_load(ru)
             .expect("the abandoned load was in flight on this RU");
-        let job = self
-            .current
-            .as_mut()
-            .expect("demand loads belong to the current graph");
-        requeue(job, node);
-        self.fault_quarantine(ru, now);
-        self.try_advance(now, policy);
-    }
-
-    /// Handles a corrupt *speculative* load completion: retry on the
-    /// speculative lane (still cancellable by demand) or abandon the
-    /// prefetch and quarantine the unit.
-    pub(crate) fn fault_prefetch_corrupt<P: ReplacementPolicy + ?Sized>(
-        &mut self,
-        ru: RuId,
-        config: ConfigId,
-        now: SimTime,
-        policy: &mut P,
-    ) {
-        self.counters.faults.injected += 1;
-        self.record(|| TraceEvent::FaultInject {
-            kind: FaultKind::TransientLoad,
-            ru,
-            config: Some(config),
-            at: now,
-        });
-        // The corrupt transfer still moved the bits over the bus.
-        self.counters.speculative_writes += 1;
-        self.faults.load_attempts += 1;
-        let attempt = self.faults.load_attempts;
-        if attempt <= self.cfg.faults.max_retries {
-            let backoff = self.controller.latency() * (1u64 << (attempt - 1));
-            let completes =
-                self.controller
-                    .start_retry(ru, config, now, LoadLane::Speculative, backoff);
-            self.counters.faults.retries += 1;
-            self.record(|| TraceEvent::FaultRetry {
-                ru,
-                config,
-                attempt,
-                until: completes,
-                at: now,
-            });
-            self.pending_reconfig = Some((completes, ru, ReconfigKind::Speculative(config)));
-            return;
+        match lane {
+            LoadLane::Demand(node) => {
+                let job = self
+                    .current
+                    .as_mut()
+                    .expect("demand loads belong to the current graph");
+                requeue(job, node);
+            }
+            LoadLane::Speculative => {
+                // Close the speculative ledger: issued = completed + cancelled.
+                self.counters.prefetch.cancelled += 1;
+                self.record(|| TraceEvent::PrefetchCancel {
+                    config,
+                    ru,
+                    at: now,
+                });
+            }
         }
-        self.faults.load_attempts = 0;
-        self.record(|| TraceEvent::FaultGiveUp {
-            ru,
-            config,
-            attempts: attempt,
-            at: now,
-        });
-        self.pool
-            .cancel_load(ru)
-            .expect("the abandoned load was in flight on this RU");
-        // Close the speculative ledger: issued = completed + cancelled.
-        self.counters.prefetch.cancelled += 1;
-        self.record(|| TraceEvent::PrefetchCancel {
-            config,
-            ru,
-            at: now,
-        });
         self.fault_quarantine(ru, now);
         self.try_advance(now, policy);
     }

@@ -7,13 +7,23 @@
 //!   maintenance of the [`ReuseIndex`] as jobs arrive and retire;
 //! * [`decision`] — the replacement module (the paper's Fig. 8): victim
 //!   selection through [`DecisionContext`](crate::DecisionContext) and
-//!   the Skip Events rule.
+//!   the Skip Events rule;
+//! * [`prefetch`] — the speculative lane of the reconfiguration port;
+//! * [`qos`] — preemption, resume and the planned-order index rebuild;
+//! * [`faults`] — fault injection, the corrupt-load retry and
+//!   quarantine.
 //!
 //! [`crate::manager`] remains the thin orchestrator owning the public
 //! [`Engine`](crate::Engine) / [`simulate`](crate::simulate) surface;
 //! the split keeps each concern small enough to reason about while the
 //! shared [`ManagerState`] stays one struct (the event loop is a state
 //! machine, not a layer cake).
+//!
+//! **The in-flight load.** The port's
+//! [`InFlight`](rtr_hw::InFlight) record is the engine's only record of
+//! the pending reconfiguration. Its lane names what the load is for (a
+//! demanded node or a prefetch), and the run loop fires the one
+//! `EndOfReconfiguration` event at its `completes` instant.
 //!
 //! **Pooling.** The engine has one reset-and-reuse lifecycle,
 //! [`Engine::reset`](crate::Engine::reset): every allocation that
@@ -203,17 +213,6 @@ impl JobScratch {
     }
 }
 
-/// What the single in-flight reconfiguration is for: a demand load
-/// placing a specific task, or a speculative prefetch of a bare
-/// configuration (no task owns it yet).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReconfigKind {
-    /// Demand load for the current graph's `node`.
-    Demand(NodeId),
-    /// Speculative prefetch of `config` (cancellable).
-    Speculative(ConfigId),
-}
-
 /// The run's ledger: every per-run statistic, counted once. The event
 /// handlers increment it, a reset replaces it with
 /// `Counters::default()`, and [`Engine::outcome`](crate::Engine::outcome)
@@ -270,12 +269,6 @@ pub(crate) struct ManagerState {
     /// queue traffic once per job; the slot also prevents
     /// double-activation when several jobs arrive at the same instant.
     pub(crate) pending_activation: Option<SimTime>,
-    /// The in-flight reconfiguration's completion `(time, ru, kind)`.
-    /// The port is single (at most one load in flight — demand or
-    /// speculative), so this too is a slot, merged at
-    /// `PRIO_END_OF_RECONFIGURATION` — the queue proper only ever holds
-    /// `EndOfExecution` events (≤ RU count).
-    pub(crate) pending_reconfig: Option<(SimTime, RuId, ReconfigKind)>,
     pub(crate) completed_jobs: usize,
     pub(crate) trace: Trace,
     pub(crate) counters: Counters,

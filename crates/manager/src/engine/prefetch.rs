@@ -40,9 +40,9 @@
 //! [`ReuseIndex`]: crate::ReuseIndex
 //! [`ReuseIndex::next_k_configs`]: crate::ReuseIndex::next_k_configs
 
-use super::{ManagerState, ReconfigKind};
+use super::ManagerState;
 use crate::trace::TraceEvent;
-use rtr_hw::RuId;
+use rtr_hw::{LoadLane, RuId};
 use rtr_sim::SimTime;
 use rtr_taskgraph::ConfigId;
 use std::mem;
@@ -153,8 +153,7 @@ impl ManagerState {
         best.map(|(ru, _)| ru)
     }
 
-    /// Starts the speculative load of `config` into `ru` and arms the
-    /// engine's reconfiguration slot with a cancellable completion.
+    /// Starts the speculative (cancellable) load of `config` into `ru`.
     fn begin_prefetch(&mut self, ru: RuId, config: ConfigId, now: SimTime) {
         self.note_eviction(ru);
         if self.pool.is_corrupt(ru) {
@@ -164,15 +163,14 @@ impl ManagerState {
         self.pool
             .begin_load(ru, config)
             .expect("prefetch target is empty or an unclaimed candidate");
-        let completes = self.controller.start_speculative(ru, config, now);
+        self.controller
+            .start(ru, config, LoadLane::Speculative, now);
         self.counters.prefetch.issued += 1;
         self.record(|| TraceEvent::PrefetchStart {
             config,
             ru,
             at: now,
         });
-        debug_assert!(self.pending_reconfig.is_none());
-        self.pending_reconfig = Some((completes, ru, ReconfigKind::Speculative(config)));
     }
 
     /// The in-flight speculative load finished (the caller already
@@ -206,11 +204,6 @@ impl ManagerState {
             .cancel_load(op.ru)
             .expect("speculative load was in flight on this RU");
         debug_assert_eq!(discarded, op.config);
-        debug_assert!(matches!(
-            self.pending_reconfig,
-            Some((_, ru, ReconfigKind::Speculative(_))) if ru == op.ru
-        ));
-        self.pending_reconfig = None;
         self.counters.prefetch.cancelled += 1;
         self.record(|| TraceEvent::PrefetchCancel {
             config: op.config,

@@ -21,7 +21,7 @@
 //! top resumes as soon as it out-prioritises every waiting arrival at
 //! an activation instant.
 
-use super::{ManagerState, ReconfigKind};
+use super::ManagerState;
 use crate::job::JobSpec;
 use crate::policy::ReplacementPolicy;
 use crate::qos::PreemptionMode;
@@ -55,7 +55,7 @@ impl ManagerState {
     /// single port cannot abandon a demand reconfiguration mid-frame);
     /// otherwise it executes immediately.
     pub(crate) fn request_preemption(&mut self, now: SimTime, jobs: &[JobSpec]) {
-        if matches!(self.pending_reconfig, Some((_, _, ReconfigKind::Demand(_)))) {
+        if !self.demand_port_free() {
             self.pending_preempt = true;
             return;
         }
@@ -71,7 +71,7 @@ impl ManagerState {
     pub(crate) fn execute_preemption(&mut self, now: SimTime, jobs: &[JobSpec]) {
         debug_assert!(self.cfg.preemption.enabled());
         debug_assert!(
-            !matches!(self.pending_reconfig, Some((_, _, ReconfigKind::Demand(_)))),
+            self.demand_port_free(),
             "preemption must not interrupt an in-flight demand load"
         );
         let Some(best) = self.best_arrived(jobs) else {

@@ -11,7 +11,7 @@ use super::events::{Event, PRIO_END_OF_EXECUTION};
 use super::ManagerState;
 use crate::policy::{ReplacementPolicy, VictimCandidate};
 use crate::trace::TraceEvent;
-use rtr_hw::RuId;
+use rtr_hw::{LoadLane, RuId};
 use rtr_sim::SimTime;
 use rtr_taskgraph::{ConfigId, NodeId};
 use std::sync::Arc;
@@ -117,7 +117,8 @@ impl ManagerState {
         self.pool
             .begin_load(target, config)
             .expect("target RU is empty or an unclaimed candidate");
-        let completes = self.controller.start(target, config, now);
+        self.controller
+            .start(target, config, LoadLane::Demand(node), now);
         if advance_seq {
             let job = self.current.as_mut().expect("loads need a current job");
             job.seq_pos += 1;
@@ -131,10 +132,6 @@ impl ManagerState {
             ru: target,
             at: now,
         });
-        // Single-port invariant: the completion lives in the engine's
-        // reconfiguration slot, not the queue (see `ManagerState`).
-        debug_assert!(self.pending_reconfig.is_none());
-        self.pending_reconfig = Some((completes, target, super::ReconfigKind::Demand(node)));
     }
 
     /// Starts executing `node` on its claimed RU (Fig. 4 lines 6–8 and

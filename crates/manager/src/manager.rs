@@ -21,7 +21,7 @@
 
 use crate::config::ManagerConfig;
 use crate::engine::faults::FaultRuntime;
-use crate::engine::{Counters, Event, JobScratch, ManagerState, ReconfigKind};
+use crate::engine::{Counters, Event, JobScratch, ManagerState};
 use crate::engine::{
     PRIO_END_OF_EXECUTION, PRIO_END_OF_RECONFIGURATION, PRIO_JOB_ARRIVAL, PRIO_NEW_TASK_GRAPH,
     PRIO_RU_HEAL,
@@ -188,7 +188,6 @@ impl Engine {
                 arrived: VecDeque::new(),
                 reuse_index: ReuseIndex::new(),
                 pending_activation: None,
-                pending_reconfig: None,
                 completed_jobs: 0,
                 trace: Trace::default(),
                 counters: Counters::default(),
@@ -313,9 +312,9 @@ impl Engine {
         }
         loop {
             // Merge the four event sources under the simulation's total
-            // order `(time, priority class)`: the queue (EndOfExecution
-            // only), the single reconfiguration slot, the sorted
-            // arrival lane, and the single activation slot. Priority
+            // order `(time, priority class)`: the queue (executions and
+            // RU heals), the port's in-flight load, the sorted arrival
+            // lane, and the single activation slot. Priority
             // classes are disjoint per source, so the pair is a total
             // order; ties within a class exist only among executions
             // (ordered by the queue's sequence numbers) and arrivals
@@ -328,8 +327,8 @@ impl Engine {
                 );
                 pick = Some((qt, qp));
             }
-            if let Some((rt, _, _)) = self.m.pending_reconfig {
-                let key = (rt, PRIO_END_OF_RECONFIGURATION);
+            if let Some(op) = self.m.controller.in_flight() {
+                let key = (op.completes, PRIO_END_OF_RECONFIGURATION);
                 if pick.is_none_or(|best| key < best) {
                     pick = Some(key);
                 }
@@ -370,13 +369,9 @@ impl Engine {
                     self.exec_batch = batch;
                 }
                 PRIO_END_OF_RECONFIGURATION => {
-                    let (_, ru, kind) = self.m.pending_reconfig.take().expect("picked");
                     self.m.queue.advance_to(now);
-                    let ev = match kind {
-                        ReconfigKind::Demand(node) => Event::EndOfReconfiguration { ru, node },
-                        ReconfigKind::Speculative(config) => Event::EndOfPrefetch { ru, config },
-                    };
-                    self.m.handle(ev, now, &self.jobs, policy);
+                    self.m
+                        .handle(Event::EndOfReconfiguration, now, &self.jobs, policy);
                 }
                 PRIO_JOB_ARRIVAL => {
                     let (_, idx) = self.arrival_lane[self.lane_cursor];
@@ -442,7 +437,7 @@ impl Engine {
         self.m.current.is_none()
             && self.m.suspended.is_empty()
             && self.m.queue.is_empty()
-            && self.m.pending_reconfig.is_none()
+            && self.m.controller.is_idle()
             && self.m.pending_activation.is_none()
             && self.lane_cursor == self.arrival_lane.len()
     }
@@ -485,7 +480,6 @@ impl Engine {
         self.m.arrived.clear();
         self.m.reuse_index.clear();
         self.m.pending_activation = None;
-        self.m.pending_reconfig = None;
         self.m.completed_jobs = 0;
         self.m.trace.clear();
         self.m.counters = Counters::default();

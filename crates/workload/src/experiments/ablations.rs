@@ -107,55 +107,6 @@ pub fn latency_sweep(
     Ok(t)
 }
 
-/// Tie-break ablation: the paper's first-candidate rule vs an LRU
-/// tie-break among equally-distant victims, across DL windows.
-pub fn tie_break_sweep(apps: usize, seed: u64, rus: usize) -> Result<Table, SimError> {
-    use rtr_core::{LfdPolicy, TieBreak};
-    use rtr_manager::{Engine, JobSpec, Lookahead, ManagerConfig};
-
-    let seq = SequenceModel::UniformRandom.generate(&multimedia_templates(), apps, seed);
-    let jobs: Vec<JobSpec> = seq.iter().map(|g| JobSpec::new(Arc::clone(g))).collect();
-    let mut t = Table::new(
-        format!("Ablation — Local LFD tie-break ({rus} RUs, reuse % / overhead ms)"),
-        &["DL window", "First candidate (paper)", "LRU tie-break"],
-    );
-    // One pooled engine serves all six runs; each `reset` is
-    // bit-exact with a fresh `simulate` (the sweep's window axis is
-    // a config change, not an engine rebuild).
-    let base_cfg = ManagerConfig::paper_default()
-        .with_rus(rus)
-        .with_trace(false);
-    let mut engine = Engine::new(&base_cfg);
-    let run = |engine: &mut Engine, cfg: &ManagerConfig, policy: &mut LfdPolicy| {
-        use rtr_manager::ReplacementPolicy;
-        policy.reset();
-        engine.reset(cfg, &jobs);
-        engine.run(policy);
-        engine.outcome()
-    };
-    for window in [1usize, 2, 4] {
-        let cfg = base_cfg.clone().with_lookahead(Lookahead::Graphs(window));
-        let mut first = LfdPolicy::local(window);
-        let a = run(&mut engine, &cfg, &mut first)?;
-        let mut lru = LfdPolicy::local(window).with_tie_break(TieBreak::LeastRecentlyUsed);
-        let b = run(&mut engine, &cfg, &mut lru)?;
-        t.push_row(vec![
-            window.to_string(),
-            format!(
-                "{} / {}",
-                fmt_f(a.stats.reuse_rate_pct(), 2),
-                fmt_f(a.stats.total_overhead().as_ms_f64(), 0)
-            ),
-            format!(
-                "{} / {}",
-                fmt_f(b.stats.reuse_rate_pct(), 2),
-                fmt_f(b.stats.total_overhead().as_ms_f64(), 0)
-            ),
-        ]);
-    }
-    Ok(t)
-}
-
 /// Sweep of the sequence model (workload shape).
 pub fn sequence_model_sweep(apps: usize, seed: u64, rus: usize) -> Result<Table, SimError> {
     let models: Vec<(&str, SequenceModel)> = vec![
@@ -224,13 +175,6 @@ mod tests {
     fn dl_sweep_reuse_is_monotonic_ish() {
         let t = dl_window_sweep(60, 5, 4, &[1, 2, 4, 8]).unwrap();
         assert_eq!(t.len(), 4);
-    }
-
-    #[test]
-    fn tie_break_sweep_runs() {
-        let t = tie_break_sweep(60, 9, 6).unwrap();
-        assert_eq!(t.len(), 3);
-        assert!(t.to_markdown().contains("LRU tie-break"));
     }
 
     #[test]

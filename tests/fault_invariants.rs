@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rtr_manager::{
     simulate, CheckContext, CheckerRegistry, Engine, FaultPlan, JobSpec, ManagerConfig,
-    PrefetchConfig, SimError, SimulationOutcome,
+    PrefetchConfig, SimError, SimulationOutcome, TraceEvent,
 };
 use rtr_sim::SimDuration;
 use rtr_taskgraph::generate::{self, GenConfig};
@@ -215,36 +215,70 @@ proptest! {
     }
 }
 
-/// Retry exhaustion: a transient-only plan hot enough to exhaust its
-/// retry budget must show bounded retries, at least one give-up, and
-/// one quarantine per give-up — while still completing every job and
-/// validating clean.
+/// Retry exhaustion on both port lanes: a transient-only plan hot
+/// enough to exhaust its retry budget must show bounded retries, at
+/// least one give-up, and one quarantine per give-up — while still
+/// completing every job and validating clean. The depth-0 leg exhausts
+/// demand loads; the prefetching leg must also exhaust a speculative
+/// load, whose give-up closes the prefetch with a `PrefetchCancel` on
+/// the same RU at the same instant.
 #[test]
 fn retry_exhaustion_gives_up_quarantines_and_recovers() {
     let jobs = batch_jobs(11, 2, 8);
-    let found = (0u64..64).find_map(|fault_seed| {
-        let plan = FaultPlan::off()
-            .with_seed(fault_seed)
-            .with_load_faults(600, 1)
-            .with_ru_faults(0, Some(SimDuration::from_ms(10)));
-        let cfg = cfg_with(2, 0, plan);
-        let out = run(&cfg, &jobs, 1, 11);
+    for (rus, depth) in [(2, 0), (3, 4)] {
+        let found = (0u64..64).find_map(|fault_seed| {
+            let plan = FaultPlan::off()
+                .with_seed(fault_seed)
+                .with_load_faults(600, 1)
+                .with_ru_faults(0, Some(SimDuration::from_ms(10)));
+            let cfg = cfg_with(rus, depth, plan);
+            let out = run(&cfg, &jobs, 1, 11);
+            let gave_up = if depth == 0 {
+                out.trace.counts().fault_giveups > 0
+            } else {
+                speculative_giveups(&out) > 0
+            };
+            gave_up.then_some((cfg, out))
+        });
+        let (cfg, out) = found.unwrap_or_else(|| {
+            panic!("64 fault seeds cover a retry exhaustion at {rus} RUs, depth {depth}")
+        });
         let c = out.trace.counts();
-        (c.fault_giveups > 0).then_some((cfg, out))
-    });
-    let (cfg, out) = found.expect("64 fault seeds cover a retry exhaustion");
-    let c = out.trace.counts();
-    assert!(c.fault_retries > 0, "retries precede give-ups");
-    assert_eq!(
-        c.ru_quarantines, c.fault_giveups,
-        "every give-up quarantines its RU (no hard faults configured)"
-    );
-    assert_eq!(
-        out.stats.graph_completions.len(),
-        jobs.len(),
-        "the degraded pool still completes every job"
-    );
-    assert_validates_clean(&cfg, &jobs, &out, 1, 11);
+        assert!(c.fault_retries > 0, "retries precede give-ups");
+        assert_eq!(
+            c.ru_quarantines, c.fault_giveups,
+            "every give-up quarantines its RU (no hard faults configured)"
+        );
+        assert!(
+            out.stats.prefetch.balanced(),
+            "issued = completed + cancelled: {:?}",
+            out.stats.prefetch
+        );
+        assert_eq!(
+            out.stats.graph_completions.len(),
+            jobs.len(),
+            "the degraded pool still completes every job"
+        );
+        assert_validates_clean(&cfg, &jobs, &out, 1, 11);
+    }
+}
+
+/// Give-ups of speculative loads: a `FaultGiveUp` immediately followed
+/// by a `PrefetchCancel` on the same RU at the same instant.
+fn speculative_giveups(out: &SimulationOutcome) -> usize {
+    let events: Vec<&TraceEvent> = out.trace.iter().collect();
+    events
+        .windows(2)
+        .filter(|w| {
+            matches!(
+                (w[0], w[1]),
+                (
+                    TraceEvent::FaultGiveUp { ru, at, .. },
+                    TraceEvent::PrefetchCancel { ru: cancelled, at: when, .. },
+                ) if ru == cancelled && at == when
+            )
+        })
+        .count()
 }
 
 /// Upset then repair: an upset-only plan must invalidate resident
