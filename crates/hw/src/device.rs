@@ -2,10 +2,10 @@
 //!
 //! A [`DeviceSpec`] bundles the hardware parameters the simulator needs:
 //! reconfiguration latency, per-RU bitstream size and the energy cost of
-//! one reconfiguration. The figures are representative of the devices
-//! the paper mentions (Virtex-II Pro XC2VP30 in its measurements,
-//! Virtex-5 for the latency citation) — the *experiments* only depend on
-//! the latency, which the paper fixes at 4 ms in every example.
+//! one reconfiguration. The default's figures are representative of the
+//! paper's measurement platform (Virtex-II Pro XC2VP30) — the
+//! *experiments* only depend on the latency, which the paper fixes at
+//! 4 ms in every example.
 
 use rtr_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -36,27 +36,6 @@ impl DeviceSpec {
             bitstream_bytes: 350 * 1024,
             // ~20 mJ per partial reconfiguration.
             energy_per_load_uj: 20_000,
-        }
-    }
-
-    /// A Virtex-II Pro XC2VP30-flavoured preset (the paper's measurement
-    /// platform).
-    pub fn virtex2_pro() -> Self {
-        DeviceSpec {
-            name: "Virtex-II Pro XC2VP30".to_string(),
-            reconfig_latency: SimDuration::from_ms(4),
-            bitstream_bytes: 350 * 1024,
-            energy_per_load_uj: 20_000,
-        }
-    }
-
-    /// A Virtex-5-flavoured preset (larger bitstreams, faster port).
-    pub fn virtex5() -> Self {
-        DeviceSpec {
-            name: "Virtex-5".to_string(),
-            reconfig_latency: SimDuration::from_ms(2),
-            bitstream_bytes: 900 * 1024,
-            energy_per_load_uj: 35_000,
         }
     }
 
@@ -95,7 +74,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let d = DeviceSpec::virtex5();
+        let d = DeviceSpec::paper_default().with_latency(SimDuration::from_ms(2));
         let json = serde_json::to_string(&d).unwrap();
         let back: DeviceSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, d);

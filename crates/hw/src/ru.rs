@@ -10,7 +10,7 @@
 //!     │                                                 ▼  │ (→ unclaimed)
 //!     └───(never: configs persist)                   Executing
 //!
-//!   Loaded{unclaimed} ── claim_for_reuse ──▶ Loaded{claimed}
+//!   Loaded{unclaimed} ── try_claim_reuse ──▶ Loaded{claimed}
 //!   Loaded{unclaimed} ── begin_load(evict) ─▶ Loading (new config)
 //! ```
 //!
@@ -215,7 +215,7 @@ impl RuPool {
     /// The RU where `config` is resident and **unclaimed** (available
     /// for a reuse claim), lowest index first. One mask probe plus a
     /// `trailing_zeros` on pools of ≤ 64 RUs; a state scan otherwise.
-    pub fn find_reusable(&self, config: ConfigId) -> Option<RuId> {
+    fn find_reusable(&self, config: ConfigId) -> Option<RuId> {
         if self.mask_tracking {
             let mask = self.reusable.mask(config);
             if mask == 0 {
@@ -237,10 +237,9 @@ impl RuPool {
         })
     }
 
-    /// Finds a reusable RU for `config` and claims it in one step —
-    /// the fused form of [`RuPool::find_reusable`] +
-    /// [`RuPool::claim_for_reuse`] the engine's reuse cascade calls
-    /// once per sequence head.
+    /// Claims the lowest-indexed RU where `config` is resident and
+    /// unclaimed, if any — the reuse claim the engine's cascade makes
+    /// once per sequence head. Upset residents are never claimed.
     pub fn try_claim_reuse(&mut self, config: ConfigId) -> Option<RuId> {
         let ru = self.find_reusable(config)?;
         if self.mask_tracking {
@@ -262,15 +261,9 @@ impl RuPool {
         })
     }
 
-    /// Eviction candidates in RU-index order (the paper's tie-break:
-    /// "Local LFD selects the first candidate it finds").
-    pub fn eviction_candidates(&self) -> Vec<RuId> {
-        self.iter_eviction_candidates().map(|(r, _)| r).collect()
-    }
-
     /// Eviction candidates with their resident configurations, in
-    /// RU-index order — the allocation-free form the engine's decision
-    /// hot path fills its pooled scratch buffer from.
+    /// RU-index order (the paper's tie-break: "Local LFD selects the
+    /// first candidate it finds").
     pub fn iter_eviction_candidates(&self) -> impl Iterator<Item = (RuId, ConfigId)> + '_ {
         self.ids().filter_map(|r| match self.states[r.idx()] {
             RuState::Loaded {
@@ -396,30 +389,6 @@ impl RuPool {
                 ru,
                 found,
                 attempted: "cancel_load",
-            }),
-        }
-    }
-
-    /// Claims a resident unclaimed configuration for reuse.
-    pub fn claim_for_reuse(&mut self, ru: RuId, config: ConfigId) -> Result<(), TransitionError> {
-        match self.states[ru.idx()] {
-            RuState::Loaded {
-                config: c,
-                claimed: false,
-            } if c == config => {
-                if self.mask_tracking {
-                    self.reusable.unmark(config, ru.idx());
-                }
-                self.states[ru.idx()] = RuState::Loaded {
-                    config,
-                    claimed: true,
-                };
-                Ok(())
-            }
-            found => Err(TransitionError {
-                ru,
-                found,
-                attempted: "claim_for_reuse",
             }),
         }
     }
@@ -620,7 +589,7 @@ mod tests {
         let pool = RuPool::new(4);
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.first_empty(), Some(RuId(0)));
-        assert!(pool.eviction_candidates().is_empty());
+        assert_eq!(pool.iter_eviction_candidates().next(), None);
         assert!(!pool.is_resident(C1));
     }
 
@@ -642,7 +611,7 @@ mod tests {
         assert_eq!(pool.finish_execution(ru).unwrap(), C1);
         assert!(pool.state(ru).is_eviction_candidate());
         assert_eq!(pool.find_reusable(C1), Some(ru));
-        assert_eq!(pool.eviction_candidates(), vec![ru]);
+        assert!(pool.iter_eviction_candidates().eq([(ru, C1)]));
     }
 
     #[test]
@@ -654,7 +623,7 @@ mod tests {
         pool.begin_execution(ru).unwrap();
         pool.finish_execution(ru).unwrap();
 
-        pool.claim_for_reuse(ru, C1).unwrap();
+        assert_eq!(pool.try_claim_reuse(C1), Some(ru));
         assert!(!pool.state(ru).is_eviction_candidate());
         pool.begin_execution(ru).unwrap();
         pool.finish_execution(ru).unwrap();
@@ -695,13 +664,13 @@ mod tests {
         pool.begin_load(ru, C1).unwrap();
         pool.finish_load(ru).unwrap();
         // Claimed already.
-        assert!(pool.claim_for_reuse(ru, C1).is_err());
+        assert_eq!(pool.try_claim_reuse(C1), None);
         pool.begin_execution(ru).unwrap();
         pool.finish_execution(ru).unwrap();
         // Wrong config.
-        assert!(pool.claim_for_reuse(ru, C2).is_err());
+        assert_eq!(pool.try_claim_reuse(C2), None);
         // Right config, unclaimed.
-        assert!(pool.claim_for_reuse(ru, C1).is_ok());
+        assert_eq!(pool.try_claim_reuse(C1), Some(ru));
     }
 
     #[test]
@@ -711,7 +680,7 @@ mod tests {
         assert!(pool.finish_load(ru).is_err());
         assert!(pool.begin_execution(ru).is_err());
         assert!(pool.finish_execution(ru).is_err());
-        assert!(pool.claim_for_reuse(ru, C1).is_err());
+        assert_eq!(pool.try_claim_reuse(C1), None);
     }
 
     #[test]
@@ -724,7 +693,8 @@ mod tests {
             pool.begin_execution(ru).unwrap();
             pool.finish_execution(ru).unwrap();
         }
-        assert_eq!(pool.eviction_candidates(), vec![RuId(0), RuId(1), RuId(2)]);
+        let order: Vec<RuId> = pool.iter_eviction_candidates().map(|(r, _)| r).collect();
+        assert_eq!(order, vec![RuId(0), RuId(1), RuId(2)]);
     }
 
     #[test]
@@ -773,7 +743,7 @@ mod tests {
         assert!(pool.state(ru).is_eviction_candidate());
         assert_eq!(pool.find_reusable(C1), Some(ru));
         // The suspended owner (or anyone else) can re-claim and run.
-        pool.claim_for_reuse(ru, C1).unwrap();
+        assert_eq!(pool.try_claim_reuse(C1), Some(ru));
         pool.begin_execution(ru).unwrap();
         pool.finish_execution(ru).unwrap();
         // Revoking a non-executing RU is rejected.
@@ -792,7 +762,7 @@ mod tests {
         // Evictable by a preemptor's load...
         assert_eq!(pool.find_reusable(C1), Some(ru));
         // ...or re-claimable by the suspended owner on resume.
-        pool.claim_for_reuse(ru, C1).unwrap();
+        assert_eq!(pool.try_claim_reuse(C1), Some(ru));
         // Releasing an unclaimed or executing RU is rejected.
         pool.begin_execution(ru).unwrap();
         assert!(pool.release_claim(ru).is_err());
@@ -818,7 +788,7 @@ mod tests {
         assert!(!pool.is_resident(C1));
         // ...but the unit is still an eviction candidate, and a rewrite
         // (same or different config) repairs it.
-        assert_eq!(pool.eviction_candidates(), vec![ru]);
+        assert!(pool.iter_eviction_candidates().eq([(ru, C1)]));
         pool.begin_load(ru, C1).unwrap();
         assert!(!pool.is_corrupt(ru));
         pool.finish_load(ru).unwrap();
@@ -847,7 +817,7 @@ mod tests {
         assert_eq!(pool.usable_len(), 1);
         assert!(!pool.is_resident(C1));
         assert_eq!(pool.find_reusable(C1), None);
-        assert!(pool.eviction_candidates().is_empty());
+        assert_eq!(pool.iter_eviction_candidates().next(), None);
         // A quarantined unit accepts no transitions but heal.
         assert!(pool.begin_load(ru, C2).is_err());
         assert!(pool.quarantine(ru).is_err());
@@ -925,8 +895,8 @@ mod tests {
             ("cancel the rewrite", |p| {
                 format!("{:?}", p.cancel_load(RuId(7)))
             }),
-            ("claim C1 on RU64", |p| {
-                format!("{:?}", p.claim_for_reuse(RuId(63), C1))
+            ("reuse claim C1 (only RU64 holds it)", |p| {
+                format!("{:?}", p.try_claim_reuse(C1))
             }),
             ("execute", |p| format!("{:?}", p.begin_execution(RuId(63)))),
             ("finish", |p| format!("{:?}", p.finish_execution(RuId(63)))),

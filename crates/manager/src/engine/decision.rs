@@ -88,7 +88,7 @@ impl ManagerState {
                     let forced = job
                         .forced_delays
                         .as_ref()
-                        .is_some_and(|req| job.forced_skips_done[node.idx()] < req[node.idx()]);
+                        .is_some_and(|req| job.nodes[node.idx()].forced_skips < req[node.idx()]);
                     (node, job.tpl.cfg_seq[job.seq_pos], job.idx, forced, false)
                 }
             };
@@ -97,7 +97,7 @@ impl ManagerState {
             // Fig. 6): delay this load by one event, unconditionally.
             if forced_delay_pending {
                 let job = self.current.as_mut().expect("checked above");
-                job.forced_skips_done[node.idx()] += 1;
+                job.nodes[node.idx()].forced_skips += 1;
                 self.counters.skips += 1;
                 self.record(|| TraceEvent::Skip {
                     job: job_idx,

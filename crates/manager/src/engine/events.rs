@@ -1,7 +1,7 @@
 //! The engine's event alphabet and per-event dispatch — the paper's
 //! Fig. 4 pseudo-code, one match arm per line group.
 
-use super::{ActiveJob, ManagerState};
+use super::{ActiveJob, ManagerState, Placement};
 use crate::job::JobSpec;
 use crate::policy::ReplacementPolicy;
 use crate::trace::TraceEvent;
@@ -158,8 +158,7 @@ impl ManagerState {
                         .current
                         .as_mut()
                         .expect("loads only happen for the current graph");
-                    job.loaded[node.idx()] = true;
-                    job.node_ru[node.idx()] = Some(ru);
+                    job.nodes[node.idx()].place = Placement::Placed(ru);
                     job.idx
                 };
                 self.record(|| TraceEvent::LoadEnd {
@@ -203,7 +202,7 @@ impl ManagerState {
                         .as_mut()
                         .expect("executions only happen for the current graph");
                     job.done_count += 1;
-                    job.done[node.idx()] = true;
+                    job.nodes[node.idx()].place = Placement::Done;
                     (job.idx, job.done_count, job.graph().len())
                 };
                 self.counters.executed += 1;
@@ -229,15 +228,8 @@ impl ManagerState {
                 let mut to_start = std::mem::take(&mut self.exec_ready);
                 to_start.clear();
                 if let Some(job) = self.current.as_mut() {
-                    {
-                        // Split borrow: the successor list lives in the
-                        // template while the counters are mutated.
-                        let ActiveJob {
-                            tpl, pending_preds, ..
-                        } = &mut *job;
-                        for &s in tpl.graph.succs(node) {
-                            pending_preds[s.idx()] -= 1;
-                        }
+                    for &s in job.tpl.graph.succs(node) {
+                        job.nodes[s.idx()].pending_preds -= 1;
                     }
                     // Fig. 4 lines 15–19: start loaded ready tasks.
                     for &s in job.tpl.graph.succs(node) {

@@ -28,7 +28,7 @@
 //! this code runs and the engine stays bit-exact with the fault-free
 //! golden outputs.
 
-use super::{ActiveJob, Event, ManagerState, PRIO_RU_HEAL};
+use super::{ActiveJob, Event, ManagerState, Placement, PRIO_RU_HEAL};
 use crate::policy::ReplacementPolicy;
 use crate::trace::{FaultKind, TraceEvent};
 use rtr_hw::{InFlight, LoadLane, RuId, RuState};
@@ -92,11 +92,9 @@ impl FaultRuntime {
 /// reconfiguration-sequence order) after its placement was lost to a
 /// fault, forgetting the placement.
 fn requeue(job: &mut ActiveJob, node: NodeId) {
-    let n = node.idx();
-    debug_assert!(!job.done[n], "completed work cannot be lost");
-    job.loaded[n] = false;
-    job.exec_started[n] = false;
-    job.node_ru[n] = None;
+    let place = &mut job.nodes[node.idx()].place;
+    debug_assert!(*place != Placement::Done, "completed work cannot be lost");
+    *place = Placement::Unplaced;
     let at = {
         let seq = &job.tpl.rec_seq;
         let pos = |x: NodeId| seq.iter().position(|&s| s.idx() == x.idx());
@@ -262,17 +260,17 @@ impl ManagerState {
         // elapsed execution is charged as lost work and the task
         // re-queues for recovery placement. Suspended graphs hold no
         // placements (released at suspension).
-        if let Some(mut job) = self.current.take() {
-            if let Some(node) = (0..job.node_ru.len())
-                .find(|&n| job.node_ru[n] == Some(ru) && !job.done[n])
-                .map(|n| NodeId(n as u32))
-            {
-                if job.exec_started[node.idx()] {
-                    self.counters.faults.lost_work_cycles += now.since(job.exec_start[node.idx()]);
+        if let Some(job) = self.current.as_mut() {
+            let lost = job.nodes.iter().position(|run| match run.place {
+                Placement::Placed(r) | Placement::Running { ru: r, .. } => r == ru,
+                Placement::Unplaced | Placement::Done => false,
+            });
+            if let Some(n) = lost {
+                if let Placement::Running { start, .. } = job.nodes[n].place {
+                    self.counters.faults.lost_work_cycles += now.since(start);
                 }
-                requeue(&mut job, node);
+                requeue(job, NodeId(n as u32));
             }
-            self.current = Some(job);
         }
         self.fault_quarantine(ru, now);
     }

@@ -27,12 +27,13 @@
 //!
 //! **Pooling.** The engine has one reset-and-reuse lifecycle,
 //! [`Engine::reset`](crate::Engine::reset): every allocation that
-//! scales with the workload — the [`ActiveJob`] scratch vectors
-//! (recycled through [`JobScratch`]; graphs run sequentially), the
-//! eviction-candidate and ready-successor scratch buffers, the event
-//! heap, the [`ReuseIndex`] occurrence lists and the [`Trace`] buffer
-//! — survives across resets, so a sweep worker's steady state performs
-//! no heap allocation per activation. Design-time artifacts come from a shared
+//! scales with the workload — the [`ActiveJob`] node records and
+//! recovery queue (recycled through [`JobScratch`]; graphs run
+//! sequentially), the eviction-candidate and ready-successor scratch
+//! buffers, the event heap, the [`ReuseIndex`] occurrence lists and
+//! the [`Trace`] buffer — survives across resets, so a sweep worker's
+//! steady state performs no heap allocation per activation.
+//! Design-time artifacts come from a shared
 //! [`TemplateSet`](rtr_taskgraph::TemplateSet), computed once per
 //! distinct template per process rather than per job or per grid cell.
 
@@ -60,9 +61,45 @@ pub(crate) use events::{
     PRIO_NEW_TASK_GRAPH, PRIO_RU_HEAL,
 };
 
-/// Run-time state of the current task graph. The per-node vectors are
-/// on loan from the engine's [`JobScratch`] pool: they are moved in at
-/// activation and reclaimed at graph completion, never reallocated.
+/// Where one node of the current graph stands. A node that lost its
+/// placement to a preemption or a fault returns to `Unplaced` and is
+/// re-placed through the job's recovery queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Placement {
+    /// No RU holds the node's configuration for it.
+    Unplaced,
+    /// Loaded (or reuse-claimed) on the RU, not yet executing.
+    Placed(RuId),
+    /// Executing on `ru` since `start`, scheduled to finish at `end` —
+    /// a kill charges `now − start` to lost work, a checkpoint keeps
+    /// `end − now` as the remainder.
+    Running {
+        ru: RuId,
+        start: SimTime,
+        end: SimTime,
+    },
+    /// Finished executing.
+    Done,
+}
+
+/// The run-time record of one node of the current graph.
+#[derive(Debug)]
+pub(crate) struct NodeRun {
+    /// Predecessors that have not finished yet.
+    pub(crate) pending_preds: u32,
+    pub(crate) place: Placement,
+    /// Checkpointed remainder: when nonzero, the node's next execution
+    /// runs for `resume_left + reconfig latency` (the restore penalty)
+    /// instead of its full design-time time.
+    pub(crate) resume_left: SimDuration,
+    /// Forced delays already honoured (mobility probes).
+    pub(crate) forced_skips: u32,
+}
+
+/// Run-time state of the current task graph. The node records and the
+/// recovery queue are on loan from the engine's [`JobScratch`] pool:
+/// they are moved in at activation and reclaimed at graph completion,
+/// never reallocated.
 #[derive(Debug)]
 pub(crate) struct ActiveJob {
     pub(crate) idx: u32,
@@ -75,36 +112,19 @@ pub(crate) struct ActiveJob {
     pub(crate) tpl: Arc<TemplateArtifacts>,
     /// Cursor into the template's `rec_seq`: next task to load.
     pub(crate) seq_pos: usize,
-    pub(crate) pending_preds: Vec<u32>,
-    pub(crate) node_ru: Vec<Option<RuId>>,
-    pub(crate) loaded: Vec<bool>,
-    pub(crate) exec_started: Vec<bool>,
-    /// Per-node completion flags (`done_count` aggregates them): a
-    /// suspension must distinguish finished nodes from in-flight ones.
-    pub(crate) done: Vec<bool>,
-    /// Start instant of the node's in-flight execution (valid while
-    /// `exec_started` and not `done`) — a kill charges the elapsed part
-    /// to `lost_work_cycles`.
-    pub(crate) exec_start: Vec<SimTime>,
-    /// Scheduled completion instant of the in-flight execution — a
-    /// checkpoint preserves `exec_end − now` as the remainder.
-    pub(crate) exec_end: Vec<SimTime>,
-    /// Checkpointed remainder: when nonzero, the node's next execution
-    /// runs for `resume_left + reconfig latency` (the restore penalty)
-    /// instead of its full design-time time.
-    pub(crate) resume_left: Vec<SimDuration>,
+    /// One record per node, indexed by [`NodeId`].
+    pub(crate) nodes: Vec<NodeRun>,
     /// Recovery queue of a resumed graph: nodes already past the
     /// sequence cursor whose placements were released at suspension, in
     /// reconfiguration-sequence order. Serviced by the demand path
     /// before the cursor advances.
     pub(crate) replaced: Vec<NodeId>,
+    /// Nodes in [`Placement::Done`].
     pub(crate) done_count: usize,
     /// Run-time Skip Events counter — "initialized externally to this
     /// function each time a new task graph starts its execution"
     /// (Fig. 8).
     pub(crate) skipped_events: u32,
-    /// Per-node forced delays already honoured (mobility probes).
-    pub(crate) forced_skips_done: Vec<u32>,
     pub(crate) mobility: Option<Arc<Vec<u32>>>,
     pub(crate) forced_delays: Option<Arc<Vec<u32>>>,
 }
@@ -116,34 +136,14 @@ impl ActiveJob {
         tpl: &Arc<TemplateArtifacts>,
         scratch: &mut JobScratch,
     ) -> Self {
-        let n = spec.graph.len();
-        let mut pending_preds = std::mem::take(&mut scratch.pending_preds);
-        pending_preds.clear();
-        pending_preds.extend_from_slice(&tpl.pred_counts);
-        let mut node_ru = std::mem::take(&mut scratch.node_ru);
-        node_ru.clear();
-        node_ru.resize(n, None);
-        let mut loaded = std::mem::take(&mut scratch.loaded);
-        loaded.clear();
-        loaded.resize(n, false);
-        let mut exec_started = std::mem::take(&mut scratch.exec_started);
-        exec_started.clear();
-        exec_started.resize(n, false);
-        let mut forced_skips_done = std::mem::take(&mut scratch.forced_skips_done);
-        forced_skips_done.clear();
-        forced_skips_done.resize(n, 0);
-        let mut done = std::mem::take(&mut scratch.done);
-        done.clear();
-        done.resize(n, false);
-        let mut exec_start = std::mem::take(&mut scratch.exec_start);
-        exec_start.clear();
-        exec_start.resize(n, SimTime::ZERO);
-        let mut exec_end = std::mem::take(&mut scratch.exec_end);
-        exec_end.clear();
-        exec_end.resize(n, SimTime::ZERO);
-        let mut resume_left = std::mem::take(&mut scratch.resume_left);
-        resume_left.clear();
-        resume_left.resize(n, SimDuration::ZERO);
+        let mut nodes = std::mem::take(&mut scratch.nodes);
+        nodes.clear();
+        nodes.extend(tpl.pred_counts.iter().map(|&pending_preds| NodeRun {
+            pending_preds,
+            place: Placement::Unplaced,
+            resume_left: SimDuration::ZERO,
+            forced_skips: 0,
+        }));
         let mut replaced = std::mem::take(&mut scratch.replaced);
         replaced.clear();
         ActiveJob {
@@ -151,18 +151,10 @@ impl ActiveJob {
             priority: spec.qos.priority,
             tpl: Arc::clone(tpl),
             seq_pos: 0,
-            pending_preds,
-            node_ru,
-            loaded,
-            exec_started,
-            done,
-            exec_start,
-            exec_end,
-            resume_left,
+            nodes,
             replaced,
             done_count: 0,
             skipped_events: 0,
-            forced_skips_done,
             mobility: spec.mobility.clone(),
             forced_delays: spec.forced_delays.clone(),
         }
@@ -173,43 +165,28 @@ impl ActiveJob {
         &self.tpl.graph
     }
 
+    /// True when `node` holds its RU, is not executing yet and every
+    /// predecessor has finished.
     pub(crate) fn ready(&self, node: NodeId) -> bool {
-        self.loaded[node.idx()]
-            && !self.exec_started[node.idx()]
-            && self.pending_preds[node.idx()] == 0
+        let run = &self.nodes[node.idx()];
+        matches!(run.place, Placement::Placed(_)) && run.pending_preds == 0
     }
 }
 
-/// The pooled per-node vectors loaned to the current [`ActiveJob`].
-/// Graphs execute strictly sequentially, so one set suffices; it grows
-/// to the largest graph seen and is never shrunk.
+/// The pooled vectors loaned to the current [`ActiveJob`]. Graphs
+/// execute strictly sequentially, so one set suffices; it grows to the
+/// largest graph seen and is never shrunk.
 #[derive(Debug, Default)]
 pub(crate) struct JobScratch {
-    pending_preds: Vec<u32>,
-    node_ru: Vec<Option<RuId>>,
-    loaded: Vec<bool>,
-    exec_started: Vec<bool>,
-    done: Vec<bool>,
-    exec_start: Vec<SimTime>,
-    exec_end: Vec<SimTime>,
-    resume_left: Vec<SimDuration>,
+    nodes: Vec<NodeRun>,
     replaced: Vec<NodeId>,
-    forced_skips_done: Vec<u32>,
 }
 
 impl JobScratch {
     /// Takes the vectors back from a completed job.
     pub(crate) fn reclaim(&mut self, job: ActiveJob) {
-        self.pending_preds = job.pending_preds;
-        self.node_ru = job.node_ru;
-        self.loaded = job.loaded;
-        self.exec_started = job.exec_started;
-        self.done = job.done;
-        self.exec_start = job.exec_start;
-        self.exec_end = job.exec_end;
-        self.resume_left = job.resume_left;
+        self.nodes = job.nodes;
         self.replaced = job.replaced;
-        self.forced_skips_done = job.forced_skips_done;
     }
 }
 
@@ -248,7 +225,7 @@ pub(crate) struct ManagerState {
     /// the engine's template set).
     pub(crate) job_templates: Vec<Arc<TemplateArtifacts>>,
     pub(crate) current: Option<ActiveJob>,
-    /// Pool of per-node vectors for the current job (see [`JobScratch`]).
+    /// Pool of the current job's node records (see [`JobScratch`]).
     pub(crate) scratch: JobScratch,
     /// Reusable buffer for the ready successors collected during an
     /// `EndOfExecution` event (fires once per executed task).
@@ -302,20 +279,6 @@ pub(crate) struct ManagerState {
     /// out-of-order activation, resume, or preemption clears it; from
     /// then on every activation rebuilds the index in planned order.
     pub(crate) index_fifo: bool,
-    /// Job indices backing the reuse index's segments, in segment
-    /// order — maps a segment ordinal back to its owner for the
-    /// prefetch guard's zero-slack test. Maintained alongside every
-    /// index mutation.
-    pub(crate) segment_jobs: VecDeque<u32>,
-    /// Static slack per submitted job, aligned with `jobs`:
-    /// `deadline − ideal makespan` in microseconds, or
-    /// [`NO_DEADLINE`](crate::policy::NO_DEADLINE). Time-invariant, so
-    /// it is computed once at submit; the prefetch guard subtracts
-    /// `now`.
-    pub(crate) job_slack: Vec<i64>,
-    /// Any submitted job carries a deadline (gates the prefetch
-    /// guard's zero-slack test).
-    pub(crate) qos_deadlines: bool,
     /// Any submitted job carries a non-default priority (gates the
     /// priority-lane activation scan; uniform runs keep the O(1) FIFO
     /// pop).

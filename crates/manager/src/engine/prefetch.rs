@@ -97,7 +97,7 @@ impl ManagerState {
             let target = if let Some(ru) = self.pool.first_empty() {
                 Some(ru)
             } else {
-                self.prefetch_victim(config, window, now)
+                self.prefetch_victim(config, window)
             };
             if let Some(ru) = target {
                 self.begin_prefetch(ru, config, now);
@@ -113,16 +113,12 @@ impl ManagerState {
     /// `window` — and only if that next use is *strictly farther* than
     /// `config`'s (a resident absent from the window counts as
     /// farthest: its true next use, if any, lies beyond every in-window
-    /// position). On deadline-aware runs, a resident whose in-window
-    /// owner is already out of slack is never speculated away — a
-    /// zero-slack job cannot afford to trade its reuse for a reload.
-    /// Returns `None` when no resident may legally be evicted for
-    /// `config`.
+    /// position). Returns `None` when no resident may legally be
+    /// evicted for `config`.
     fn prefetch_victim(
         &self,
         config: ConfigId,
         window: crate::reuse_index::ReuseWindow,
-        now: SimTime,
     ) -> Option<RuId> {
         let fetch_pos = self
             .reuse_index
@@ -134,9 +130,6 @@ impl ManagerState {
             let pos = self.reuse_index.next_use(resident, window);
             let farther = pos.is_none_or(|p| p > fetch_pos);
             if !farther {
-                continue;
-            }
-            if self.qos_deadlines && pos.is_some_and(|p| self.owner_out_of_slack(p, now)) {
                 continue;
             }
             let better = match (&best, pos) {

@@ -21,7 +21,7 @@
 //! top resumes as soon as it out-prioritises every waiting arrival at
 //! an activation instant.
 
-use super::ManagerState;
+use super::{ManagerState, Placement};
 use crate::job::JobSpec;
 use crate::policy::ReplacementPolicy;
 use crate::qos::PreemptionMode;
@@ -95,46 +95,44 @@ impl ManagerState {
         let kill = matches!(self.cfg.preemption, PreemptionMode::Kill);
         for pos in 0..job.tpl.rec_seq.len() {
             let node = job.tpl.rec_seq[pos];
-            let n = node.idx();
-            if job.done[n] || !job.loaded[n] {
-                continue;
-            }
-            let ru = job.node_ru[n].expect("loaded nodes hold an RU");
-            if job.exec_started[n] {
-                self.pool
-                    .revoke_execution(ru)
-                    .expect("revoking an in-flight execution");
-                self.exec_token[ru.idx()] += 1;
-                job.exec_started[n] = false;
-                if kill {
-                    self.counters.qos.replayed_nodes += 1;
-                    self.counters.qos.lost_work_cycles += now.since(job.exec_start[n]);
-                    self.record(|| TraceEvent::NodeKilled {
-                        job: victim,
-                        node,
-                        ru,
-                        at: now,
-                    });
-                } else {
-                    debug_assert!(job.exec_end[n] > now, "completion would have fired first");
-                    job.resume_left[n] = job.exec_end[n].since(now);
-                    self.counters.qos.checkpoints += 1;
-                    self.record(|| TraceEvent::NodeCheckpointed {
-                        job: victim,
-                        node,
-                        ru,
-                        at: now,
-                    });
+            let run = &mut job.nodes[node.idx()];
+            match run.place {
+                Placement::Unplaced | Placement::Done => continue,
+                Placement::Placed(ru) => {
+                    self.pool
+                        .release_claim(ru)
+                        .expect("releasing a waiting claim");
                 }
-            } else {
-                self.pool
-                    .release_claim(ru)
-                    .expect("releasing a waiting claim");
+                Placement::Running { ru, start, end } => {
+                    self.pool
+                        .revoke_execution(ru)
+                        .expect("revoking an in-flight execution");
+                    self.exec_token[ru.idx()] += 1;
+                    if kill {
+                        self.counters.qos.replayed_nodes += 1;
+                        self.counters.qos.lost_work_cycles += now.since(start);
+                        self.record(|| TraceEvent::NodeKilled {
+                            job: victim,
+                            node,
+                            ru,
+                            at: now,
+                        });
+                    } else {
+                        debug_assert!(end > now, "completion would have fired first");
+                        run.resume_left = end.since(now);
+                        self.counters.qos.checkpoints += 1;
+                        self.record(|| TraceEvent::NodeCheckpointed {
+                            job: victim,
+                            node,
+                            ru,
+                            at: now,
+                        });
+                    }
+                }
             }
             // Forget the placement either way; the recovery queue
             // re-places it on resume.
-            job.loaded[n] = false;
-            job.node_ru[n] = None;
+            run.place = Placement::Unplaced;
         }
         self.suspended.push(job);
         self.index_fifo = false;
@@ -160,7 +158,7 @@ impl ManagerState {
         job.replaced.clear();
         for pos in 0..job.seq_pos {
             let node = job.tpl.rec_seq[pos];
-            if !job.done[node.idx()] {
+            if job.nodes[node.idx()].place != Placement::Done {
                 job.replaced.push(node);
             }
         }
@@ -169,21 +167,18 @@ impl ManagerState {
         idx
     }
 
-    /// Rebuilds the reuse index (and the segment-owner map) in planned
-    /// service order: current graph first, then the suspended stack top
-    /// to bottom, then waiting arrivals by priority lane (ties in
-    /// arrival order). Called at every activation once the FIFO
-    /// invariant is lost — uniform-priority runs never get here.
+    /// Rebuilds the reuse index in planned service order: current graph
+    /// first, then the suspended stack top to bottom, then waiting
+    /// arrivals by priority lane (ties in arrival order). Called at
+    /// every activation once the FIFO invariant is lost —
+    /// uniform-priority runs never get here.
     pub(crate) fn rebuild_reuse_index(&mut self, jobs: &[JobSpec]) {
         self.reuse_index.clear();
-        self.segment_jobs.clear();
         if let Some(job) = &self.current {
             self.reuse_index.push_job(Arc::clone(&job.tpl.cfg_seq));
-            self.segment_jobs.push_back(job.idx);
         }
         for job in self.suspended.iter().rev() {
             self.reuse_index.push_job(Arc::clone(&job.tpl.cfg_seq));
-            self.segment_jobs.push_back(job.idx);
         }
         // Rebuilds are rare (one per preemption/resume/out-of-order
         // activation), so a local sort buffer is fine here.
@@ -198,21 +193,6 @@ impl ManagerState {
             let i = self.arrived[k];
             self.reuse_index
                 .push_job(Arc::clone(&self.job_templates[i].cfg_seq));
-            self.segment_jobs.push_back(i as u32);
         }
-    }
-
-    /// True when the job owning the reuse-index position `pos` has a
-    /// deadline and no slack left at `now` — the prefetch guard's
-    /// protected-resident test.
-    pub(crate) fn owner_out_of_slack(&self, pos: u64, now: SimTime) -> bool {
-        let Some(seg) = self.reuse_index.segment_of(pos) else {
-            return false;
-        };
-        let Some(&idx) = self.segment_jobs.get(seg) else {
-            return false;
-        };
-        let s = self.job_slack[idx as usize];
-        s != crate::policy::NO_DEADLINE && s - now.as_us() as i64 <= 0
     }
 }

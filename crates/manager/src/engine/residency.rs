@@ -8,12 +8,13 @@
 //! always mirrors `[current job] + arrived backlog`.
 
 use super::events::{Event, PRIO_END_OF_EXECUTION};
-use super::ManagerState;
+use super::{ManagerState, Placement};
 use crate::policy::{ReplacementPolicy, VictimCandidate};
 use crate::trace::TraceEvent;
 use rtr_hw::{LoadLane, RuId};
 use rtr_sim::SimTime;
 use rtr_taskgraph::{ConfigId, NodeId};
+use std::mem;
 use std::sync::Arc;
 
 impl ManagerState {
@@ -31,14 +32,12 @@ impl ManagerState {
         self.arrived.push_back(idx);
         self.reuse_index
             .push_job(Arc::clone(&self.job_templates[idx].cfg_seq));
-        self.segment_jobs.push_back(idx as u32);
     }
 
     /// The current graph completed: drop its (fully consumed) segment
     /// from the index so memory tracks the live backlog.
     pub(crate) fn retire_front_job(&mut self) {
         self.reuse_index.retire_front();
-        self.segment_jobs.pop_front();
     }
 
     /// Attempts the reuse claim of Fig. 8 step 1 for the sequence head:
@@ -62,8 +61,7 @@ impl ManagerState {
         self.note_claim(ru);
         {
             let job = self.current.as_mut().expect("reuse needs a current job");
-            job.loaded[node.idx()] = true;
-            job.node_ru[node.idx()] = Some(ru);
+            job.nodes[node.idx()].place = Placement::Placed(ru);
             if advance_seq {
                 job.seq_pos += 1;
             }
@@ -147,19 +145,22 @@ impl ManagerState {
         let restore_penalty = self.cfg.device.reconfig_latency;
         let (ru, idx, end) = {
             let job = self.current.as_mut().expect("start_execution needs a job");
-            let n = node.idx();
-            let ru = job.node_ru[n].expect("ready tasks have an RU");
-            job.exec_started[n] = true;
-            let dur = if job.resume_left[n].is_zero() {
-                job.graph().exec_time(node)
-            } else {
-                let d = job.resume_left[n] + restore_penalty;
-                job.resume_left[n] = rtr_sim::SimDuration::ZERO;
-                d
+            let run = &mut job.nodes[node.idx()];
+            let Placement::Placed(ru) = run.place else {
+                panic!("ready tasks hold an RU");
             };
-            job.exec_start[n] = now;
-            job.exec_end[n] = now + dur;
-            (ru, job.idx, now + dur)
+            let dur = if run.resume_left.is_zero() {
+                job.tpl.graph.exec_time(node)
+            } else {
+                mem::take(&mut run.resume_left) + restore_penalty
+            };
+            let end = now + dur;
+            run.place = Placement::Running {
+                ru,
+                start: now,
+                end,
+            };
+            (ru, job.idx, end)
         };
         let config = self
             .pool

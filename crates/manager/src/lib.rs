@@ -54,7 +54,6 @@ pub use job::{JobSpec, TenantId};
 pub use manager::{simulate, Engine, SimError, SimulationOutcome};
 pub use policy::{
     DecisionContext, FirstCandidatePolicy, FutureView, ReplacementPolicy, VictimCandidate,
-    NO_DEADLINE,
 };
 pub use qos::{PreemptionMode, QosClass};
 pub use reuse_index::{ReuseIndex, ReuseWindow};

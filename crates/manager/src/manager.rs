@@ -4,15 +4,10 @@
 //!
 //! This file is the thin orchestrator: the public [`Engine`] /
 //! [`simulate`] surface, submission, the event-drain loop and run
-//! finalisation. The event semantics live in the focused submodules of
-//! `crate::engine`:
-//!
-//! * `engine/events.rs` — the event alphabet and dispatch (Fig. 4
-//!   lines 1–19);
-//! * `engine/residency.rs` — reuse claims, load/execution starts, and
-//!   incremental [`ReuseIndex`] maintenance;
-//! * `engine/decision.rs` — the replacement module (Fig. 8): victim
-//!   selection over the index and Skip Events.
+//! finalisation. The event semantics live in the six submodules of
+//! `crate::engine` — `events` (Fig. 4), `residency`, `decision`
+//! (Fig. 8), `prefetch`, `qos` and `faults` — whose module docs
+//! describe each.
 //!
 //! When the current graph completes and no arrived job is waiting, the
 //! manager goes *idle*: resident configurations stay in place (so reuse
@@ -28,7 +23,7 @@ use crate::engine::{
 };
 use crate::ideal::ideal_graph_makespan;
 use crate::job::JobSpec;
-use crate::policy::{ReplacementPolicy, NO_DEADLINE};
+use crate::policy::ReplacementPolicy;
 use crate::reuse_index::ReuseIndex;
 use crate::stats::{ClassSojournStats, FaultStats, QosStats, RunStats};
 use crate::trace::Trace;
@@ -113,7 +108,7 @@ pub struct SimulationOutcome {
 /// **Pooled lifecycle:** an engine is reusable. [`Engine::reset`]
 /// returns it to the power-on state under a (possibly different)
 /// configuration with a fresh job batch, keeping every workload-sized
-/// allocation — the event heap, the per-job scratch vectors, the
+/// allocation — the event heap, the per-node job records, the
 /// reuse-index occurrence lists, the trace buffer — and
 /// [`Engine::outcome`] finalises a run without consuming the engine.
 /// Design-time artifacts come from a [`TemplateSet`] that can be shared
@@ -200,9 +195,6 @@ impl Engine {
                 exec_token: vec![0; cfg.rus],
                 pending_preempt: false,
                 index_fifo: true,
-                segment_jobs: VecDeque::new(),
-                job_slack: Vec::new(),
-                qos_deadlines: false,
                 qos_lanes: false,
                 qos_records: Vec::new(),
                 faults: FaultRuntime::seeded(cfg.faults.seed),
@@ -250,26 +242,6 @@ impl Engine {
         let tpl = self.templates.get_or_compute(&job.graph);
         let idx = self.jobs.len();
         self.m.job_templates.push(tpl);
-        // Static slack (deadline − ideal makespan, time-invariant) is
-        // precomputed here so the prefetch guard only subtracts `now`.
-        // Deadline-free jobs carry the sentinel and cost nothing.
-        let slack = match job.qos.deadline {
-            None => NO_DEADLINE,
-            Some(d) => {
-                let key = Arc::as_ptr(&job.graph) as usize;
-                let ideal = match self.ideal_cache.get(&key) {
-                    Some(&(_, dur)) => dur,
-                    None => {
-                        let dur = ideal_graph_makespan(&job.graph, self.m.cfg.rus);
-                        self.ideal_cache.insert(key, (Arc::clone(&job.graph), dur));
-                        dur
-                    }
-                };
-                d.as_us() as i64 - ideal.as_us() as i64
-            }
-        };
-        self.m.job_slack.push(slack);
-        self.m.qos_deadlines |= job.qos.deadline.is_some();
         self.m.qos_lanes |= job.qos.priority != 0;
         if self
             .arrival_lane
@@ -462,8 +434,8 @@ impl Engine {
     pub fn reset(&mut self, cfg: &ManagerConfig, jobs: &[JobSpec]) {
         assert!(cfg.rus > 0, "need at least one RU");
         // A stalled previous run can leave a job active: reclaim its
-        // scratch vectors before starting over. A preempted run may
-        // additionally hold suspended jobs (their vectors are simply
+        // node records before starting over. A preempted run may
+        // additionally hold suspended jobs (their records are simply
         // dropped — suspension is off the pooled hot path).
         if let Some(job) = self.m.current.take() {
             self.m.scratch.reclaim(job);
@@ -495,7 +467,6 @@ impl Engine {
         self.m.exec_token.resize(cfg.rus, 0);
         self.m.pending_preempt = false;
         self.m.index_fifo = true;
-        self.m.segment_jobs.clear();
         self.m.qos_records.clear();
         // Reseeding makes pooled and retargeted runs draw the identical
         // fault schedule a fresh engine would.
@@ -505,8 +476,6 @@ impl Engine {
         // Submission-scoped state follows the job list; re-submission
         // below rebuilds it.
         self.m.job_templates.clear();
-        self.m.job_slack.clear();
-        self.m.qos_deadlines = false;
         self.m.qos_lanes = false;
         self.jobs.clear();
         self.arrival_lane.clear();

@@ -119,11 +119,6 @@ pub struct DecisionContext<'a> {
     future: FutureSource<'a>,
 }
 
-/// Sentinel static slack (`deadline − ideal makespan`) of a job without
-/// a deadline: such a job is never out of slack, so the prefetch guard
-/// never protects its residents on deadline grounds.
-pub const NO_DEADLINE: i64 = i64::MAX;
-
 impl<'a> DecisionContext<'a> {
     /// Context backed by the engine's [`ReuseIndex`], restricted to the
     /// decision's visible `window`.
@@ -156,11 +151,6 @@ impl<'a> DecisionContext<'a> {
             candidates,
             future: FutureSource::View(future),
         }
-    }
-
-    /// True when this context is backed by the O(log n) index.
-    pub fn has_index(&self) -> bool {
-        matches!(self.future, FutureSource::Indexed { .. })
     }
 
     /// Forward distance of `config` in the visible window: 1-based
@@ -231,11 +221,6 @@ impl<'a> DecisionContext<'a> {
             FutureSource::Indexed { window, .. } => window.len(),
             FutureSource::View(view) => view.len(),
         }
-    }
-
-    /// True when the visible window is empty.
-    pub fn future_is_empty(&self) -> bool {
-        self.future_len() == 0
     }
 
     /// Iterates the visible window in request order — the legacy
@@ -389,8 +374,6 @@ mod tests {
         ];
         let by_view = DecisionContext::from_view(SimTime::ZERO, c(7), &candidates, &view);
         let by_index = DecisionContext::indexed(SimTime::ZERO, c(7), &candidates, &index, window);
-        assert!(by_index.has_index());
-        assert!(!by_view.has_index());
         assert_eq!(
             by_view.candidate_distances(),
             by_index.candidate_distances()

@@ -3,8 +3,8 @@
 //! A [`QosClass`] attaches a scheduling priority and an optional
 //! absolute deadline to a job. Priorities order the backlog into lanes
 //! (higher first; equal priorities keep strict arrival order, which is
-//! exactly the pre-QoS FIFO), and deadlines feed the prefetch guard,
-//! which never speculates away a resident whose owner is out of slack.
+//! exactly the pre-QoS FIFO). Deadlines are measured, never scheduled
+//! by: they feed only the run's miss and tardiness counts.
 //!
 //! [`PreemptionMode`] gates the engine's preemption machinery. `Off`
 //! (the default) takes the exact pre-QoS code path and is asserted

@@ -187,7 +187,7 @@ impl ReuseWindow {
 pub struct ReuseIndex {
     /// Sorted global positions per configuration. Push order is
     /// monotone (positions only grow), pops are front-first (retired
-    /// jobs hold the smallest positions), so each deque stays sorted
+    /// jobs hold the smallest positions), so each list stays sorted
     /// without ever sorting. Emptied lists are kept (not removed), so
     /// a pooled engine's steady state reuses their allocations instead
     /// of churning the table — the config universe is bounded by the
@@ -284,18 +284,6 @@ impl ReuseIndex {
     pub fn next_use(&self, config: ConfigId, window: ReuseWindow) -> Option<u64> {
         let p = self.occurrences.get(config)?.first_at_or_after(window.lo)?;
         (p < window.hi).then_some(p)
-    }
-
-    /// Ordinal of the live segment (0 = the current job, `k` = the
-    /// `k`-1-th backlog job) containing global position `pos`, or
-    /// `None` for a retired or not-yet-assigned position. The engine maps the
-    /// ordinal back to a job index through its own `[current] + arrived`
-    /// bookkeeping — the deadline-aware path's owner lookup. One binary
-    /// search over the segment deque.
-    pub fn segment_of(&self, pos: u64) -> Option<usize> {
-        let i = self.segments.partition_point(|s| s.end() <= pos);
-        let seg = self.segments.get(i)?;
-        (pos >= seg.base).then_some(i)
     }
 
     /// Forward distance of `config` in `window`: the 1-based position
@@ -491,24 +479,6 @@ mod tests {
         assert_eq!(w.len(), 0);
         assert_eq!(idx.next_use(c(1), w), None);
         assert!(idx.iter_window(w).next().is_none());
-    }
-
-    #[test]
-    fn segment_of_maps_positions_to_live_ordinals() {
-        let mut idx = ReuseIndex::new();
-        idx.push_job(seq(&[1, 2])); // positions 0..2
-        idx.push_job(seq(&[3])); // position 2
-        idx.push_job(seq(&[4, 5])); // positions 3..5
-        assert_eq!(idx.segment_of(0), Some(0));
-        assert_eq!(idx.segment_of(1), Some(0));
-        assert_eq!(idx.segment_of(2), Some(1));
-        assert_eq!(idx.segment_of(4), Some(2));
-        assert_eq!(idx.segment_of(5), None, "beyond the live stream");
-        idx.retire_front();
-        // Positions of the retired front are gone; ordinals shift down.
-        assert_eq!(idx.segment_of(0), None);
-        assert_eq!(idx.segment_of(2), Some(0));
-        assert_eq!(idx.segment_of(3), Some(1));
     }
 
     #[test]

@@ -437,7 +437,7 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Events of one kind, via a filter-map on the event slice.
+    /// Every recorded event, in order.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
     }
@@ -525,14 +525,6 @@ impl Trace {
         c
     }
 
-    /// Count of reuse events.
-    pub fn reuse_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Reuse { .. }))
-            .count()
-    }
-
     /// Renders the per-RU schedule as an ASCII Gantt chart:
     /// `%` = demand reconfiguration, `s` = speculative reconfiguration
     /// (prefetch; cancelled writes paint up to the abort), `#` =
@@ -610,7 +602,7 @@ mod tests {
         });
         tr.push(TraceEvent::GraphEnd { job: 0, at: t(5) });
         assert_eq!(tr.len(), 3);
-        assert_eq!(tr.reuse_count(), 1);
+        assert_eq!(tr.counts().reuses, 1);
     }
 
     #[test]

@@ -812,8 +812,7 @@ impl Checker for PrefetchGuard {
         // Priority lanes, preemptions and fault-recovery re-queues
         // reorder the request stream dynamically; the linear
         // arrival-order model below would produce false positives, so
-        // the guard only audits FIFO fault-free runs (the engine-side
-        // slack guard covers the QoS regime).
+        // the guard only audits FIFO fault-free runs.
         if qos_active(cx) || faults_active(cx) {
             return;
         }

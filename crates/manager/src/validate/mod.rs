@@ -320,8 +320,7 @@ pub struct CheckerRegistry {
 }
 
 impl CheckerRegistry {
-    /// An empty registry (extension point for future subsystems —
-    /// preemption invariants register here without touching the core).
+    /// An empty registry, for a caller that registers its own checkers.
     pub fn empty() -> Self {
         Self {
             entries: Vec::new(),

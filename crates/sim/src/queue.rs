@@ -115,8 +115,8 @@ impl<T> EventQueue<T> {
     }
 
     /// Creates an empty queue whose heap can hold `capacity` events
-    /// before reallocating — pre-size for the expected backlog of a
-    /// batch run.
+    /// before reallocating — pre-size for the most events that can be
+    /// in flight at once.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             events: Vec::with_capacity(capacity),
@@ -221,11 +221,6 @@ impl<T> EventQueue<T> {
         Some((time, priority))
     }
 
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.events.last().map(|(_, e)| e.time)
-    }
-
     /// The full ordering key `(time, priority, seq)` of the next event
     /// without removing it — lets an owner merge this queue with an
     /// external sorted lane under the queue's own total order.
@@ -307,15 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_matches_next_pop() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ms(4), 1, 'x');
-        q.push(SimTime::from_ms(4), 0, 'y');
-        assert_eq!(q.peek_time(), Some(SimTime::from_ms(4)));
-        assert_eq!(q.pop().unwrap().payload, 'y');
-    }
-
-    #[test]
     #[should_panic]
     #[cfg(debug_assertions)]
     fn push_into_past_panics_in_debug() {
@@ -392,6 +378,7 @@ mod tests {
         q.push(SimTime::from_ms(4), 1, 'x');
         q.push(SimTime::from_ms(4), 0, 'y');
         assert_eq!(q.peek_key(), Some((SimTime::from_ms(4), 0, 1)));
+        assert_eq!(q.pop().unwrap().payload, 'y');
     }
 
     #[test]

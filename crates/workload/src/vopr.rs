@@ -1149,8 +1149,10 @@ impl CampaignSummary {
     /// The per-checker coverage summary as CSV, with one
     /// `fault:<class>` row per runtime fault class (fired = total
     /// injections of that class), one `fleet:devices-<n>` row per pool
-    /// width and one `fleet:placement-<policy>` row per placement
-    /// policy (fired = cases).
+    /// width, one `fleet:placement-<policy>` row per placement policy
+    /// (fired = cases), and the `cases:checked` and `cases:stalled`
+    /// rows (fired = cases the checkers ran on / cases where subject
+    /// and reference stalled identically).
     pub fn coverage_csv(&self) -> String {
         let mut s = String::from("checker,fired,violations\n");
         for c in &self.coverage {
@@ -1168,6 +1170,9 @@ impl CampaignSummary {
         for (kind, n) in PlacementKind::ALL.iter().zip(self.placement_cases) {
             s.push_str(&format!("fleet:placement-{},{n},0\n", kind.label()));
         }
+        let checked = self.cases - self.stalled - self.stall_mismatches;
+        s.push_str(&format!("cases:checked,{checked},0\n"));
+        s.push_str(&format!("cases:stalled,{},0\n", self.stalled));
         s
     }
 }

@@ -19,10 +19,11 @@
 use rtr_core::LruPolicy;
 use rtr_manager::{
     simulate, CheckContext, CheckerRegistry, JobSpec, ManagerConfig, PreemptionMode, QosClass,
-    SimulationOutcome,
+    RunStats, SimulationOutcome,
 };
 use rtr_sim::{SimDuration, SimTime};
 use rtr_taskgraph::{ConfigId, TaskGraphBuilder};
+use rtr_workload::vopr::{build_case, build_policy, Fingerprint};
 use std::sync::Arc;
 
 fn low_graph() -> Arc<rtr_taskgraph::TaskGraph> {
@@ -183,4 +184,69 @@ fn higher_priority_arrival_preempts_the_preemptor() {
     assert_eq!(c.preemptions, 2);
     assert_eq!(c.resumes, 2);
     assert_eq!(out.stats.graph_completions.len(), 3);
+}
+
+/// Zeroes every statistic a deadline feeds: the miss count and the
+/// tardiness, overall and per class.
+fn without_deadline_ledger(mut stats: RunStats) -> RunStats {
+    stats.qos.deadline_misses = 0;
+    stats.qos.tardiness_total = SimDuration::ZERO;
+    for row in &mut stats.qos.class_sojourns {
+        row.deadline_misses = 0;
+        row.tardiness_total = SimDuration::ZERO;
+    }
+    stats
+}
+
+#[test]
+fn deadlines_never_change_the_schedule() {
+    // A deadline is measured, never scheduled by: stripping every
+    // deadline from a case must leave its trace and every statistic
+    // outside the miss/tardiness ledger untouched. The cases are the
+    // single-device vopr cases that combine deadlines with prefetching,
+    // the feature most likely to grow a deadline rule.
+    let mut kept = 0;
+    for case_index in 0..500 {
+        let fp = Fingerprint {
+            master_seed: 0x5EEDC,
+            case_index,
+            fault: None,
+        };
+        let case = build_case(&fp);
+        let knobs = &case.knobs;
+        if knobs.devices != 1
+            || knobs.depth == 0
+            || case.jobs.iter().all(|j| j.qos.deadline.is_none())
+        {
+            continue;
+        }
+        kept += 1;
+        let mut stripped = case.jobs.clone();
+        for job in &mut stripped {
+            job.qos.deadline = None;
+        }
+        let run = |jobs: &[JobSpec]| {
+            let mut policy = build_policy(knobs.policy, knobs.scenario_seed);
+            simulate(&case.cfg, jobs, policy.as_mut())
+        };
+        match (run(&case.jobs), run(&stripped)) {
+            (Ok(with), Ok(without)) => {
+                assert_eq!(with.trace, without.trace, "case {case_index}: trace");
+                assert_eq!(
+                    without_deadline_ledger(with.stats),
+                    without_deadline_ledger(without.stats),
+                    "case {case_index}: stats"
+                );
+            }
+            (with, without) => assert_eq!(
+                with.err(),
+                without.err(),
+                "case {case_index}: one run failed, the other did not"
+            ),
+        }
+    }
+    assert!(
+        kept >= 100,
+        "only {kept} cases combine deadlines and prefetch"
+    );
 }
