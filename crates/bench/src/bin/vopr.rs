@@ -1,5 +1,5 @@
 //! The VOPR: a deterministic fuzz harness driving seeded scenario ×
-//! policy × arrival × prefetch × engine-lifecycle campaigns through
+//! policy × arrival × prefetch × QoS × fault × fleet campaigns through
 //! the named invariant-checker registry.
 //!
 //! ```text
@@ -17,14 +17,14 @@
 //! fixed master seed, 1000 cases, all checkers enabled; it writes the
 //! per-checker coverage summary to `results/vopr_coverage.csv`, fails
 //! on any violation, and fails if any registered checker never fired
-//! or any lifecycle, required depth, preemption mode, QoS class mix,
-//! runtime fault-rate class, fault-class mix, fault class, pooled
-//! device count or placement policy went unexercised.
+//! or any required depth, preemption mode, QoS class mix, runtime
+//! fault-rate class, fault-class mix, fault class, pooled device count
+//! or placement policy went unexercised.
 
 use rtr_manager::{CheckerRegistry, PlacementKind, PreemptionMode};
 use rtr_workload::vopr::{
     case_report, fault_mix_label, fault_rate_label, qos_mix_label, run_campaign, CampaignConfig,
-    CampaignSummary, Fingerprint, Lifecycle, DEPTHS,
+    CampaignSummary, Fingerprint, DEPTHS,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -126,11 +126,7 @@ fn print_summary(summary: &CampaignSummary) {
         "\n{} cases: {} violating, {} stalled, {} stall-mismatched",
         summary.cases, summary.violating_cases, summary.stalled, summary.stall_mismatches
     );
-    print!("lifecycles:");
-    for (l, n) in Lifecycle::ALL.iter().zip(summary.lifecycle_cases) {
-        print!(" {}={n}", l.name());
-    }
-    print!("\ndepths (checked cases):");
+    print!("depths (checked cases):");
     for (d, n) in DEPTHS.iter().zip(summary.depth_cases) {
         print!(" {d}={n}");
     }
@@ -181,13 +177,13 @@ fn print_summary(summary: &CampaignSummary) {
     }
 }
 
-/// The coverage gate: every registered checker fired, every lifecycle
-/// ran, the depths the acceptance envelope names (0 and 4) were both
-/// exercised by checked cases, every preemption mode and QoS class
-/// mix was exercised at least once, every runtime fault-rate class
-/// and fault-class mix ran, every fault class actually injected, and
-/// the fleet dimension was covered (2- and 4-device pools both ran,
-/// and every placement policy routed at least one multi-device case).
+/// The coverage gate: every registered checker fired, the depths the
+/// acceptance envelope names (0 and 4) were both exercised by checked
+/// cases, every preemption mode and QoS class mix was exercised at
+/// least once, every runtime fault-rate class and fault-class mix ran,
+/// every fault class actually injected, and the fleet dimension was
+/// covered (2- and 4-device pools both ran, and every placement policy
+/// routed at least one multi-device case).
 fn coverage_gate(summary: &CampaignSummary) -> Result<(), String> {
     let unfired = summary.unfired();
     if !unfired.is_empty() {
@@ -215,11 +211,6 @@ fn coverage_gate(summary: &CampaignSummary) -> Result<(), String> {
                 "fault class mix '{}' never ran",
                 fault_mix_label(mix as u8)
             ));
-        }
-    }
-    for (l, n) in Lifecycle::ALL.iter().zip(summary.lifecycle_cases) {
-        if n == 0 {
-            return Err(format!("lifecycle '{}' never ran", l.name()));
         }
     }
     for (d, n) in DEPTHS.iter().zip(summary.depth_cases) {
@@ -308,9 +299,9 @@ fn run() -> Result<ExitCode, String> {
         println!("\ncoverage summary written to {}", csv_path.display());
         coverage_gate(&summary)?;
         println!(
-            "coverage gate: all checkers fired; all lifecycles, required depths, \
-             preemption modes, qos mixes, fault rates, fault mixes, pool widths \
-             and placement policies ran; every fault class injected"
+            "coverage gate: all checkers fired; all required depths, preemption \
+             modes, qos mixes, fault rates, fault mixes, pool widths and \
+             placement policies ran; every fault class injected"
         );
     }
 

@@ -16,7 +16,7 @@
 //!   ([`TemplateRegistry`]): structural artifacts plus mobility
 //!   vectors computed once per template and system (the "bulk of the
 //!   computations at design time"), shared across grid cells, worker
-//!   threads and pooled engines. The `table2` binary times it against
+//!   threads and their engines. The `table2` binary times it against
 //!   recomputing mobility at every arrival (the paper's 10× claim).
 
 pub mod history;

@@ -18,8 +18,8 @@
 //!   fault plan share one entry.
 //!
 //! The registry is `Sync`: wrap it in an `Arc` and hand clones to
-//! every worker of a parallel grid and to every pooled
-//! [`Engine`](rtr_manager::Engine) (via
+//! every worker of a parallel grid; each cell's
+//! [`Engine`](rtr_manager::Engine) draws from its template set (via
 //! [`Engine::with_templates`](rtr_manager::Engine::with_templates)).
 //! Every entry pins its graph `Arc`, so the pointer identity used as
 //! the key can never be recycled while the registry lives.
@@ -52,7 +52,7 @@ impl MobilityKey {
 }
 
 /// Process-wide memo of design-time artifacts, shared across grid
-/// cells, worker threads and pooled engines.
+/// cells, worker threads and the engines they build.
 #[derive(Debug, Default)]
 pub struct TemplateRegistry {
     seqs: Arc<TemplateSet>,

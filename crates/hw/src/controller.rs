@@ -185,23 +185,6 @@ impl ReconfigController {
     pub fn busy_time(&self) -> SimDuration {
         self.busy_time
     }
-
-    /// Returns the controller to its just-constructed state (idle,
-    /// zero busy time), optionally retargeting the per-load latency —
-    /// the pooled engine's reset hook.
-    ///
-    /// # Panics
-    /// Panics on a zero latency, like [`ReconfigController::new`].
-    pub fn reset(&mut self, latency: SimDuration) {
-        assert!(
-            !latency.is_zero(),
-            "reconfiguration latency must be positive (the ideal baseline \
-             is simulated separately)"
-        );
-        self.latency = latency;
-        self.in_flight = None;
-        self.busy_time = SimDuration::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -328,18 +311,6 @@ mod tests {
         // no port time was spent.
         let op = c.cancel(SimTime::from_ms(12));
         assert_eq!(op.lane, SPEC);
-        assert!(c.is_idle());
-        assert_eq!(c.busy_time(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn reset_zeroes_every_counter() {
-        let mut c = ctl();
-        c.start(RuId(0), ConfigId(1), DEMAND, SimTime::ZERO);
-        c.complete(SimTime::from_ms(4));
-        c.start(RuId(1), ConfigId(2), SPEC, SimTime::from_ms(4));
-        c.cancel(SimTime::from_ms(6));
-        c.reset(SimDuration::from_ms(4));
         assert!(c.is_idle());
         assert_eq!(c.busy_time(), SimDuration::ZERO);
     }

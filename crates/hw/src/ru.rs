@@ -48,10 +48,6 @@ impl ReusableTable {
     fn mask(&self, config: ConfigId) -> u64 {
         self.masks.get(config.0).copied().unwrap_or(0)
     }
-
-    fn clear(&mut self) {
-        self.masks.clear_values(|m| *m = 0);
-    }
 }
 
 /// Index of a reconfigurable unit.
@@ -272,35 +268,6 @@ impl RuPool {
             } => Some((r, config)),
             _ => None,
         })
-    }
-
-    /// Returns every RU to [`RuState::Empty`], keeping the pool's
-    /// allocation — the power-on state a pooled engine resets to.
-    pub fn reset(&mut self) {
-        self.states.fill(RuState::Empty);
-        self.empties = self.states.len();
-        self.reusable.clear();
-        self.corrupt.fill(false);
-        self.quarantined = 0;
-    }
-
-    /// Resets and, if `count` differs from the current size, resizes the
-    /// pool (used when a pooled engine is re-targeted at another system
-    /// configuration).
-    ///
-    /// # Panics
-    /// Panics if `count` is zero or exceeds `u16::MAX`.
-    pub fn reset_to(&mut self, count: usize) {
-        assert!(count > 0, "a reconfigurable system needs at least one RU");
-        assert!(count <= u16::MAX as usize, "RU count exceeds RuId range");
-        self.states.clear();
-        self.states.resize(count, RuState::Empty);
-        self.empties = count;
-        self.reusable.clear();
-        self.mask_tracking = count <= 64;
-        self.corrupt.clear();
-        self.corrupt.resize(count, false);
-        self.quarantined = 0;
     }
 
     /// Starts loading `config` into `ru`, evicting any unclaimed
@@ -835,10 +802,6 @@ mod tests {
         // Busy units cannot be quarantined directly.
         pool.begin_load(ru, C2).unwrap();
         assert!(pool.quarantine(ru).is_err());
-        // Reset clears quarantine and upset flags.
-        pool.reset();
-        assert_eq!(pool.quarantined_count(), 0);
-        assert_eq!(pool.first_empty(), Some(RuId(0)));
     }
 
     #[test]

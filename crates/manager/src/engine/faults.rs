@@ -2,8 +2,8 @@
 //!
 //! An active [`FaultPlan`](crate::FaultPlan) threads three hardware
 //! fault classes through the engine, each drawn from a SplitMix64
-//! stream seeded by the plan (never wall-clock), so every run — fresh,
-//! pooled, or retargeted — sees the identical fault schedule:
+//! stream seeded by the plan (never wall-clock), so every run of the
+//! same configuration sees the identical fault schedule:
 //!
 //! * **Transient load corruption** — a completed reconfiguration
 //!   (demand or speculative) fails its integrity check. One handler

@@ -25,14 +25,12 @@
 //! demanded node or a prefetch), and the run loop fires the one
 //! `EndOfReconfiguration` event at its `completes` instant.
 //!
-//! **Pooling.** The engine has one reset-and-reuse lifecycle,
-//! [`Engine::reset`](crate::Engine::reset): every allocation that
-//! scales with the workload — the [`ActiveJob`] node records and
-//! recovery queue (recycled through [`JobScratch`]; graphs run
-//! sequentially), the eviction-candidate and ready-successor scratch
-//! buffers, the event heap, the [`ReuseIndex`] occurrence lists and
-//! the [`Trace`] buffer — survives across resets, so a sweep worker's
-//! steady state performs no heap allocation per activation.
+//! **Recycling within a run.** An engine serves one run. Inside it,
+//! the buffers each activation needs are recycled rather than
+//! reallocated: the [`ActiveJob`] node records and recovery queue go
+//! back to [`JobScratch`] at graph completion (graphs run
+//! sequentially), and the eviction-candidate and ready-successor
+//! scratch buffers keep their capacity from event to event.
 //! Design-time artifacts come from a shared
 //! [`TemplateSet`](rtr_taskgraph::TemplateSet), computed once per
 //! distinct template per process rather than per job or per grid cell.
@@ -173,7 +171,7 @@ impl ActiveJob {
     }
 }
 
-/// The pooled vectors loaned to the current [`ActiveJob`]. Graphs
+/// The vectors loaned to the current [`ActiveJob`]. Graphs
 /// execute strictly sequentially, so one set suffices; it grows to the
 /// largest graph seen and is never shrunk.
 #[derive(Debug, Default)]
@@ -191,10 +189,9 @@ impl JobScratch {
 }
 
 /// The run's ledger: every per-run statistic, counted once. The event
-/// handlers increment it, a reset replaces it with
-/// `Counters::default()`, and [`Engine::outcome`](crate::Engine::outcome)
+/// handlers increment it and [`Engine::finish`](crate::Engine::finish)
 /// turns it into [`RunStats`](crate::RunStats). The public stat
-/// structs are embedded as they are; `outcome` fills in the two values
+/// structs are embedded as they are; `finish` fills in the two values
 /// that are not counts (`qos.class_sojourns`, `faults.degraded_time`).
 #[derive(Debug, Default)]
 pub(crate) struct Counters {

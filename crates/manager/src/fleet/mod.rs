@@ -305,11 +305,6 @@ impl Fleet {
         }
     }
 
-    /// The fleet configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
     /// Number of pooled devices.
     pub fn devices(&self) -> usize {
         self.engines.len()
@@ -450,13 +445,14 @@ impl Fleet {
         }
     }
 
-    /// Collects every device's outcome and rolls them up into
-    /// [`FleetStats`]. Fails with the first device's [`SimError`] if
-    /// any device stalled or lost its whole RU pool.
-    pub fn outcome(&mut self) -> Result<FleetOutcome, SimError> {
+    /// Finishes every device's engine and rolls the outcomes up into
+    /// [`FleetStats`], consuming the fleet. Fails with the first
+    /// device's [`SimError`] if any device stalled or lost its whole RU
+    /// pool.
+    pub fn outcome(self) -> Result<FleetOutcome, SimError> {
         let mut devices = Vec::with_capacity(self.engines.len());
-        for engine in &mut self.engines {
-            devices.push(engine.outcome()?);
+        for engine in self.engines {
+            devices.push(engine.finish()?);
         }
         // Every admitted job completed (a device outcome errors
         // otherwise), so the per-tenant completion ledger is the
@@ -486,8 +482,8 @@ impl Fleet {
         Ok(FleetOutcome {
             stats,
             devices,
-            decisions: std::mem::take(&mut self.decisions),
-            admissions: std::mem::take(&mut self.admissions),
+            decisions: self.decisions,
+            admissions: self.admissions,
         })
     }
 }

@@ -78,7 +78,7 @@ pub fn ideal_sequence_makespan(jobs: &[JobSpec], rus: usize) -> SimDuration {
 }
 
 /// The sequencing rule itself, shared with the engine's memoised path
-/// ([`Engine::outcome`](crate::Engine::outcome)): jobs run strictly
+/// ([`Engine::finish`](crate::Engine::finish)): jobs run strictly
 /// sequentially in the given `(arrival, submission)` order, each
 /// starting no earlier than its arrival, with `graph_ideal` supplying
 /// the per-graph zero-latency makespan (computed here, memoised per

@@ -38,11 +38,17 @@ use std::sync::Arc;
 /// Simulation failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The event queue drained before all jobs completed. With correct
-    /// inputs this can only happen when a skip (run-time or forced
-    /// mobility probe) waited for a "following event" that does not
-    /// exist; the design-time mobility calculation treats it as an
-    /// infeasible delay.
+    /// The event queue drained before all jobs completed while usable
+    /// RUs remained. With correct inputs this has two causes:
+    ///
+    /// * a skip (run-time or forced mobility probe) waited for a
+    ///   "following event" that does not exist; the design-time
+    ///   mobility calculation treats it as an infeasible delay;
+    /// * a permanent RU fault (a [`FaultPlan`](crate::FaultPlan) whose
+    ///   `repair_latency` is `None`) requeued a task after later tasks
+    ///   of its graph had claimed every usable RU. Claimed RUs are
+    ///   never eviction candidates and those tasks wait on the requeued
+    ///   one, so nothing can run.
     StalledAwaitingEvent {
         /// Jobs fully completed before the stall.
         completed_jobs: usize,
@@ -67,7 +73,8 @@ impl fmt::Display for SimError {
             SimError::StalledAwaitingEvent { completed_jobs, at } => write!(
                 f,
                 "simulation stalled at {at} after {completed_jobs} jobs: a delayed \
-                 reconfiguration waited for an event that never comes"
+                 reconfiguration waited for an event that never comes, or a task \
+                 requeued by a permanent RU fault found every usable RU claimed"
             ),
             SimError::PoolExhausted { completed_jobs, at } => write!(
                 f,
@@ -105,17 +112,13 @@ pub struct SimulationOutcome {
 /// semantics event for event — [`simulate`] is exactly that wrapper,
 /// and the golden Fig. 2/3/7 numbers are regression-tested through it.
 ///
-/// **Pooled lifecycle:** an engine is reusable. [`Engine::reset`]
-/// returns it to the power-on state under a (possibly different)
-/// configuration with a fresh job batch, keeping every workload-sized
-/// allocation — the event heap, the per-node job records, the
-/// reuse-index occurrence lists, the trace buffer — and
-/// [`Engine::outcome`] finalises a run without consuming the engine.
+/// **One run per engine:** build an engine, [`submit`](Engine::submit)
+/// and [`run`](Engine::run), then [`finish`](Engine::finish), which
+/// consumes it. Within the run the engine recycles its per-activation
+/// buffers (the current job's node records, the candidate and
+/// ready-successor scratch, the same-instant execution batch).
 /// Design-time artifacts come from a [`TemplateSet`] that can be shared
-/// across engines and threads ([`Engine::with_templates`]);
-/// per-template ideal makespans are memoised per RU count. A pooled run
-/// is bit-exact with a fresh-engine run — pooling is invisible,
-/// determinism is the contract.
+/// across engines and threads ([`Engine::with_templates`]).
 pub struct Engine {
     m: ManagerState,
     jobs: Vec<JobSpec>,
@@ -132,20 +135,9 @@ pub struct Engine {
     lane_cursor: usize,
     /// An out-of-order submission happened since the last sort.
     lane_dirty: bool,
-    /// Per-template ideal (zero-latency) makespans for the current RU
-    /// count; entries pin their graph so pointer keys stay unambiguous.
-    ideal_cache: FxHashMap<usize, (Arc<TaskGraph>, SimDuration)>,
-    /// Set once [`Engine::outcome`] has moved the run's output buffers
-    /// out. Further `submit`/`run` calls are rejected until a reset:
-    /// they would produce stats whose per-graph instants cover only
-    /// the jobs after the finalisation while the counters cover all —
-    /// silently inconsistent. (The pre-pooling `finish(self)` made
-    /// this impossible by consuming the engine.)
-    finalised: bool,
     /// Name of the policy last passed to [`Engine::run`] (for stats).
     policy_name: String,
-    /// Scratch for batched same-instant `EndOfExecution` dispatch,
-    /// pooled across runs.
+    /// Scratch for batched same-instant `EndOfExecution` dispatch.
     exec_batch: Vec<Event>,
 }
 
@@ -205,16 +197,9 @@ impl Engine {
             arrival_lane: Vec::new(),
             lane_cursor: 0,
             lane_dirty: false,
-            ideal_cache: FxHashMap::default(),
-            finalised: false,
             policy_name: String::new(),
             exec_batch: Vec::new(),
         }
-    }
-
-    /// The engine's shared design-time artifact table.
-    pub fn template_set(&self) -> &Arc<TemplateSet> {
-        &self.templates
     }
 
     /// Submits a job; its arrival event fires at `job.arrival`. Returns
@@ -229,10 +214,6 @@ impl Engine {
     /// Panics if the arrival lies in the simulated past (before the
     /// time of the last processed event).
     pub fn submit(&mut self, job: JobSpec) -> usize {
-        assert!(
-            !self.finalised,
-            "engine outcome already taken: reset before submitting more jobs"
-        );
         assert!(
             job.arrival >= self.m.queue.now(),
             "job arrival {} is in the simulated past (now = {})",
@@ -261,19 +242,15 @@ impl Engine {
     ///
     /// The policy is passed per call (not stored) so the same engine
     /// can be driven by external schedulers; pass the same policy on
-    /// every call for meaningful history-based decisions. `reset` is
-    /// *not* invoked — callers owning the full run (like [`simulate`])
-    /// reset the policy themselves.
+    /// every call for meaningful history-based decisions. The policy's
+    /// `reset` is *not* invoked — callers owning the full run (like
+    /// [`simulate`]) reset the policy themselves.
     ///
     /// The event loop is monomorphised for `P`: a concrete policy type
     /// lets small policy bodies (an LRU touch is one array store)
     /// inline into the loop, and a boxed policy runs as
     /// `P = dyn ReplacementPolicy` with one vtable call per callback.
     pub fn run<P: ReplacementPolicy + ?Sized>(&mut self, policy: &mut P) {
-        assert!(
-            !self.finalised,
-            "engine outcome already taken: reset before running again"
-        );
         self.policy_name.clear();
         self.policy_name.push_str(policy.name());
         if self.lane_dirty {
@@ -393,11 +370,6 @@ impl Engine {
         self.m.queue.now()
     }
 
-    /// Number of jobs submitted so far.
-    pub fn submitted_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Number of jobs that ran to completion so far.
     pub fn completed_jobs(&self) -> usize {
         self.m.completed_jobs
@@ -414,90 +386,13 @@ impl Engine {
             && self.lane_cursor == self.arrival_lane.len()
     }
 
-    /// The engine's shared next-occurrence index over `[current job] +
-    /// arrived backlog` — exposed read-only for diagnostics and
-    /// benches.
-    pub fn reuse_index(&self) -> &ReuseIndex {
-        &self.m.reuse_index
-    }
-
-    /// Returns the engine to the power-on state under `cfg` with a fresh
-    /// job batch, keeping every pooled allocation and the shared
-    /// template set — so one engine can serve a whole grid of
-    /// (policy × RU × device) cells. Equivalent to building a new
-    /// engine with `cfg` and submitting `jobs` — bit-exactly, see the
-    /// pooled-equivalence property test — but with no per-run
-    /// allocation beyond the outputs.
+    /// Finalises the run into stats + trace, consuming the engine.
     ///
-    /// # Panics
-    /// Panics if `cfg.rus == 0`.
-    pub fn reset(&mut self, cfg: &ManagerConfig, jobs: &[JobSpec]) {
-        assert!(cfg.rus > 0, "need at least one RU");
-        // A stalled previous run can leave a job active: reclaim its
-        // node records before starting over. A preempted run may
-        // additionally hold suspended jobs (their records are simply
-        // dropped — suspension is off the pooled hot path).
-        if let Some(job) = self.m.current.take() {
-            self.m.scratch.reclaim(job);
-        }
-        self.m.suspended.clear();
-        if cfg.rus != self.m.cfg.rus {
-            // Ideal makespans are memoised per RU count.
-            self.ideal_cache.clear();
-        }
-        self.m.pool.reset_to(cfg.rus);
-        self.m.controller.reset(cfg.device.reconfig_latency);
-        self.m.cfg = cfg.clone();
-        self.m.queue.clear();
-        self.m.arrived.clear();
-        self.m.reuse_index.clear();
-        self.m.pending_activation = None;
-        self.m.completed_jobs = 0;
-        self.m.trace.clear();
-        self.m.counters = Counters::default();
-        self.m.prefetched.clear();
-        self.m.prefetched.resize(cfg.rus, false);
-        self.m.prefetch_scratch.clear();
-        self.m.graph_arrivals.clear();
-        self.m.graph_completions.clear();
-        self.m.graph_arrivals.reserve(jobs.len());
-        self.m.graph_completions.reserve(jobs.len());
-        self.m.makespan_end = SimTime::ZERO;
-        self.m.exec_token.clear();
-        self.m.exec_token.resize(cfg.rus, 0);
-        self.m.pending_preempt = false;
-        self.m.index_fifo = true;
-        self.m.qos_records.clear();
-        // Reseeding makes pooled and retargeted runs draw the identical
-        // fault schedule a fresh engine would.
-        self.m.faults = FaultRuntime::seeded(cfg.faults.seed);
-        self.finalised = false;
-        self.policy_name.clear();
-        // Submission-scoped state follows the job list; re-submission
-        // below rebuilds it.
-        self.m.job_templates.clear();
-        self.m.qos_lanes = false;
-        self.jobs.clear();
-        self.arrival_lane.clear();
-        self.lane_cursor = 0;
-        self.lane_dirty = false;
-        for job in jobs {
-            self.submit(job.clone());
-        }
-    }
-
-    /// Finalises the current run into stats + trace without consuming
-    /// the engine: the output buffers (trace, per-graph instants) are
-    /// moved out, everything pooled stays. A successful `outcome`
-    /// finalises the engine — call [`Engine::reset`] before submitting
-    /// or running again; doing so without a reset panics, because the
-    /// already-taken per-graph instants would make any further stats
-    /// internally inconsistent.
-    ///
-    /// Returns [`SimError::StalledAwaitingEvent`] when some submitted
-    /// job did not complete (a delayed reconfiguration waited for an
-    /// event that never came).
-    pub fn outcome(&mut self) -> Result<SimulationOutcome, SimError> {
+    /// Returns [`SimError::PoolExhausted`] when some submitted job did
+    /// not complete and every RU is quarantined with no repair coming,
+    /// and [`SimError::StalledAwaitingEvent`] when some submitted job
+    /// did not complete for another reason.
+    pub fn finish(mut self) -> Result<SimulationOutcome, SimError> {
         if self.m.completed_jobs != self.jobs.len() {
             // Distinguish "the whole pool died with no repair coming"
             // (a fault-plan outcome the caller may expect and handle)
@@ -514,12 +409,11 @@ impl Engine {
             });
         }
         let ideal_makespan = self.ideal_makespan();
-        self.finalised = true;
         let class_sojourns = self.fold_class_sojourns();
         let c = mem::take(&mut self.m.counters);
         let device = &self.m.cfg.device;
         let stats = RunStats {
-            policy: self.policy_name.clone(),
+            policy: mem::take(&mut self.policy_name),
             makespan: self.m.makespan_end.since(SimTime::ZERO),
             executed: c.executed,
             reuses: c.reuses,
@@ -551,12 +445,6 @@ impl Engine {
             stats,
             trace: mem::take(&mut self.m.trace),
         })
-    }
-
-    /// Finalises the run, consuming the engine (the one-shot form of
-    /// [`Engine::outcome`]).
-    pub fn finish(mut self) -> Result<SimulationOutcome, SimError> {
-        self.outcome()
     }
 
     /// Folds the run's per-completion QoS records into per-class
@@ -594,30 +482,25 @@ impl Engine {
 
     /// [`ideal_sequence_makespan`](crate::ideal::ideal_sequence_makespan)
     /// over the submitted jobs, with the per-graph ideal memoised per
-    /// template — the pre-pooling implementation re-derived the
-    /// reconfiguration sequence and re-ran list scheduling for every
-    /// *job instance*, which dominated run finalisation on long streams.
-    fn ideal_makespan(&mut self) -> SimDuration {
+    /// template: re-deriving it for every *job instance* would dominate
+    /// run finalisation on long streams.
+    fn ideal_makespan(&self) -> SimDuration {
         // The arrival lane is exactly the required order — (arrival,
-        // submission index), stably sorted — and `outcome` only runs
-        // once every submitted arrival has been consumed, so it is
-        // fully sorted here; no per-run order buffer needed.
+        // submission index), stably sorted — and `finish` only gets
+        // here once every submitted arrival has been consumed, so it is
+        // fully sorted; no per-run order buffer needed.
         debug_assert_eq!(self.arrival_lane.len(), self.jobs.len());
         let rus = self.m.cfg.rus;
-        let ideal_cache = &mut self.ideal_cache;
+        // `self.jobs` keeps every graph alive while the memo lives, so
+        // a template's address identifies it.
+        let mut memo: FxHashMap<*const TaskGraph, SimDuration> = FxHashMap::default();
         crate::ideal::ideal_sequence_makespan_with(
             &self.jobs,
             self.arrival_lane.iter().map(|&(_, i)| i),
             |g| {
-                let key = Arc::as_ptr(g) as usize;
-                match ideal_cache.get(&key) {
-                    Some(&(_, d)) => d,
-                    None => {
-                        let d = ideal_graph_makespan(g, rus);
-                        ideal_cache.insert(key, (Arc::clone(g), d));
-                        d
-                    }
-                }
+                *memo
+                    .entry(Arc::as_ptr(g))
+                    .or_insert_with(|| ideal_graph_makespan(g, rus))
             },
         )
     }
@@ -914,68 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_reset_reproduces_fresh_runs() {
-        // One engine, three different batches, each bit-exact with a
-        // fresh simulate (stats + trace).
-        let jpeg = Arc::new(benchmarks::jpeg());
-        let mpeg = Arc::new(benchmarks::mpeg1());
-        let batches: Vec<Vec<JobSpec>> = vec![
-            vec![JobSpec::new(Arc::clone(&jpeg)); 3],
-            vec![JobSpec::new(Arc::clone(&mpeg)), JobSpec::new(jpeg)],
-            vec![JobSpec::new(mpeg)],
-        ];
-        let cfg = ManagerConfig::paper_default();
-        let mut engine = Engine::new(&cfg);
-        for jobs in &batches {
-            engine.reset(&cfg, jobs);
-            engine.run(&mut FirstCandidatePolicy);
-            let pooled = engine.outcome().expect("batch completes");
-            let fresh = simulate(&cfg, jobs, &mut FirstCandidatePolicy).unwrap();
-            assert_eq!(pooled.stats, fresh.stats);
-            assert_eq!(pooled.trace, fresh.trace);
-        }
-    }
-
-    #[test]
-    fn reset_retargets_system() {
-        let jobs = vec![JobSpec::new(Arc::new(benchmarks::mpeg1()))];
-        let mut engine = Engine::new(&ManagerConfig::paper_default());
-        // 1 RU: fully serial (see single_ru_serialises_with_replacement).
-        let one_ru = ManagerConfig::paper_default().with_rus(1);
-        engine.reset(&one_ru, &jobs);
-        engine.run(&mut FirstCandidatePolicy);
-        let serial = engine.outcome().unwrap();
-        assert_eq!(
-            serial.stats.makespan,
-            ms(5 * 4) + benchmarks::mpeg1().total_exec_time()
-        );
-        // Back to 4 RUs on the same engine.
-        engine.reset(&ManagerConfig::paper_default(), &jobs);
-        engine.run(&mut FirstCandidatePolicy);
-        let wide = engine.outcome().unwrap();
-        let fresh = simulate(
-            &ManagerConfig::paper_default(),
-            &jobs,
-            &mut FirstCandidatePolicy,
-        )
-        .unwrap();
-        assert_eq!(wide.stats, fresh.stats);
-    }
-
-    #[test]
-    #[should_panic(expected = "outcome already taken")]
-    fn running_after_outcome_without_reset_panics() {
-        // Pre-pooling, `finish(self)` consumed the engine, so a
-        // finalised engine could never run again; the pooled form keeps
-        // that protocol explicit.
-        let mut engine = Engine::new(&ManagerConfig::paper_default());
-        engine.submit(JobSpec::new(Arc::new(benchmarks::jpeg())));
-        engine.run(&mut FirstCandidatePolicy);
-        let _ = engine.outcome().unwrap();
-        engine.run(&mut FirstCandidatePolicy);
-    }
-
-    #[test]
     fn shared_template_set_interns_across_engines() {
         let set = Arc::new(rtr_taskgraph::TemplateSet::new());
         let g = Arc::new(benchmarks::jpeg());
@@ -997,9 +818,9 @@ mod tests {
         let mut engine = Engine::new(&ManagerConfig::paper_default());
         engine.submit(JobSpec::new(Arc::clone(&g)));
         engine.submit(JobSpec::new(g));
-        assert!(engine.reuse_index().is_empty(), "indexed on arrival");
+        assert!(engine.m.reuse_index.is_empty(), "indexed on arrival");
         engine.run(&mut FirstCandidatePolicy);
-        assert!(engine.reuse_index().is_empty(), "retired on completion");
+        assert!(engine.m.reuse_index.is_empty(), "retired on completion");
         assert_eq!(engine.completed_jobs(), 2);
     }
 }

@@ -189,9 +189,8 @@ pub struct ReuseIndex {
     /// monotone (positions only grow), pops are front-first (retired
     /// jobs hold the smallest positions), so each list stays sorted
     /// without ever sorting. Emptied lists are kept (not removed), so
-    /// a pooled engine's steady state reuses their allocations instead
-    /// of churning the table — the config universe is bounded by the
-    /// template set.
+    /// a long run reuses their allocations instead of churning the
+    /// table — the config universe is bounded by the template set.
     occurrences: OccurrenceTable,
     /// `[current job] + arrived backlog`, in activation order.
     segments: VecDeque<IndexSegment>,
@@ -237,9 +236,9 @@ impl ReuseIndex {
     }
 
     /// Empties the index while keeping every allocation (segment deque,
-    /// per-config occurrence lists, map table) — the pooled engine's
-    /// reset hook. A cleared index answers queries exactly like a fresh
-    /// one: the position space restarts at 0.
+    /// per-config occurrence lists, map table) — the QoS planned-order
+    /// rebuild starts from here. A cleared index answers queries
+    /// exactly like a fresh one: the position space restarts at 0.
     pub fn clear(&mut self) {
         self.occurrences.clear();
         self.segments.clear();

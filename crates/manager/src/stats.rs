@@ -249,8 +249,7 @@ pub struct RunStats {
     /// Total time the single reconfiguration port spent writing
     /// bitstreams (demand loads, completed prefetches and the written
     /// part of cancelled ones) — the port-utilisation counter of the
-    /// `ReconfigController`, surfaced so pooled-vs-fresh equality pins
-    /// it.
+    /// `ReconfigController`, surfaced so run-to-run equality pins it.
     pub port_busy_time: SimDuration,
     /// Arrival instant of each task graph, in activation order
     /// (all-zero in the paper's batch setting).

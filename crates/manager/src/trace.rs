@@ -421,12 +421,6 @@ impl Trace {
         self.events.push(ev);
     }
 
-    /// Empties the trace, keeping the buffer allocation (pooled engine
-    /// reset).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
     /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()

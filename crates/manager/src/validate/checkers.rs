@@ -1655,9 +1655,9 @@ impl Checker for CorruptNeverReused {
     }
 }
 
-/// The pooled-engine / determinism contract: the run is bit-exact with
-/// the reference outcome — field-level pins first so a divergence
-/// names the leaked counter, then full stats and the event-for-event
+/// The determinism and fleet-device contract: the run is bit-exact
+/// with the reference outcome — field-level pins first so a divergence
+/// names the diverging counter, then full stats and the event-for-event
 /// trace.
 struct PooledIdentity;
 

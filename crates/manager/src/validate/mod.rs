@@ -60,8 +60,9 @@
 //!   reuse claim or backs an execution start before a rewrite (or the
 //!   unit's quarantine) clears it.
 //! * `pooled-identity` — the run is bit-exact with a reference
-//!   [`SimulationOutcome`] (stats and trace), the pooled-engine
-//!   contract.
+//!   [`SimulationOutcome`] (stats and trace): a second run of the same
+//!   case checks determinism, and a dedicated engine on a fleet
+//!   device's routed jobs checks that pooling devices is invisible.
 //! * `tenant-isolation` — admission control rejects only over-quota
 //!   submissions: a below-quota tenant is always admitted, no matter
 //!   how far another tenant overdrew its own quota.
@@ -118,7 +119,7 @@ pub struct CheckContext<'a> {
     /// Run statistics, when counter checks should run.
     pub stats: Option<&'a RunStats>,
     /// A reference outcome the run must be bit-exact with (the
-    /// pooled-engine / determinism contract).
+    /// determinism and fleet-device contract).
     pub reference: Option<&'a SimulationOutcome>,
     /// The prefetch depth the run was configured with, when known.
     pub prefetch_depth: Option<usize>,

@@ -22,8 +22,8 @@ const DENSE_IDS: u32 = 1 << 16;
 /// Dense-by-id storage with hash spill (see module docs). Values are
 /// created on first [`entry`](DenseIdMap::entry) access via `Default`;
 /// [`clear_values`](DenseIdMap::clear_values) resets contents while
-/// keeping every allocation, which is what the pooled engine's reset
-/// path wants.
+/// keeping every allocation, which is what a rebuild of the reuse
+/// index or a policy reset wants.
 #[derive(Debug, Clone, Default)]
 pub struct DenseIdMap<V> {
     dense: Vec<V>,
@@ -65,7 +65,7 @@ impl<V: Default> DenseIdMap<V> {
     }
 
     /// Applies `reset` to every stored value (dense and spill), keeping
-    /// all allocations — the pooled-reset hook.
+    /// all allocations.
     pub fn clear_values(&mut self, mut reset: impl FnMut(&mut V)) {
         for v in &mut self.dense {
             reset(v);

@@ -131,21 +131,6 @@ impl<T> EventQueue<T> {
         self.events.capacity()
     }
 
-    /// Empties the queue *and* re-arms its ordering invariants, keeping
-    /// the heap allocation: after `clear` the queue is observationally
-    /// identical to a fresh [`EventQueue::new`] — the insertion-sequence
-    /// counter restarts at 0 (so same-time/same-priority ties replay in
-    /// the same order as a fresh run) and the monotonicity clock resets
-    /// to [`SimTime::ZERO`] (so events at any time may be scheduled
-    /// again). This is what makes pooled engine runs bit-exact with
-    /// fresh-engine runs.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.next_seq = 0;
-        self.last_popped = SimTime::ZERO;
-        self.popped_any = false;
-    }
-
     /// Advances the monotonicity clock to `time` without popping — used
     /// when the owner processes a same-stream event that is not stored
     /// in this queue (e.g. the engine's sorted arrival lane), so later
@@ -316,42 +301,6 @@ mod tests {
         let q: EventQueue<u32> = EventQueue::with_capacity(64);
         assert!(q.capacity() >= 64);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn clear_rearms_invariants_and_keeps_capacity() {
-        let mut q = EventQueue::new();
-        for i in 0..32u64 {
-            q.push(SimTime::from_ms(10 + i), 0, i);
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.now(), SimTime::from_ms(41));
-        let cap = q.capacity();
-        q.clear();
-        assert!(cap > 0 && q.capacity() == cap, "store allocation survives");
-        assert_eq!(q.now(), SimTime::ZERO, "monotonicity clock re-armed");
-        // Scheduling before the old clock is legal again, and the seq
-        // counter restarted: same-key ties replay in insertion order
-        // exactly as on a fresh queue.
-        let t = SimTime::from_ms(1);
-        q.push(t, 0, 100u64);
-        q.push(t, 0, 200u64);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec![100, 200]);
-    }
-
-    #[test]
-    fn cleared_queue_reassigns_seq_from_zero() {
-        let mut a = EventQueue::new();
-        a.push(SimTime::ZERO, 0, 'x');
-        a.clear();
-        a.push(SimTime::ZERO, 0, 'y');
-        let fresh_seq = {
-            let mut b = EventQueue::new();
-            b.push(SimTime::ZERO, 0, 'y');
-            b.pop().unwrap().seq
-        };
-        assert_eq!(a.pop().unwrap().seq, fresh_seq);
     }
 
     #[test]

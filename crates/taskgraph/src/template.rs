@@ -36,7 +36,8 @@ pub struct TemplateArtifacts {
     pub cfg_seq: Arc<Vec<ConfigId>>,
     /// Per-node predecessor counts (indexed by node id) — the initial
     /// dependency state of every instance, copied into the engine's
-    /// pooled scratch instead of being re-derived per activation.
+    /// recycled node records instead of being re-derived per
+    /// activation.
     pub pred_counts: Arc<Vec<u32>>,
 }
 

@@ -23,9 +23,9 @@ pub mod qos;
 pub mod table1;
 pub mod table2;
 
-/// Runs `cell` on every grid point over up to `workers` pooled
-/// [`CellRunner`]s sharing one design-time registry, and returns the
-/// results in grid order. The first failing cell in grid order decides
+/// Runs `cell` on every grid point over up to `workers`
+/// [`CellRunner`]s sharing one design-time registry (each cell builds
+/// its own engine), and returns the results in grid order. The first failing cell in grid order decides
 /// the error, so the outcome does not depend on the worker count.
 pub(crate) fn sweep<T, R, F>(grid: Vec<T>, workers: usize, cell: F) -> Result<Vec<R>, SimError>
 where

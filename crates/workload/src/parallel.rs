@@ -63,13 +63,13 @@ where
 /// each worker thread and the resulting state is threaded through every
 /// item that worker processes.
 ///
-/// This is what lets a sweep reuse expensive carriers across cells — a
-/// pooled simulation engine, scratch buffers, a connection — without
-/// any locking: each worker owns its state exclusively. Results are
-/// still returned in input order, and per-cell determinism is
-/// unaffected as long as the state does not leak information between
-/// cells (a pooled engine is reset per cell; the pooled-equivalence
-/// property test pins that resets are invisible).
+/// This is what lets a sweep hand each worker its own carrier — a
+/// [`CellRunner`](crate::runner::CellRunner) holding a handle to the
+/// shared design-time registry — without any locking: each worker owns
+/// its state exclusively. Results are still returned in input order,
+/// and per-cell determinism is unaffected as long as the state does not
+/// leak information between cells (a `CellRunner` builds a fresh
+/// engine for every cell).
 ///
 /// # Panics
 /// Propagates item panics exactly like [`parallel_map`] (lowest failing

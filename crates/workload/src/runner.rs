@@ -169,23 +169,22 @@ impl ReplacementPolicy for TimingPolicy<'_> {
     }
 }
 
-/// Builds a cell's job sequence into `out` through the given
-/// design-time registry, stamping arrivals and QoS classes and gating
-/// mobility on the policy. Returns the wall-clock design time of *this
+/// Builds a cell's job sequence through the given design-time
+/// registry, stamping arrivals and QoS classes and gating mobility on
+/// the policy. Returns the jobs and the wall-clock design time of *this
 /// call* (≈ 0 when the registry already holds the cell's artifacts;
 /// always zero when the policy needs no mobility).
 ///
 /// # Panics
 /// Panics if `arrivals` or `qos` is provided with a length different
 /// from `sequence`.
-fn build_jobs_into(
+fn build_jobs(
     registry: &TemplateRegistry,
-    out: &mut Vec<JobSpec>,
     sequence: &[Arc<TaskGraph>],
     arrivals: Option<&[SimTime]>,
     qos: Option<&[QosClass]>,
     cell: &CellConfig,
-) -> Duration {
+) -> (Vec<JobSpec>, Duration) {
     if let Some(arrivals) = arrivals {
         assert_eq!(
             arrivals.len(),
@@ -205,52 +204,50 @@ fn build_jobs_into(
     let cfg = cell.manager_config();
     let needs_mobility = cell.policy.needs_mobility();
     let t0 = Instant::now();
-    out.clear();
-    out.reserve(sequence.len());
-    for (i, g) in sequence.iter().enumerate() {
-        let job = registry
-            .instantiate(g, &cfg, needs_mobility)
-            .expect("benchmark graphs have feasible reference schedules")
-            .with_arrival(arrival_of(i))
-            .with_qos(qos_of(i));
-        out.push(job);
-    }
-    if needs_mobility {
+    let jobs: Vec<JobSpec> = sequence
+        .iter()
+        .enumerate()
+        .map(|(i, g)| {
+            registry
+                .instantiate(g, &cfg, needs_mobility)
+                .expect("benchmark graphs have feasible reference schedules")
+                .with_arrival(arrival_of(i))
+                .with_qos(qos_of(i))
+        })
+        .collect();
+    let design_time = if needs_mobility {
         t0.elapsed()
     } else {
         Duration::ZERO
-    }
+    };
+    (jobs, design_time)
 }
 
 /// Runs one cell over an application sequence (batch: all arrivals at
 /// t = 0).
 ///
-/// One-shot form: builds a private [`CellRunner`] (fresh engine, fresh
-/// registry), so design-time cost is attributed to this cell alone.
-/// Sweeps should hold a `CellRunner` instead and amortise both.
+/// One-shot form: builds a private [`CellRunner`] (fresh registry), so
+/// design-time cost is attributed to this cell alone. Sweeps should
+/// hold a `CellRunner` instead and amortise it.
 pub fn run_cell(sequence: &[Arc<TaskGraph>], cell: &CellConfig) -> Result<CellResult, SimError> {
     CellRunner::new().run(sequence, cell)
 }
 
-/// A reusable cell executor: one pooled [`Engine`] plus a (typically
-/// shared) design-time [`TemplateRegistry`].
+/// A cell executor over a (typically shared) design-time
+/// [`TemplateRegistry`]. Every cell builds its own [`Engine`], so cells
+/// share nothing but the registry.
 ///
 /// Sweeps create one `CellRunner` per worker thread, all pointing at
-/// one registry — every distinct template is analysed once per
-/// process, and the engine's event heap, scratch vectors, reuse-index
-/// lists and job buffer are reused across every cell and replication
-/// the worker executes. Results are bit-exact with the one-shot
-/// [`run_cell`] path (pinned by the pooled-equivalence property test);
+/// one registry, so every distinct template is analysed once per
+/// process. Results are bit-exact with the one-shot [`run_cell`] path;
 /// only the wall-clock attribution differs — `design_time` reports
 /// this *call's* cost, which is ≈ 0 whenever the registry already
 /// holds the cell's artifacts.
 pub struct CellRunner {
     registry: Arc<TemplateRegistry>,
-    engine: Option<Engine>,
-    jobs: Vec<JobSpec>,
 }
 
-/// Per-worker pooled [`CellRunner`] factory sharing one design-time
+/// Per-worker [`CellRunner`] factory sharing one design-time
 /// `registry` — the worker-init closure a sweep passes to
 /// [`parallel_map_with`](crate::parallel::parallel_map_with).
 pub fn pooled_workers(registry: &Arc<TemplateRegistry>) -> impl Fn() -> CellRunner + Sync + '_ {
@@ -265,11 +262,7 @@ impl CellRunner {
 
     /// A runner drawing design-time artifacts from a shared registry.
     pub fn with_registry(registry: Arc<TemplateRegistry>) -> Self {
-        CellRunner {
-            registry,
-            engine: None,
-            jobs: Vec::new(),
-        }
+        CellRunner { registry }
     }
 
     /// The runner's registry (share it with further runners).
@@ -302,27 +295,18 @@ impl CellRunner {
     ) -> Result<CellResult, SimError> {
         // Design-time phase: memoised in the registry, so only the
         // first cell touching a (template, system) pair pays it.
-        let design_time = build_jobs_into(
-            &self.registry,
-            &mut self.jobs,
-            sequence,
-            arrivals,
-            qos,
-            cell,
-        );
+        let (jobs, design_time) = build_jobs(&self.registry, sequence, arrivals, qos, cell);
         let cfg = cell.manager_config();
-
-        if self.engine.is_none() {
-            self.engine = Some(Engine::with_templates(&cfg, self.registry.template_set()));
+        let mut engine = Engine::with_templates(&cfg, self.registry.template_set());
+        for job in jobs {
+            engine.submit(job);
         }
-        let engine = self.engine.as_mut().expect("just ensured");
-        engine.reset(&cfg, &self.jobs);
         let mut policy = cell.policy.build();
         policy.reset();
         let mut timed = TimingPolicy::new(policy.as_mut());
         let t0 = Instant::now();
         engine.run(&mut timed);
-        let out = engine.outcome()?;
+        let out = engine.finish()?;
         let total_time = t0.elapsed();
         Ok(CellResult {
             stats: out.stats,
@@ -415,15 +399,15 @@ mod tests {
         }
         .generate(seq.len(), 11);
         let cell = CellConfig::new(PolicyKind::Lru, 4);
-        let mut runner = CellRunner::new();
-        let out = runner
+        let out = CellRunner::new()
             .run_with_arrivals_qos(&seq, Some(&arrivals), None, &cell)
             .unwrap();
-        assert!(runner
-            .jobs
-            .iter()
-            .zip(&arrivals)
-            .all(|(j, &a)| j.arrival == a));
+        // Every job arrived at its stamped instant.
+        let mut stamped = arrivals.clone();
+        stamped.sort_unstable();
+        let mut recorded = out.stats.graph_arrivals.clone();
+        recorded.sort_unstable();
+        assert_eq!(recorded, stamped);
         assert_eq!(
             out.stats.executed as usize,
             seq.iter().map(|g| g.len()).sum::<usize>()
@@ -451,8 +435,8 @@ mod tests {
     #[test]
     fn pooled_runner_matches_one_shot_cells() {
         // One CellRunner across heterogeneous cells (policy, RU count,
-        // mobility needs) must reproduce the one-shot path bit-exactly:
-        // stats and trace.
+        // mobility needs) must reproduce the one-shot path bit-exactly
+        // (stats and trace): the shared registry is invisible.
         let seq = small_sequence(8);
         let mut runner = CellRunner::with_registry(Arc::new(TemplateRegistry::new()));
         let mut cells = vec![
@@ -507,8 +491,8 @@ mod tests {
 
     #[test]
     fn identical_reruns_keep_decision_attribution() {
-        // Every pooled run simulates cold: re-running the same cell on
-        // the same runner makes (and times) the same decisions again.
+        // Every run simulates cold: re-running the same cell on the
+        // same runner makes (and times) the same decisions again.
         let seq = small_sequence(5);
         let cell = CellConfig::new(PolicyKind::Lru, 4);
         let mut runner = CellRunner::new();

@@ -3,18 +3,17 @@
 //!
 //! A campaign is a pure function of one `master_seed`: case `i`
 //! derives its knobs (scenario seed, template count, apps, RUs,
-//! arrival process, policy, prefetch depth, engine lifecycle,
-//! head-blocking annotation, preemption mode, QoS class mix, runtime
-//! fault-rate class, fault-class mix, pooled device count, placement
-//! policy and tenant mix) with a SplitMix64 stream, materialises
-//! the scenario, drives the engine through one of three lifecycles
-//! (fresh / reset / retarget) — or, on multi-device draws,
-//! through the fleet front-end — and validates the run through
-//! the shared [`CheckerRegistry`] — including bit-exactness against a
-//! fresh reference run (`pooled-identity`); fleet cases additionally
-//! partition the jobs by the recorded placement decisions and check
-//! every pooled engine against an independent run on its routed
-//! subset.
+//! arrival process, policy, prefetch depth, head-blocking annotation,
+//! preemption mode, QoS class mix, runtime fault-rate class,
+//! fault-class mix, pooled device count, placement policy and tenant
+//! mix) with a SplitMix64 stream, materialises the scenario, runs it
+//! through [`simulate`] — or, on multi-device draws, through the fleet
+//! front-end — and validates the run through the shared
+//! [`CheckerRegistry`]. The `pooled-identity` checker compares the
+//! subject with a second run of the same case, a run-to-run
+//! determinism check; fleet cases instead partition the jobs by the
+//! recorded placement decisions and check every pooled engine against
+//! a dedicated engine on its routed subset.
 //!
 //! Every failing case is summarised by a [`Fingerprint`]
 //! (`vopr-<master_seed>-<case_index>[-f<fault>]`) that
@@ -36,10 +35,9 @@ use rtr_core::{
     compute_mobility, FifoPolicy, LfdPolicy, LfuPolicy, LruPolicy, MruPolicy, RandomPolicy,
 };
 use rtr_manager::{
-    simulate, simulate_fleet, CheckContext, CheckerRegistry, Engine, FaultPlan,
-    FirstCandidatePolicy, FleetConfig, JobSpec, Lookahead, ManagerConfig, PlacementKind,
-    PreemptionMode, PrefetchConfig, QosClass, RegistryReport, ReplacementPolicy, SimError,
-    SimulationOutcome, TenantId, TraceEvent,
+    simulate, simulate_fleet, CheckContext, CheckerRegistry, FaultPlan, FirstCandidatePolicy,
+    FleetConfig, JobSpec, Lookahead, ManagerConfig, PlacementKind, PreemptionMode, PrefetchConfig,
+    QosClass, RegistryReport, ReplacementPolicy, SimulationOutcome, TenantId, TraceEvent,
 };
 use rtr_taskgraph::generate::{self, GenConfig};
 use rtr_taskgraph::TaskGraph;
@@ -61,34 +59,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// How the engine is driven through a case. All three shapes must
-/// produce the bit-identical outcome of a fresh [`simulate`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lifecycle {
-    /// A fresh engine per run (the [`simulate`] wrapper).
-    Fresh,
-    /// Warm the engine on the case's configuration, then
-    /// [`Engine::reset`] and rerun.
-    Reset,
-    /// Warm the engine under a *different* RU count, then
-    /// [`Engine::reset`] onto the case's configuration.
-    Retarget,
-}
-
-impl Lifecycle {
-    /// All lifecycles, in the order the campaign cycles through them.
-    pub const ALL: [Lifecycle; 3] = [Lifecycle::Fresh, Lifecycle::Reset, Lifecycle::Retarget];
-
-    /// Stable label (knob summaries, coverage reports).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Lifecycle::Fresh => "fresh",
-            Lifecycle::Reset => "reset",
-            Lifecycle::Retarget => "retarget",
-        }
-    }
 }
 
 /// A deliberate post-run corruption of the subject outcome — the
@@ -192,10 +162,10 @@ impl FromStr for Fingerprint {
     }
 }
 
-/// The derived knobs of one case. `lifecycle` and `depth` cycle
-/// deterministically with the case index so every campaign of ≥ 16
-/// cases covers all three lifecycles at every depth; the rest streams
-/// from SplitMix64.
+/// The derived knobs of one case. `depth` cycles deterministically
+/// with the case index (four consecutive cases per depth), so every
+/// campaign of ≥ 16 cases covers every depth; the rest streams from
+/// SplitMix64.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaseKnobs {
     /// Seed for the template family / arrival / annotation draws.
@@ -212,8 +182,6 @@ pub struct CaseKnobs {
     pub policy: u8,
     /// Prefetch depth (cycled through [`DEPTHS`]).
     pub depth: usize,
-    /// Engine lifecycle (cycled through [`Lifecycle::ALL`]).
-    pub lifecycle: Lifecycle,
     /// Head-blocking annotation: 0 = none, 1 = mobility + Skip
     /// Events, 2 = a forced one-event delay on one node per job.
     pub annotate: u8,
@@ -232,10 +200,7 @@ pub struct CaseKnobs {
     /// loads only, 2 = resident upsets only, 3 = RU hard faults only.
     pub fault_mix: u8,
     /// Pooled device count (1/1/2/4 — half the draws stay
-    /// single-device so the engine lifecycles keep their coverage).
-    /// Multi-device cases run the fleet path, which ignores the
-    /// `lifecycle` knob: the fleet front-end always drives fresh
-    /// engines.
+    /// single-device). Multi-device cases run the fleet path.
     pub devices: usize,
     /// Placement policy routing multi-device cases.
     pub placement: PlacementKind,
@@ -330,7 +295,6 @@ impl CaseKnobs {
             arrival_kind: ((r >> 24) % 4) as u8,
             policy: ((r >> 32) % 8) as u8,
             depth: DEPTHS[(case_index as usize / 4) % DEPTHS.len()],
-            lifecycle: Lifecycle::ALL[case_index as usize % Lifecycle::ALL.len()],
             annotate: ((r >> 40) % 3) as u8,
             preemption: PreemptionMode::ALL[((r >> 48) % 3) as usize],
             qos_mix: ((r >> 52) % 3) as u8,
@@ -360,11 +324,10 @@ impl CaseKnobs {
     /// One stable line naming every knob (case reports).
     pub fn summary(&self) -> String {
         format!(
-            "lifecycle={} depth={} templates={} apps={} rus={} arrival={} \
+            "depth={} templates={} apps={} rus={} arrival={} \
              policy={} annotate={} preemption={} qos={} faults={}/{} \
              devices={} placement={} tenants={} \
              lookahead={:?} scenario_seed={:#018x}",
-            self.lifecycle.name(),
             self.depth,
             self.templates,
             self.apps,
@@ -491,51 +454,16 @@ pub fn build_case(fp: &Fingerprint) -> Case {
     Case { knobs, jobs, cfg }
 }
 
-/// Drives the engine through the case's lifecycle and returns the
-/// subject outcome. Warm legs run the same batch (retarget warms under
-/// a different RU count) and their results are discarded — the pooled
-/// contract says no warm state may leak into the measured leg.
-fn execute_subject(case: &Case) -> Result<SimulationOutcome, SimError> {
-    let knobs = &case.knobs;
-    let seed = knobs.scenario_seed;
-    match knobs.lifecycle {
-        Lifecycle::Fresh => {
-            let mut policy = build_policy(knobs.policy, seed);
-            simulate(&case.cfg, &case.jobs, policy.as_mut())
-        }
-        Lifecycle::Reset | Lifecycle::Retarget => {
-            let mut warm_cfg = case.cfg.clone();
-            if knobs.lifecycle == Lifecycle::Retarget {
-                warm_cfg = warm_cfg.with_rus(if knobs.rus == 6 { 1 } else { knobs.rus + 1 });
-            }
-            let mut engine = Engine::new(&warm_cfg);
-            let _ = pooled_leg(&mut engine, &warm_cfg, case);
-            pooled_leg(&mut engine, &case.cfg, case)
-        }
-    }
-}
-
-/// One run of the case's batch on a pooled engine: reset onto `cfg`,
-/// run a freshly built policy, finalise.
-fn pooled_leg(
-    engine: &mut Engine,
-    cfg: &ManagerConfig,
-    case: &Case,
-) -> Result<SimulationOutcome, SimError> {
-    let mut policy = build_policy(case.knobs.policy, case.knobs.scenario_seed);
-    policy.reset();
-    engine.reset(cfg, &case.jobs);
-    engine.run(policy.as_mut());
-    engine.outcome()
-}
-
 /// How a case concluded.
 #[derive(Debug)]
 pub enum CaseStatus {
     /// Both runs completed; the registry validated the subject.
     Checked(rtr_manager::RegistryReport),
-    /// Subject and reference stalled identically (a legitimate
-    /// infeasible forced delay) — checkers skipped.
+    /// Subject and reference stalled identically — checkers skipped.
+    /// With correct inputs a stall has two causes: a skip waited for a
+    /// following event that never comes (an infeasible forced delay),
+    /// or a task requeued by a permanent RU fault found every usable RU
+    /// claimed. A pool whose every RU is quarantined lands here too.
     Stalled,
     /// Subject and reference disagreed about completing — a
     /// determinism violation in its own right.
@@ -741,17 +669,21 @@ fn run_fleet_case(fp: &Fingerprint, case: &Case, registry: &CheckerRegistry) -> 
     }
 }
 
-/// Runs one materialised case through its lifecycle, applies `fault`
-/// to the subject outcome, and validates through `registry`.
-/// Multi-device knob draws route through the fleet front-end instead
-/// (`run_fleet_case`).
+/// Runs one materialised case, applies `fault` to the subject outcome,
+/// and validates through `registry`. The reference is a second
+/// [`simulate`] of the same case, so `pooled-identity` checks
+/// run-to-run determinism. Multi-device knob draws route through the
+/// fleet front-end instead (`run_fleet_case`).
 pub fn run_case(fp: &Fingerprint, case: &Case, registry: &CheckerRegistry) -> CaseOutcome {
     if case.knobs.devices > 1 {
         return run_fleet_case(fp, case, registry);
     }
-    let subject = execute_subject(case);
-    let mut reference_policy = build_policy(case.knobs.policy, case.knobs.scenario_seed);
-    let reference = simulate(&case.cfg, &case.jobs, reference_policy.as_mut());
+    let run = || {
+        let mut policy = build_policy(case.knobs.policy, case.knobs.scenario_seed);
+        simulate(&case.cfg, &case.jobs, policy.as_mut())
+    };
+    let subject = run();
+    let reference = run();
     let mut faults = CaseFaultCounts::default();
     let status = match (subject, reference) {
         (Ok(mut subject), Ok(reference)) => {
@@ -819,10 +751,10 @@ pub struct MinimizeSummary {
 
 /// Greedy scenario minimiser: drop job chunks (ddmin-style), then
 /// simplify knobs (prefetch off, annotations stripped, QoS stripped,
-/// runtime faults stripped, fleet stripped to a single device, fresh
-/// lifecycle, fewer RUs) — keeping a candidate only while at least one
-/// of the originally failing checkers still fails. Deterministic, and
-/// bounded to 200 candidate evaluations.
+/// runtime faults stripped, fleet stripped to a single device, fewer
+/// RUs) — keeping a candidate only while at least one of the
+/// originally failing checkers still fails. Deterministic, and bounded
+/// to 200 candidate evaluations.
 pub fn minimize_case(
     fp: &Fingerprint,
     case: &Case,
@@ -937,17 +869,7 @@ pub fn minimize_case(
         }
     }
 
-    // 7. Fresh lifecycle.
-    if best.knobs.lifecycle != Lifecycle::Fresh {
-        let mut candidate = best.clone();
-        candidate.knobs.lifecycle = Lifecycle::Fresh;
-        if try_candidate(&candidate, &mut evals) {
-            summary.steps.push("lifecycle -> fresh".into());
-            best = candidate;
-        }
-    }
-
-    // 8. Fewest RUs that still fail.
+    // 7. Fewest RUs that still fail.
     for rus in 1..best.knobs.rus {
         let mut candidate = best.clone();
         candidate.knobs.rus = rus;
@@ -1066,8 +988,6 @@ pub struct CampaignSummary {
     pub stalled: u64,
     /// Cases with at least one violation.
     pub violating_cases: u64,
-    /// Cases per lifecycle, indexed like [`Lifecycle::ALL`].
-    pub lifecycle_cases: [u64; Lifecycle::ALL.len()],
     /// Completed (checked) cases per depth, indexed like [`DEPTHS`].
     pub depth_cases: [u64; 4],
     /// Cases per preemption mode, indexed like [`PreemptionMode::ALL`].
@@ -1184,7 +1104,6 @@ pub fn run_campaign(config: &CampaignConfig, registry: &CheckerRegistry) -> Camp
         cases: 0,
         stalled: 0,
         violating_cases: 0,
-        lifecycle_cases: [0; Lifecycle::ALL.len()],
         depth_cases: [0; 4],
         preemption_cases: [0; 3],
         qos_mix_cases: [0; 3],
@@ -1217,11 +1136,6 @@ pub fn run_campaign(config: &CampaignConfig, registry: &CheckerRegistry) -> Camp
         let case = build_case(&fp);
         let outcome = run_case(&fp, &case, registry);
         summary.cases += 1;
-        let lifecycle_idx = Lifecycle::ALL
-            .iter()
-            .position(|l| *l == outcome.knobs.lifecycle)
-            .expect("derived lifecycle is canonical");
-        summary.lifecycle_cases[lifecycle_idx] += 1;
         let mode_idx = PreemptionMode::ALL
             .iter()
             .position(|m| *m == outcome.knobs.preemption)
@@ -1309,7 +1223,6 @@ mod tests {
 
     #[test]
     fn knob_derivation_is_deterministic_and_covering() {
-        let mut lifecycles = [0u64; Lifecycle::ALL.len()];
         let mut depths = [0u64; 4];
         let mut modes = [0u64; 3];
         let mut mixes = [0u64; 3];
@@ -1333,10 +1246,6 @@ mod tests {
                     .unwrap()] += 1;
             }
             assert!((1..=3).contains(&a.tenants));
-            lifecycles[Lifecycle::ALL
-                .iter()
-                .position(|l| *l == a.lifecycle)
-                .unwrap()] += 1;
             depths[DEPTHS.iter().position(|&d| d == a.depth).unwrap()] += 1;
             modes[PreemptionMode::ALL
                 .iter()
@@ -1348,7 +1257,6 @@ mod tests {
                 fault_mixes[(a.fault_mix % 4) as usize] += 1;
             }
         }
-        assert!(lifecycles.iter().all(|&c| c > 0), "{lifecycles:?}");
         assert!(depths.iter().all(|&c| c > 0), "{depths:?}");
         assert!(modes.iter().all(|&c| c > 0), "{modes:?}");
         assert!(mixes.iter().all(|&c| c > 0), "{mixes:?}");

@@ -59,7 +59,7 @@ proptest! {
 }
 
 /// A zero-application streaming scenario flows through sequence
-/// generation, job preparation and the pooled engine without ever
+/// generation, job preparation and the engine without ever
 /// reaching for a `last().unwrap()`-style pattern: the table simply has
 /// its policy rows with all-zero metrics.
 #[test]

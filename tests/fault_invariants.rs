@@ -1,15 +1,14 @@
 //! Fault-injection invariants: randomised scenario × policy × fault
 //! plan runs must validate clean through the full checker registry,
-//! the empty plan must be invisible (byte-identical outcomes across
-//! every engine lifecycle), a fault-active run must leave no residue
-//! in a pooled engine for the fault-off runs around it, and the
-//! hand-built fault schedules (retry exhaustion, upset-then-repair,
-//! quarantine of the last RU) must behave exactly as specified.
+//! the empty plan must be invisible (byte-identical outcomes to the
+//! plain configuration), and the hand-built fault schedules (retry
+//! exhaustion, upset-then-repair, quarantine of the last RU) must
+//! behave exactly as specified.
 
 use proptest::prelude::*;
 use rtr_manager::{
-    simulate, CheckContext, CheckerRegistry, Engine, FaultPlan, JobSpec, ManagerConfig,
-    PrefetchConfig, SimError, SimulationOutcome, TraceEvent,
+    simulate, CheckContext, CheckerRegistry, FaultPlan, JobSpec, ManagerConfig, PrefetchConfig,
+    SimError, SimulationOutcome, TraceEvent,
 };
 use rtr_sim::SimDuration;
 use rtr_taskgraph::generate::{self, GenConfig};
@@ -112,10 +111,9 @@ proptest! {
     /// A plan with every rate zero is off, whatever else it carries: a
     /// config whose plan has zero rates but a non-zero seed, a retry
     /// budget and a repair latency produces byte-identical outcomes
-    /// (stats *and* trace) to the plain config, across a fresh run and
-    /// the pooled reset and retarget lifecycles.
+    /// (stats *and* trace) to the plain config.
     #[test]
-    fn empty_plan_is_byte_identical_across_lifecycles(
+    fn empty_plan_is_byte_identical_to_off(
         seed in 0u64..1_000_000,
         apps in 1usize..10,
         rus in 1usize..6,
@@ -130,87 +128,9 @@ proptest! {
             ..FaultPlan::high(seed + 1)
         });
         prop_assert!(explicit.faults.is_off() && explicit.faults != FaultPlan::off());
-        let baseline = outcome_bytes(&run(&plain, &jobs, policy_id, seed));
-
-        // Fresh.
         prop_assert_eq!(
-            &outcome_bytes(&run(&explicit, &jobs, policy_id, seed)),
-            &baseline
-        );
-
-        // Pooled reset (warm leg discarded).
-        let mut engine = Engine::new(&explicit);
-        for _ in 0..2 {
-            let mut policy = build_policy(policy_id, seed);
-            policy.reset();
-            engine.reset(&explicit, &jobs);
-            engine.run(policy.as_mut());
-            let out = engine.outcome().expect("completes");
-            prop_assert_eq!(&outcome_bytes(&out), &baseline);
-        }
-
-        // Retarget from a different RU count.
-        let warm_rus = if rus == 5 { 1 } else { rus + 1 };
-        let warm_cfg = explicit.clone().with_rus(warm_rus);
-        let mut engine = Engine::new(&warm_cfg);
-        let mut policy = build_policy(policy_id, seed);
-        policy.reset();
-        engine.reset(&warm_cfg, &jobs);
-        engine.run(policy.as_mut());
-        let _ = engine.outcome();
-        let mut policy = build_policy(policy_id, seed);
-        policy.reset();
-        engine.reset(&explicit, &jobs);
-        engine.run(policy.as_mut());
-        prop_assert_eq!(
-            &outcome_bytes(&engine.outcome().expect("completes")),
-            &baseline
-        );
-    }
-
-    /// Detour immunity: a fault-active run sandwiched between two
-    /// fault-off runs on one pooled engine must leave no residue — the
-    /// fault-off run after the detour is byte-identical to the one
-    /// before it (and to a fresh run).
-    #[test]
-    fn fault_run_leaves_no_residue_in_pooled_engine(
-        seed in 0u64..1_000_000,
-        apps in 2usize..10,
-        rus in 1usize..6,
-        policy_id in 0u8..8,
-        rate in 1u8..3,
-    ) {
-        let jobs = batch_jobs(seed, 2, apps);
-        let off_cfg = cfg_with(rus, 0, FaultPlan::off());
-        let fault_cfg = off_cfg.clone().with_faults(fault_plan(rate, 0, seed));
-        let baseline = outcome_bytes(&run(&off_cfg, &jobs, policy_id, seed));
-
-        // Fault-off leg before the detour.
-        let mut engine = Engine::new(&off_cfg);
-        let mut policy = build_policy(policy_id, seed);
-        policy.reset();
-        engine.reset(&off_cfg, &jobs);
-        engine.run(policy.as_mut());
-        prop_assert_eq!(
-            &outcome_bytes(&engine.outcome().expect("completes")),
-            &baseline
-        );
-
-        // The fault-active detour (its own outcome is not the point).
-        let mut policy = build_policy(policy_id, seed);
-        policy.reset();
-        engine.reset(&fault_cfg, &jobs);
-        engine.run(policy.as_mut());
-        let _ = engine.outcome().expect("finite repair completes");
-
-        // Fault-off leg after the detour: byte-identical again.
-        let mut policy = build_policy(policy_id, seed);
-        policy.reset();
-        engine.reset(&off_cfg, &jobs);
-        engine.run(policy.as_mut());
-        prop_assert_eq!(
-            &outcome_bytes(&engine.outcome().expect("completes")),
-            &baseline
+            outcome_bytes(&run(&explicit, &jobs, policy_id, seed)),
+            outcome_bytes(&run(&plain, &jobs, policy_id, seed))
         );
     }
 }

@@ -15,15 +15,26 @@
 //! every trace goes through the full checker registry — the two QoS
 //! checkers (`no-lost-work`, `preemption-order`) and the `ledger`
 //! checker, which owns the QoS counters, must fire and stay clean.
+//!
+//! Property tests over random scenarios (random template families,
+//! every policy, every arrival process) close the file: armed
+//! preemption is invisible under default QoS, and random priority
+//! lanes with deadlines, as well as Skip Events with prefetching,
+//! validate clean through the full registry.
 
-use rtr_core::LruPolicy;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rtr_core::{compute_mobility, LfdPolicy, LruPolicy};
 use rtr_manager::{
-    simulate, CheckContext, CheckerRegistry, JobSpec, ManagerConfig, PreemptionMode, QosClass,
-    RunStats, SimulationOutcome,
+    simulate, CheckContext, CheckerRegistry, JobSpec, Lookahead, ManagerConfig, PreemptionMode,
+    PrefetchConfig, QosClass, RunStats, SimulationOutcome,
 };
 use rtr_sim::{SimDuration, SimTime};
-use rtr_taskgraph::{ConfigId, TaskGraphBuilder};
+use rtr_taskgraph::generate::{self, GenConfig};
+use rtr_taskgraph::{ConfigId, TaskGraph, TaskGraphBuilder};
 use rtr_workload::vopr::{build_case, build_policy, Fingerprint};
+use rtr_workload::ArrivalProcess;
 use std::sync::Arc;
 
 fn low_graph() -> Arc<rtr_taskgraph::TaskGraph> {
@@ -249,4 +260,189 @@ fn deadlines_never_change_the_schedule() {
         kept >= 100,
         "only {kept} cases combine deadlines and prefetch"
     );
+}
+
+/// One randomly drawn scenario: jobs (graphs + arrivals + annotations)
+/// and the manager configuration implied by its policy.
+#[derive(Debug, Clone)]
+struct Scenario {
+    jobs: Vec<JobSpec>,
+    cfg: ManagerConfig,
+    policy_id: u8,
+    policy_seed: u64,
+}
+
+fn arrival_process(kind: u8) -> ArrivalProcess {
+    match kind % 4 {
+        0 => ArrivalProcess::Batch,
+        1 => ArrivalProcess::Poisson {
+            mean_gap_us: 40_000,
+        },
+        2 => ArrivalProcess::Periodic { period_us: 35_000 },
+        _ => ArrivalProcess::Bursty {
+            size: 3,
+            mean_gap_us: 150_000,
+        },
+    }
+}
+
+/// Lookahead the policy selector of [`build_policy`] needs.
+fn lookahead_for(id: u8, seed: u64) -> Lookahead {
+    match id % 8 {
+        6 => Lookahead::Graphs(1 + (seed % 3) as usize),
+        7 => Lookahead::All,
+        _ => Lookahead::None,
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn build_scenario(
+    seed: u64,
+    templates: usize,
+    apps: usize,
+    rus: usize,
+    arrivals_kind: u8,
+    policy_id: u8,
+    with_mobility: bool,
+    prefetch_depth: usize,
+) -> Scenario {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let gen_cfg = GenConfig {
+        exec_us: (1_000, 25_000),
+        config_base: 50,
+        config_pool: Some(10),
+    };
+    let family: Vec<Arc<TaskGraph>> = generate::template_family(&mut rng, templates, &gen_cfg)
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+    let cfg = ManagerConfig::paper_default()
+        .with_rus(rus)
+        .with_lookahead(lookahead_for(policy_id, seed))
+        .with_skip_events(with_mobility)
+        .with_prefetch(PrefetchConfig::with_depth(prefetch_depth))
+        .with_trace(true);
+    let arrivals = arrival_process(arrivals_kind).generate(apps, seed ^ 0x5EED);
+    let jobs: Vec<JobSpec> = (0..apps)
+        .map(|i| {
+            let graph = Arc::clone(&family[i % family.len()]);
+            let mut job = JobSpec::new(Arc::clone(&graph)).with_arrival(arrivals[i]);
+            if with_mobility {
+                let mobility = Arc::new(compute_mobility(&graph, &cfg).expect("mobility computes"));
+                job = job.with_mobility(mobility);
+            }
+            job
+        })
+        .collect();
+    Scenario {
+        jobs,
+        cfg,
+        policy_id,
+        policy_seed: seed,
+    }
+}
+
+fn run_scenario(s: &Scenario) -> SimulationOutcome {
+    let mut policy = build_policy(s.policy_id, s.policy_seed);
+    simulate(&s.cfg, &s.jobs, policy.as_mut()).expect("scenario completes")
+}
+
+/// Validates `out` through the full standard registry, prefetch depth
+/// and fault plan included. With a `reference`, `pooled-identity`
+/// also pins `out` to it: stats field by field, then the trace event
+/// by event.
+fn assert_validates(
+    out: &SimulationOutcome,
+    s: &Scenario,
+    reference: Option<&SimulationOutcome>,
+    what: &str,
+) {
+    let mut cx = CheckContext::new(
+        &out.trace,
+        &s.jobs,
+        s.cfg.device.reconfig_latency,
+        Some(&out.stats),
+    )
+    .with_prefetch_depth(s.cfg.prefetch.depth)
+    .with_fault_plan(&s.cfg.faults);
+    if let Some(reference) = reference {
+        cx = cx.with_reference(reference);
+    }
+    let report = CheckerRegistry::standard().run(&cx);
+    assert!(report.is_clean(), "{what}:\n{}", report.render());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// With uniform default QoS no arrival can out-prioritise the
+    /// current graph, so flipping the preemption knob to `Kill` or
+    /// `Checkpoint` must be invisible: stats and trace bit-exact with
+    /// the `Off` run.
+    #[test]
+    fn preemption_modes_invisible_with_default_qos(
+        seed in any::<u64>(),
+        apps in 1usize..16,
+        rus in 1usize..7,
+        arrivals in 0u8..4,
+        policy in 0u8..8,
+    ) {
+        let templates = 1 + (seed % 3) as usize;
+        let s = build_scenario(seed, templates, apps, rus, arrivals, policy, false, 0);
+        let off = run_scenario(&s);
+        for mode in [PreemptionMode::Kill, PreemptionMode::Checkpoint] {
+            let mut armed = s.clone();
+            armed.cfg = armed.cfg.with_preemption(mode);
+            let out = run_scenario(&armed);
+            assert_validates(&out, &armed, Some(&off), "armed preemption, default QoS");
+        }
+    }
+
+    /// QoS workloads (random priority lanes, deadlines, every
+    /// preemption mode) validate clean: the suspended stack, the
+    /// execution tokens and the QoS ledgers stay consistent.
+    #[test]
+    fn random_qos_runs_validate_clean(
+        seed in any::<u64>(),
+        apps in 2usize..14,
+        rus in 1usize..6,
+        arrivals in 0u8..4,
+        policy in 0u8..8,
+        mode in 0u8..3,
+    ) {
+        let templates = 1 + (seed % 3) as usize;
+        let mut s = build_scenario(seed, templates, apps, rus, arrivals, policy, false, 0);
+        s.cfg = s.cfg.with_preemption(PreemptionMode::ALL[mode as usize]);
+        for (i, job) in s.jobs.iter_mut().enumerate() {
+            let r = seed.rotate_left(i as u32 * 7) ^ i as u64;
+            let mut qos = QosClass::priority((r % 4) as u8);
+            if r.is_multiple_of(3) {
+                qos = qos.with_deadline(
+                    job.arrival + SimDuration::from_us(10_000 + (r % 200_000)),
+                );
+            }
+            job.qos = qos;
+        }
+        let out = run_scenario(&s);
+        assert_validates(&out, &s, None, "random QoS scenario");
+    }
+
+    /// Skip Events (mobility-annotated jobs, the paper's Fig. 8 steps
+    /// 4–5) at prefetch depths 0–2 validate clean, skip counters
+    /// included.
+    #[test]
+    fn random_skip_event_runs_validate_clean(
+        seed in any::<u64>(),
+        apps in 1usize..12,
+        rus in 2usize..6,
+        arrivals in 0u8..4,
+        window in 1usize..4,
+        depth in 0usize..3,
+    ) {
+        let mut s = build_scenario(seed, 2, apps, rus, arrivals, 6, true, depth);
+        s.cfg = s.cfg.with_lookahead(Lookahead::Graphs(window));
+        let out = simulate(&s.cfg, &s.jobs, &mut LfdPolicy::local_with_skip(window))
+            .expect("scenario completes");
+        assert_validates(&out, &s, None, "Skip Events scenario");
+    }
 }

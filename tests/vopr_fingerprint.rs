@@ -76,14 +76,11 @@ fn campaigns_are_deterministic() {
     assert_eq!(a.cases, b.cases);
     assert_eq!(a.stalled, b.stalled);
     assert_eq!(a.violating_cases, b.violating_cases);
-    assert_eq!(a.lifecycle_cases, b.lifecycle_cases);
     assert_eq!(a.depth_cases, b.depth_cases);
     assert_eq!(a.coverage, b.coverage);
     assert_eq!(a.coverage_csv(), b.coverage_csv());
     // A healthy engine: no real violations in the un-faulted campaign.
     assert!(a.is_clean(), "campaign found violations");
-    // Every lifecycle ran within 64 cases.
-    assert!(a.lifecycle_cases.iter().all(|&n| n > 0));
 }
 
 #[test]
