@@ -12,12 +12,12 @@
 //! * [`mobility`] — the design-time phase (the paper's Fig. 6): per-task
 //!   *mobility* values obtained by probing delayed schedules against the
 //!   reference ASAP schedule.
-//! * [`registry`] — the process-wide design-time memo
-//!   ([`TemplateRegistry`]): structural artifacts plus mobility
-//!   vectors computed once per template and system (the "bulk of the
-//!   computations at design time"), shared across grid cells, worker
-//!   threads and their engines. The `table2` binary times it against
-//!   recomputing mobility at every arrival (the paper's 10× claim).
+//! * [`registry`] — the process-wide mobility memo
+//!   ([`TemplateRegistry`]): mobility vectors computed once per
+//!   template and system (the "bulk of the computations at design
+//!   time"), shared across grid cells and worker threads. The `table2`
+//!   binary times it against recomputing mobility at every arrival (the
+//!   paper's 10× claim).
 
 pub mod history;
 pub mod lfd;

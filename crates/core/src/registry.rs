@@ -1,33 +1,26 @@
-//! The shared design-time template registry.
+//! The design-time mobility memo.
 //!
 //! The paper's hybrid approach banks on "performing the bulk of the
-//! computations at design time" — but a sweep harness that recomputes
-//! those artifacts per grid cell (or worse, per job instance) pays the
-//! design-time cost over and over at run time. [`TemplateRegistry`]
-//! is the process-wide memo: it bundles
-//!
-//! * the structural artifacts of every distinct template
-//!   (reconfiguration sequence, configuration projection, predecessor
-//!   counts) through a shared [`rtr_taskgraph::TemplateSet`], and
-//! * the *mobility* vectors of the design-time phase (the paper's
-//!   Fig. 6), memoised per `(template, system)` — mobility depends on
-//!   the RU count, the reconfiguration latency and the reuse switch
-//!   only: the probe schedules run one graph alone, untraced, with
-//!   skips, prefetch and faults forced off, so that key is complete
-//!   and cells that differ only in policy, lookahead, prefetch depth or
-//!   fault plan share one entry.
+//! computations at design time". Here the costly design-time result is
+//! the *mobility* vector (the paper's Fig. 6), and [`TemplateRegistry`]
+//! memoises it per `(template, system)`. Mobility depends on the RU
+//! count, the reconfiguration latency and the reuse switch only: the
+//! probe schedules run one graph alone, untraced, with skips, prefetch
+//! and faults forced off, so that key is complete and cells that differ
+//! only in policy, lookahead, prefetch depth or fault plan share one
+//! entry.
 //!
 //! The registry is `Sync`: wrap it in an `Arc` and hand clones to
-//! every worker of a parallel grid; each cell's
-//! [`Engine`](rtr_manager::Engine) draws from its template set (via
-//! [`Engine::with_templates`](rtr_manager::Engine::with_templates)).
-//! Every entry pins its graph `Arc`, so the pointer identity used as
-//! the key can never be recycled while the registry lives.
+//! every worker of a parallel grid. It holds nothing else — each
+//! [`Engine`](rtr_manager::Engine) computes the cheap structural
+//! artifacts of its own templates. Every entry pins its graph `Arc`,
+//! so the pointer identity used as the key can never be recycled while
+//! the registry lives.
 
 use crate::mobility::{compute_mobility, MobilityError};
 use rtr_manager::{JobSpec, ManagerConfig};
-use rtr_sim::FxHashMap;
-use rtr_taskgraph::{TaskGraph, TemplateArtifacts, TemplateSet};
+use rtr_sim::{FxHashMap, FxHashSet};
+use rtr_taskgraph::TaskGraph;
 use std::sync::{Arc, RwLock};
 
 /// The `ManagerConfig` fields mobility actually depends on (see
@@ -51,29 +44,25 @@ impl MobilityKey {
     }
 }
 
-/// Process-wide memo of design-time artifacts, shared across grid
-/// cells, worker threads and the engines they build.
+/// One memoised mobility vector and the graph its key points at.
+#[derive(Debug)]
+struct MobilityEntry {
+    /// Pins the graph, so the key's address is never recycled.
+    graph: Arc<TaskGraph>,
+    mobility: Arc<Vec<u32>>,
+}
+
+/// Process-wide mobility memo, shared across grid cells and worker
+/// threads.
 #[derive(Debug, Default)]
 pub struct TemplateRegistry {
-    seqs: Arc<TemplateSet>,
-    mobility: RwLock<FxHashMap<MobilityKey, Arc<Vec<u32>>>>,
+    mobility: RwLock<FxHashMap<MobilityKey, MobilityEntry>>,
 }
 
 impl TemplateRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The structural-artifact table, for
-    /// [`Engine::with_templates`](rtr_manager::Engine::with_templates).
-    pub fn template_set(&self) -> Arc<TemplateSet> {
-        Arc::clone(&self.seqs)
-    }
-
-    /// Structural artifacts of `graph` (interned).
-    pub fn artifacts(&self, graph: &Arc<TaskGraph>) -> Arc<TemplateArtifacts> {
-        self.seqs.get_or_compute(graph)
     }
 
     /// The mobility vector of `graph` on the system described by `cfg`,
@@ -83,19 +72,19 @@ impl TemplateRegistry {
         graph: &Arc<TaskGraph>,
         cfg: &ManagerConfig,
     ) -> Result<Arc<Vec<u32>>, MobilityError> {
-        // Intern first so the graph is pinned for the key's lifetime.
-        let _ = self.seqs.get_or_compute(graph);
         let key = MobilityKey::new(graph, cfg);
         if let Some(hit) = self.mobility.read().expect("registry lock").get(&key) {
-            return Ok(Arc::clone(hit));
+            return Ok(Arc::clone(&hit.mobility));
         }
         let computed = Arc::new(compute_mobility(graph, cfg)?);
         let mut map = self.mobility.write().expect("registry lock");
         // A racing thread may have inserted meanwhile; keep the first
         // entry so every instance shares one Arc.
-        Ok(Arc::clone(
-            map.entry(key).or_insert_with(|| Arc::clone(&computed)),
-        ))
+        let entry = map.entry(key).or_insert_with(|| MobilityEntry {
+            graph: Arc::clone(graph),
+            mobility: computed,
+        });
+        Ok(Arc::clone(&entry.mobility))
     }
 
     /// Builds a job for one instance of `graph`, attaching the memoised
@@ -115,9 +104,12 @@ impl TemplateRegistry {
         }
     }
 
-    /// Number of distinct templates interned.
+    /// Number of distinct templates with a memoised mobility vector.
     pub fn templates(&self) -> usize {
-        self.seqs.len()
+        let map = self.mobility.read().expect("registry lock");
+        let graphs: FxHashSet<*const TaskGraph> =
+            map.values().map(|e| Arc::as_ptr(&e.graph)).collect();
+        graphs.len()
     }
 
     /// Number of memoised `(template, system)` mobility entries.
@@ -149,6 +141,19 @@ mod tests {
         let cfg_look = cfg4.clone().with_lookahead(rtr_manager::Lookahead::All);
         let d = reg.mobility(&g, &cfg_look).unwrap();
         assert!(Arc::ptr_eq(&a, &d), "lookahead is mobility-irrelevant");
+    }
+
+    #[test]
+    fn entries_pin_their_graphs() {
+        // Dropping the caller's Arc must not free the graph while the
+        // registry holds its address as a key: the entry owns a clone.
+        let reg = TemplateRegistry::new();
+        let g = Arc::new(benchmarks::mpeg1());
+        let weak = Arc::downgrade(&g);
+        reg.mobility(&g, &ManagerConfig::paper_default()).unwrap();
+        drop(g);
+        assert!(weak.upgrade().is_some(), "the entry keeps the graph alive");
+        assert_eq!(reg.templates(), 1);
     }
 
     #[test]

@@ -162,13 +162,16 @@ pub struct RuPool {
 }
 
 impl RuPool {
+    /// The largest RU count a pool can index with [`RuId`].
+    pub const MAX_RUS: usize = u16::MAX as usize;
+
     /// Creates `count` empty RUs.
     ///
     /// # Panics
-    /// Panics if `count` is zero or exceeds `u16::MAX`.
+    /// Panics if `count` is zero or exceeds [`RuPool::MAX_RUS`].
     pub fn new(count: usize) -> Self {
         assert!(count > 0, "a reconfigurable system needs at least one RU");
-        assert!(count <= u16::MAX as usize, "RU count exceeds RuId range");
+        assert!(count <= Self::MAX_RUS, "RU count exceeds RuId range");
         RuPool {
             states: vec![RuState::Empty; count],
             empties: count,

@@ -31,9 +31,9 @@
 //! back to [`JobScratch`] at graph completion (graphs run
 //! sequentially), and the eviction-candidate and ready-successor
 //! scratch buffers keep their capacity from event to event.
-//! Design-time artifacts come from a shared
-//! [`TemplateSet`](rtr_taskgraph::TemplateSet), computed once per
-//! distinct template per process rather than per job or per grid cell.
+//! Each engine computes the [`TemplateArtifacts`] of a template the
+//! first time a job of it is submitted, and shares them with every
+//! later job of that template; engines share no design-time state.
 
 use crate::config::ManagerConfig;
 use crate::job::JobSpec;
@@ -43,7 +43,7 @@ use crate::stats::{FaultStats, PrefetchStats, QosStats};
 use crate::trace::{Trace, TraceEvent};
 use rtr_hw::{LoadLane, ReconfigController, RuId, RuPool};
 use rtr_sim::{EventQueue, SimDuration, SimTime};
-use rtr_taskgraph::{ConfigId, NodeId, TaskGraph, TemplateArtifacts};
+use rtr_taskgraph::{reconfiguration_sequence, ConfigId, NodeId, TaskGraph};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -94,6 +94,41 @@ pub(crate) struct NodeRun {
     pub(crate) forced_skips: u32,
 }
 
+/// The design-time artifacts of one graph template: everything the
+/// engine walks instead of recomputing per job.
+#[derive(Debug)]
+pub(crate) struct TemplateArtifacts {
+    /// The template graph.
+    pub(crate) graph: Arc<TaskGraph>,
+    /// The reconfiguration sequence (load order, the paper's §III).
+    pub(crate) rec_seq: Vec<NodeId>,
+    /// Configuration of each `rec_seq` entry — the request stream the
+    /// replacement module sees. Shared with the [`ReuseIndex`]
+    /// segments of the template's jobs.
+    pub(crate) cfg_seq: Arc<Vec<ConfigId>>,
+    /// Per-node predecessor counts (indexed by node id): the initial
+    /// dependency state copied into each activation's node records.
+    pub(crate) pred_counts: Vec<u32>,
+}
+
+impl TemplateArtifacts {
+    /// Runs the design-time phase for `graph`.
+    pub(crate) fn compute(graph: &Arc<TaskGraph>) -> Arc<Self> {
+        let rec_seq = reconfiguration_sequence(graph);
+        let cfg_seq = rec_seq.iter().map(|&n| graph.config_of(n)).collect();
+        let pred_counts = graph
+            .node_ids()
+            .map(|id| graph.preds(id).len() as u32)
+            .collect();
+        Arc::new(TemplateArtifacts {
+            graph: Arc::clone(graph),
+            rec_seq,
+            cfg_seq: Arc::new(cfg_seq),
+            pred_counts,
+        })
+    }
+}
+
 /// Run-time state of the current task graph. The node records and the
 /// recovery queue are on loan from the engine's [`JobScratch`] pool:
 /// they are moved in at activation and reclaimed at graph completion,
@@ -104,7 +139,7 @@ pub(crate) struct ActiveJob {
     /// Lane priority of the job's QoS class (cached from the spec: the
     /// preemption trigger compares it on every arrival).
     pub(crate) priority: u8,
-    /// Shared design-time artifacts of the job's template (graph,
+    /// Design-time artifacts of the job's template (graph,
     /// reconfiguration sequence, configuration projection, predecessor
     /// counts).
     pub(crate) tpl: Arc<TemplateArtifacts>,
@@ -218,8 +253,8 @@ pub(crate) struct ManagerState {
     pub(crate) pool: RuPool,
     pub(crate) controller: ReconfigController,
     pub(crate) queue: EventQueue<Event>,
-    /// Per-job design-time artifacts, indexed like `jobs` (shared with
-    /// the engine's template set).
+    /// Per-job design-time artifacts, indexed like `jobs`; jobs of one
+    /// template share one entry.
     pub(crate) job_templates: Vec<Arc<TemplateArtifacts>>,
     pub(crate) current: Option<ActiveJob>,
     /// Pool of the current job's node records (see [`JobScratch`]).
@@ -281,7 +316,7 @@ pub(crate) struct ManagerState {
     /// pop).
     pub(crate) qos_lanes: bool,
     /// One `(priority, sojourn, lateness)` record per completed graph,
-    /// in completion order — folded into per-class stats at `outcome`.
+    /// in completion order — folded into per-class stats at `finish`.
     pub(crate) qos_records: Vec<(u8, SimDuration, SimDuration)>,
     /// Fault-injection runtime (see [`faults`]). Never consulted — and
     /// its draw stream never advanced — unless the run's
@@ -307,5 +342,23 @@ impl ManagerState {
         self.controller
             .in_flight()
             .is_none_or(|op| op.lane == LoadLane::Speculative)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtr_taskgraph::benchmarks;
+
+    #[test]
+    fn artifacts_match_direct_computation() {
+        let g = Arc::new(benchmarks::jpeg());
+        let tpl = TemplateArtifacts::compute(&g);
+        assert_eq!(tpl.rec_seq, reconfiguration_sequence(&g));
+        let cfgs: Vec<ConfigId> = tpl.rec_seq.iter().map(|&n| g.config_of(n)).collect();
+        assert_eq!(*tpl.cfg_seq, cfgs);
+        for id in g.node_ids() {
+            assert_eq!(tpl.pred_counts[id.idx()], g.preds(id).len() as u32);
+        }
     }
 }

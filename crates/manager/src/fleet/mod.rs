@@ -57,8 +57,9 @@ use crate::config::ManagerConfig;
 use crate::job::{JobSpec, TenantId};
 use crate::manager::{Engine, SimError, SimulationOutcome};
 use crate::policy::ReplacementPolicy;
+use rtr_hw::RuPool;
 use rtr_sim::SimDuration;
-use rtr_taskgraph::{ConfigId, TemplateSet};
+use rtr_taskgraph::ConfigId;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -163,8 +164,14 @@ impl serde::Deserialize for FleetSpec {
                 "fleet.devices must name at least one device",
             ));
         }
-        if devices.contains(&0) {
-            return Err(serde::Error::msg("fleet device needs at least one RU"));
+        if devices
+            .iter()
+            .any(|rus| !(1..=RuPool::MAX_RUS).contains(rus))
+        {
+            return Err(serde::Error::msg(format!(
+                "each fleet device needs at least one RU and at most {} (the RU id range)",
+                RuPool::MAX_RUS
+            )));
         }
         // Optional knobs fall back to their defaults so terse files
         // (`{"devices": [4, 4]}`) stay loadable.
@@ -268,19 +275,15 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Builds an idle fleet: one engine per device configuration, all
-    /// drawing design-time artifacts from one shared template set.
+    /// Builds an idle fleet: one engine per device configuration. The
+    /// engines share no state; each computes the design-time artifacts
+    /// of the templates placed on it.
     ///
     /// # Panics
     /// Panics if the device list is empty or any device has zero RUs.
     pub fn new(cfg: FleetConfig) -> Self {
         assert!(!cfg.devices.is_empty(), "a fleet needs at least one device");
-        let templates = Arc::new(TemplateSet::new());
-        let engines: Vec<Engine> = cfg
-            .devices
-            .iter()
-            .map(|c| Engine::with_templates(c, Arc::clone(&templates)))
-            .collect();
+        let engines: Vec<Engine> = cfg.devices.iter().map(Engine::new).collect();
         let residency = cfg
             .devices
             .iter()
@@ -697,6 +700,7 @@ mod tests {
         // Invalid forms are loud.
         assert!(serde_json::from_str::<FleetSpec>(r#"{"devices": []}"#).is_err());
         assert!(serde_json::from_str::<FleetSpec>(r#"{"devices": [0]}"#).is_err());
+        assert!(serde_json::from_str::<FleetSpec>(r#"{"devices": [4, 70000]}"#).is_err());
         assert!(serde_json::from_str::<FleetSpec>(r#"{"devices": [4], "tenants": 0}"#).is_err());
         assert!(serde_json::from_str::<FleetSpec>(
             r#"{"devices": [4], "placement": "alphabetical"}"#

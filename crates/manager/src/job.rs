@@ -37,7 +37,7 @@ impl fmt::Display for TenantId {
 /// The same `Arc<TaskGraph>` is typically shared by many instances
 /// (e.g. 500 random picks from three templates); design-time artifacts
 /// (reconfiguration sequence, configuration sequence) are computed once
-/// per distinct template inside the simulator.
+/// per distinct template per engine.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The task graph to execute.

@@ -62,3 +62,12 @@ pub use trace::{FaultKind, Trace, TraceCounts, TraceEvent};
 pub use validate::{
     CheckContext, CheckOutput, Checker, CheckerOutcome, CheckerRegistry, RegistryReport, Violation,
 };
+
+// A parallel `Fleet::run` would hand each device engine to a worker
+// thread, so a field that is not `Send` (a raw-pointer map key, say)
+// must fail the build here rather than at that call site.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Engine>();
+    assert_send::<Fleet>();
+};

@@ -16,7 +16,7 @@
 
 use crate::config::ManagerConfig;
 use crate::engine::faults::FaultRuntime;
-use crate::engine::{Counters, Event, JobScratch, ManagerState};
+use crate::engine::{Counters, Event, JobScratch, ManagerState, TemplateArtifacts};
 use crate::engine::{
     PRIO_END_OF_EXECUTION, PRIO_END_OF_RECONFIGURATION, PRIO_JOB_ARRIVAL, PRIO_NEW_TASK_GRAPH,
     PRIO_RU_HEAL,
@@ -29,7 +29,7 @@ use crate::stats::{ClassSojournStats, FaultStats, QosStats, RunStats};
 use crate::trace::Trace;
 use rtr_hw::{ReconfigController, RuPool, TrafficStats};
 use rtr_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
-use rtr_taskgraph::{TaskGraph, TemplateSet};
+use rtr_taskgraph::TaskGraph;
 use std::collections::VecDeque;
 use std::fmt;
 use std::mem;
@@ -117,13 +117,15 @@ pub struct SimulationOutcome {
 /// consumes it. Within the run the engine recycles its per-activation
 /// buffers (the current job's node records, the candidate and
 /// ready-successor scratch, the same-instant execution batch).
-/// Design-time artifacts come from a [`TemplateSet`] that can be shared
-/// across engines and threads ([`Engine::with_templates`]).
+/// The engine computes each template's design-time artifacts the first
+/// time it sees the template and shares them with no other engine.
 pub struct Engine {
     m: ManagerState,
     jobs: Vec<JobSpec>,
-    /// Shared design-time artifact table, keyed by template identity.
-    templates: Arc<TemplateSet>,
+    /// Design-time artifacts per template, keyed by the graph's address.
+    /// `jobs` keeps every graph alive for the engine's lifetime, so an
+    /// address is never recycled for another graph.
+    templates: FxHashMap<usize, Arc<TemplateArtifacts>>,
     /// Pending arrivals `(time, job idx)` kept out of the event heap:
     /// arrivals are known at submission, so they live in this sorted
     /// lane and merge with the heap under the queue's total order. This
@@ -142,21 +144,11 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an idle engine with no jobs and a private template set.
+    /// Creates an idle engine with no jobs.
     ///
     /// # Panics
     /// Panics if `cfg.rus == 0`.
     pub fn new(cfg: &ManagerConfig) -> Self {
-        Engine::with_templates(cfg, Arc::new(TemplateSet::new()))
-    }
-
-    /// Creates an idle engine drawing design-time artifacts from a
-    /// shared [`TemplateSet`] — pass the same set to every engine of a
-    /// sweep so each distinct template is analysed once per process.
-    ///
-    /// # Panics
-    /// Panics if `cfg.rus == 0`.
-    pub fn with_templates(cfg: &ManagerConfig, templates: Arc<TemplateSet>) -> Self {
         assert!(cfg.rus > 0, "need at least one RU");
         Engine {
             m: ManagerState {
@@ -193,7 +185,7 @@ impl Engine {
                 cfg: cfg.clone(),
             },
             jobs: Vec::new(),
-            templates,
+            templates: FxHashMap::default(),
             arrival_lane: Vec::new(),
             lane_cursor: 0,
             lane_dirty: false,
@@ -207,8 +199,8 @@ impl Engine {
     /// arrival order).
     ///
     /// The design-time phase (reconfiguration sequence, configuration
-    /// projection, predecessor counts) runs here via the shared
-    /// template set, once per distinct graph template per process.
+    /// projection, predecessor counts) runs here, once per distinct
+    /// graph template per engine.
     ///
     /// # Panics
     /// Panics if the arrival lies in the simulated past (before the
@@ -220,9 +212,12 @@ impl Engine {
             job.arrival,
             self.m.queue.now()
         );
-        let tpl = self.templates.get_or_compute(&job.graph);
+        let tpl = self
+            .templates
+            .entry(Arc::as_ptr(&job.graph) as usize)
+            .or_insert_with(|| TemplateArtifacts::compute(&job.graph));
+        self.m.job_templates.push(Arc::clone(tpl));
         let idx = self.jobs.len();
-        self.m.job_templates.push(tpl);
         self.m.qos_lanes |= job.qos.priority != 0;
         if self
             .arrival_lane
@@ -797,17 +792,21 @@ mod tests {
     }
 
     #[test]
-    fn shared_template_set_interns_across_engines() {
-        let set = Arc::new(rtr_taskgraph::TemplateSet::new());
+    fn jobs_share_artifacts_per_graph_allocation() {
+        // Jobs of one `Arc` share one artifact entry; a structurally
+        // equal graph behind a second `Arc` is a different template.
         let g = Arc::new(benchmarks::jpeg());
-        let cfg = ManagerConfig::paper_default();
-        for _ in 0..3 {
-            let mut engine = Engine::with_templates(&cfg, Arc::clone(&set));
-            engine.submit(JobSpec::new(Arc::clone(&g)));
-            engine.run(&mut FirstCandidatePolicy);
-            assert_eq!(engine.completed_jobs(), 1);
-        }
-        assert_eq!(set.len(), 1, "one template analysed once, shared");
+        let twin = Arc::new(benchmarks::jpeg());
+        let mut engine = Engine::new(&ManagerConfig::paper_default());
+        engine.submit(JobSpec::new(Arc::clone(&g)));
+        engine.submit(JobSpec::new(g));
+        engine.submit(JobSpec::new(twin));
+        assert_eq!(engine.templates.len(), 2);
+        let tpls = &engine.m.job_templates;
+        assert!(Arc::ptr_eq(&tpls[0], &tpls[1]), "one Arc, one entry");
+        assert!(!Arc::ptr_eq(&tpls[0], &tpls[2]), "second Arc, own entry");
+        engine.run(&mut FirstCandidatePolicy);
+        assert_eq!(engine.completed_jobs(), 3);
     }
 
     #[test]

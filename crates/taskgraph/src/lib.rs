@@ -15,9 +15,7 @@
 //!   reconstructions of the JPEG / MPEG-1 / Hough multimedia applications.
 //! * [`generate`] — seeded random DAG generators (layered, chain,
 //!   fork-join, series-parallel) for stress tests and ablations.
-//! * [`serialize`] — JSON import/export and Graphviz DOT rendering.
-//! * [`template`] — interned templates with their design-time artifacts
-//!   ([`TemplateSet`]), shared across engines, threads and grid cells.
+//! * [`serialize`] — JSON import/export.
 
 pub mod analysis;
 pub mod benchmarks;
@@ -25,9 +23,7 @@ pub mod generate;
 pub mod graph;
 pub mod recseq;
 pub mod serialize;
-pub mod template;
 pub mod topo;
 
 pub use graph::{ConfigId, GraphError, NodeId, TaskGraph, TaskGraphBuilder, TaskNode};
 pub use recseq::reconfiguration_sequence;
-pub use template::{TemplateArtifacts, TemplateSet};

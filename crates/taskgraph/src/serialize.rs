@@ -1,4 +1,4 @@
-//! Graph serialisation: a JSON interchange format and Graphviz DOT export.
+//! Graph serialisation: a JSON interchange format.
 //!
 //! `TaskGraph` itself is not directly `Deserialize` because arbitrary
 //! adjacency data could violate its invariants; instead deserialisation
@@ -7,7 +7,6 @@
 
 use crate::graph::{ConfigId, GraphError, NodeId, TaskGraph, TaskGraphBuilder};
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// Flat, serde-friendly description of a task graph.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -103,29 +102,6 @@ pub fn from_json(json: &str) -> Result<TaskGraph, ParseError> {
     TaskGraph::try_from(spec).map_err(ParseError::Graph)
 }
 
-/// Renders `g` in Graphviz DOT syntax (nodes labelled
-/// `name\nconfig/exec`).
-pub fn to_dot(g: &TaskGraph) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph \"{}\" {{", g.name());
-    let _ = writeln!(out, "  rankdir=TB;");
-    for id in g.node_ids() {
-        let n = g.node(id);
-        let _ = writeln!(
-            out,
-            "  {} [label=\"{}\\n{} {}\"];",
-            id.0, n.name, n.config, n.exec_time
-        );
-    }
-    for id in g.node_ids() {
-        for s in g.succs(id) {
-            let _ = writeln!(out, "  {} -> {};", id.0, s.0);
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,16 +160,5 @@ mod tests {
             from_json(json),
             Err(ParseError::Graph(GraphError::ZeroExecTime(_)))
         ));
-    }
-
-    #[test]
-    fn dot_mentions_every_node_and_edge() {
-        let g = benchmarks::mpeg1();
-        let dot = to_dot(&g);
-        assert!(dot.contains("digraph \"MPEG-1\""));
-        for n in g.nodes() {
-            assert!(dot.contains(&n.name));
-        }
-        assert_eq!(dot.matches(" -> ").count(), g.edge_count());
     }
 }

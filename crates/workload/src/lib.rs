@@ -23,8 +23,8 @@
 //! * [`table`] — Markdown/CSV result tables.
 //! * [`experiments`] — the per-figure/table drivers.
 //! * [`vopr`] — the deterministic fuzz campaign behind the `vopr`
-//!   binary: seeded case derivation, three engine lifecycles, replayable
-//!   failure fingerprints and a greedy scenario minimiser.
+//!   binary: seeded case derivation, a run-to-run determinism check,
+//!   replayable failure fingerprints and a greedy scenario minimiser.
 
 pub mod arrivals;
 pub mod experiments;

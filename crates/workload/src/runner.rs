@@ -227,27 +227,28 @@ fn build_jobs(
 /// t = 0).
 ///
 /// One-shot form: builds a private [`CellRunner`] (fresh registry), so
-/// design-time cost is attributed to this cell alone. Sweeps should
-/// hold a `CellRunner` instead and amortise it.
+/// mobility cost is attributed to this cell alone. Sweeps should hold a
+/// `CellRunner` instead and amortise it.
 pub fn run_cell(sequence: &[Arc<TaskGraph>], cell: &CellConfig) -> Result<CellResult, SimError> {
     CellRunner::new().run(sequence, cell)
 }
 
-/// A cell executor over a (typically shared) design-time
-/// [`TemplateRegistry`]. Every cell builds its own [`Engine`], so cells
-/// share nothing but the registry.
+/// A cell executor over a (typically shared) mobility memo, the
+/// [`TemplateRegistry`]. Every cell builds its own [`Engine`], which
+/// computes the structural artifacts of its templates, so cells share
+/// nothing but the registry.
 ///
 /// Sweeps create one `CellRunner` per worker thread, all pointing at
-/// one registry, so every distinct template is analysed once per
-/// process. Results are bit-exact with the one-shot [`run_cell`] path;
-/// only the wall-clock attribution differs — `design_time` reports
-/// this *call's* cost, which is ≈ 0 whenever the registry already
-/// holds the cell's artifacts.
+/// one registry, so each `(template, system)` mobility vector is
+/// computed once per process. Results are bit-exact with the one-shot
+/// [`run_cell`] path; only the wall-clock attribution differs —
+/// `design_time` reports this *call's* cost, which is ≈ 0 whenever the
+/// registry already holds the cell's mobility vectors.
 pub struct CellRunner {
     registry: Arc<TemplateRegistry>,
 }
 
-/// Per-worker [`CellRunner`] factory sharing one design-time
+/// Per-worker [`CellRunner`] factory sharing one mobility memo,
 /// `registry` — the worker-init closure a sweep passes to
 /// [`parallel_map_with`](crate::parallel::parallel_map_with).
 pub fn pooled_workers(registry: &Arc<TemplateRegistry>) -> impl Fn() -> CellRunner + Sync + '_ {
@@ -260,7 +261,7 @@ impl CellRunner {
         CellRunner::with_registry(Arc::new(TemplateRegistry::new()))
     }
 
-    /// A runner drawing design-time artifacts from a shared registry.
+    /// A runner drawing mobility vectors from a shared registry.
     pub fn with_registry(registry: Arc<TemplateRegistry>) -> Self {
         CellRunner { registry }
     }
@@ -297,7 +298,7 @@ impl CellRunner {
         // first cell touching a (template, system) pair pays it.
         let (jobs, design_time) = build_jobs(&self.registry, sequence, arrivals, qos, cell);
         let cfg = cell.manager_config();
-        let mut engine = Engine::with_templates(&cfg, self.registry.template_set());
+        let mut engine = Engine::new(&cfg);
         for job in jobs {
             engine.submit(job);
         }
@@ -460,6 +461,33 @@ mod tests {
             assert_eq!(pooled.trace, fresh.trace);
         }
         assert_eq!(runner.registry().templates(), 3);
+    }
+
+    #[test]
+    fn registry_holds_only_mobility() {
+        // Engines compute their own structural artifacts: cells without
+        // Skip Events leave a shared registry empty.
+        let seq = small_sequence(10);
+        let mut runner = CellRunner::new();
+        for policy in [
+            PolicyKind::Lru,
+            PolicyKind::LocalLfd {
+                window: 2,
+                skip: false,
+            },
+            PolicyKind::Lfd,
+        ] {
+            runner.run(&seq, &CellConfig::new(policy, 4)).unwrap();
+        }
+        assert_eq!(runner.registry().templates(), 0);
+        assert_eq!(runner.registry().mobility_entries(), 0);
+        let skip = PolicyKind::LocalLfd {
+            window: 2,
+            skip: true,
+        };
+        runner.run(&seq, &CellConfig::new(skip, 4)).unwrap();
+        assert!(runner.registry().templates() > 0);
+        assert!(runner.registry().mobility_entries() > 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::qos::QosSpec;
 use crate::runner::CellConfig;
 use crate::sequence::SequenceModel;
 use crate::table::{fmt_f, Table};
-use rtr_hw::DeviceSpec;
+use rtr_hw::{DeviceSpec, RuPool};
 use rtr_manager::fleet::simulate_fleet;
 use rtr_manager::{FaultPlan, FleetSpec, JobSpec, PreemptionMode, SimError, TenantId};
 use rtr_taskgraph::serialize::GraphSpec;
@@ -110,18 +110,22 @@ impl Scenario {
 
     /// Rejects every input a run would otherwise panic on inside a
     /// sweep worker: invalid or missing templates, a sequence model
-    /// that does not fit them, a degenerate arrival process, zero RUs,
-    /// a zero reconfiguration latency, per-mille fault rates above
-    /// 1000, and a retry budget whose worst-case backoff overflows
-    /// simulated time.
+    /// that does not fit them, a degenerate arrival process, zero RUs
+    /// or more than [`RuPool::MAX_RUS`], a zero reconfiguration
+    /// latency, per-mille fault rates above 1000, and a retry budget
+    /// whose worst-case backoff overflows simulated time.
     pub fn validate(&self) -> Result<(), String> {
         for spec in &self.templates {
             TaskGraph::try_from(spec.clone()).map_err(|e| e.to_string())?;
         }
         self.model.validate(self.templates.len())?;
         self.arrivals.validate().map_err(|e| e.to_string())?;
-        if self.rus == 0 {
-            return Err("need at least one RU".into());
+        if !(1..=RuPool::MAX_RUS).contains(&self.rus) {
+            return Err(format!(
+                "need at least one RU and at most {} (the RU id range), got {}",
+                RuPool::MAX_RUS,
+                self.rus
+            ));
         }
         let latency = self.device.reconfig_latency;
         if latency.is_zero() {
@@ -483,8 +487,13 @@ mod tests {
     #[test]
     fn rejects_inputs_that_would_panic_in_a_sweep_worker() {
         type Edit = fn(&mut Scenario);
-        let cases: [(&str, Edit, &str); 10] = [
+        let cases: [(&str, Edit, &str); 11] = [
             ("zero RUs", |s| s.rus = 0, "at least one RU"),
+            (
+                "RUs beyond the RU id range",
+                |s| s.rus = 70_000,
+                "RU id range",
+            ),
             (
                 "no templates",
                 |s| s.templates.clear(),
@@ -544,6 +553,7 @@ mod tests {
         }
         // The edges of the accepted ranges still load.
         let mut s = Scenario::paper_fig9(4, 10, 1);
+        s.rus = RuPool::MAX_RUS;
         s.model = SequenceModel::Bursty { repeat_prob: 1.0 };
         s.faults.load_fault_pm = 1000;
         s.faults.max_retries = 20;
