@@ -120,10 +120,13 @@ impl ManagerState {
                     });
                     self.current = Some(job);
                     policy.on_graph_start(idx as u32, now);
-                    // Skipping the rebuild is only sound while the index
-                    // still mirrors plain arrival order and nothing is
-                    // suspended — i.e. on every uniform-priority run.
-                    if !(self.index_fifo && pos == 0 && self.suspended.is_empty()) {
+                    // Topping the index up is only sound while the
+                    // service order is still plain arrival order and
+                    // nothing is suspended — i.e. on every
+                    // uniform-priority run.
+                    if self.index_fifo && pos == 0 && self.suspended.is_empty() {
+                        self.top_up_reuse_index();
+                    } else {
                         self.rebuild_reuse_index(jobs);
                         self.index_fifo = false;
                     }

@@ -29,8 +29,8 @@
 //! the buffers each activation needs are recycled rather than
 //! reallocated: the [`ActiveJob`] node records and recovery queue go
 //! back to [`JobScratch`] at graph completion (graphs run
-//! sequentially), and the eviction-candidate and ready-successor
-//! scratch buffers keep their capacity from event to event.
+//! sequentially), and the eviction-candidate, ready-successor and
+//! lane-order scratch buffers keep their capacity from event to event.
 //! Each engine computes the [`TemplateArtifacts`] of a template the
 //! first time a job of it is submitted, and shares them with every
 //! later job of that template; engines share no design-time state.
@@ -44,6 +44,7 @@ use crate::trace::{Trace, TraceEvent};
 use rtr_hw::{LoadLane, ReconfigController, RuId, RuPool};
 use rtr_sim::{EventQueue, SimDuration, SimTime};
 use rtr_taskgraph::{reconfiguration_sequence, ConfigId, NodeId, TaskGraph};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -268,10 +269,18 @@ pub(crate) struct ManagerState {
     /// in arrival order (ties broken by submission order). This is what
     /// the replacement module's Dynamic List is built from.
     pub(crate) arrived: VecDeque<usize>,
-    /// The incremental next-occurrence index over `[current] + arrived`
-    /// — shared across consecutive replacement decisions instead of a
-    /// per-decision stream rebuild.
+    /// The incremental next-occurrence index over the first
+    /// `index_bound` jobs of the service order — every job a decision
+    /// window can reach — shared across consecutive replacement
+    /// decisions instead of a per-decision stream rebuild.
     pub(crate) reuse_index: ReuseIndex,
+    /// Most jobs the reuse index holds: the current graph plus the `w`
+    /// graphs the lookahead can expose (`usize::MAX` under
+    /// [`Lookahead::All`](crate::Lookahead::All)).
+    pub(crate) index_bound: usize,
+    /// Reusable `(lane key, arrived position)` buffer of the planned-order
+    /// index rebuild.
+    pub(crate) lane_order: Vec<(Reverse<u8>, usize)>,
     /// The pending `NewTaskGraph` activation, if any. At most one can
     /// exist (graphs execute sequentially), so it lives in a slot the
     /// run loop merges at `PRIO_NEW_TASK_GRAPH` instead of paying
@@ -306,10 +315,11 @@ pub(crate) struct ManagerState {
     /// A preemption was requested while a demand load was in flight;
     /// executed (after re-checking the trigger) when that load lands.
     pub(crate) pending_preempt: bool,
-    /// True while the reuse index still mirrors `[current] + arrived`
-    /// in plain arrival order (the legacy invariant). The first
-    /// out-of-order activation, resume, or preemption clears it; from
-    /// then on every activation rebuilds the index in planned order.
+    /// True while the service order is plain arrival order, so the
+    /// reuse index holds `[current] + arrived` up to `index_bound` jobs
+    /// in that order. The first out-of-order activation, resume, or
+    /// preemption clears it; from then on every activation rebuilds the
+    /// index in planned order.
     pub(crate) index_fifo: bool,
     /// Any submitted job carries a non-default priority (gates the
     /// priority-lane activation scan; uniform runs keep the O(1) FIFO

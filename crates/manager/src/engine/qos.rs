@@ -27,6 +27,8 @@ use crate::policy::ReplacementPolicy;
 use crate::qos::PreemptionMode;
 use crate::trace::TraceEvent;
 use rtr_sim::SimTime;
+use std::cmp::Reverse;
+use std::mem;
 use std::sync::Arc;
 
 impl ManagerState {
@@ -167,32 +169,45 @@ impl ManagerState {
         idx
     }
 
-    /// Rebuilds the reuse index in planned service order: current graph
-    /// first, then the suspended stack top to bottom, then waiting
-    /// arrivals by priority lane (ties in arrival order). Called at
-    /// every activation once the FIFO invariant is lost —
-    /// uniform-priority runs never get here.
+    /// Rebuilds the reuse index in planned service order — current
+    /// graph first, then the suspended stack top to bottom, then waiting
+    /// arrivals by priority lane (ties in arrival order) — keeping only
+    /// the first `index_bound` jobs. Called at every activation once the
+    /// FIFO invariant is lost; uniform-priority runs never get here.
     pub(crate) fn rebuild_reuse_index(&mut self, jobs: &[JobSpec]) {
         self.reuse_index.clear();
-        if let Some(job) = &self.current {
-            self.reuse_index.push_job(Arc::clone(&job.tpl.cfg_seq));
-        }
-        for job in self.suspended.iter().rev() {
-            self.reuse_index.push_job(Arc::clone(&job.tpl.cfg_seq));
-        }
-        // Rebuilds are rare (one per preemption/resume/out-of-order
-        // activation), so a local sort buffer is fine here.
-        let mut order: Vec<(u8, usize)> = self
-            .arrived
+        for job in self
+            .current
             .iter()
-            .enumerate()
-            .map(|(k, &i)| (jobs[i].qos.priority, k))
-            .collect();
-        order.sort_by_key(|&(p, k)| (std::cmp::Reverse(p), k));
+            .chain(self.suspended.iter().rev())
+            .take(self.index_bound)
+        {
+            self.reuse_index.push_job(Arc::clone(&job.tpl.cfg_seq));
+        }
+        let room = (self.index_bound - self.reuse_index.jobs()).min(self.arrived.len());
+        if room == 0 {
+            return;
+        }
+        // The keys are unique, so selecting the `room` smallest and
+        // sorting only those gives the same prefix as sorting them all.
+        let mut order = mem::take(&mut self.lane_order);
+        order.clear();
+        order.extend(
+            self.arrived
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (Reverse(jobs[i].qos.priority), k)),
+        );
+        if room < order.len() {
+            order.select_nth_unstable(room);
+            order.truncate(room);
+        }
+        order.sort_unstable();
         for &(_, k) in &order {
             let i = self.arrived[k];
             self.reuse_index
                 .push_job(Arc::clone(&self.job_templates[i].cfg_seq));
         }
+        self.lane_order = order;
     }
 }

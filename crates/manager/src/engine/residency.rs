@@ -3,9 +3,12 @@
 //! This module owns every state change of the RU pool (reuse claims,
 //! load starts, execution starts) and — because residency decisions are
 //! driven by the future request stream — the incremental maintenance of
-//! the [`ReuseIndex`](crate::ReuseIndex): jobs are indexed the moment
-//! they arrive and pruned the moment their graph retires, so the index
-//! always mirrors `[current job] + arrived backlog`.
+//! the [`ReuseIndex`](crate::ReuseIndex). The index holds only the jobs
+//! a decision window can reach: the first `index_bound` = 1 + w jobs of
+//! the service order, where `w` is the lookahead's reach. A job is
+//! indexed when it enters that prefix (at arrival, or at the activation
+//! that moves it up) and pruned the moment its graph retires, so a
+//! backlog of any length costs the index at most 1 + w segments.
 
 use super::events::{Event, PRIO_END_OF_EXECUTION};
 use super::{ManagerState, Placement};
@@ -18,24 +21,49 @@ use std::mem;
 use std::sync::Arc;
 
 impl ManagerState {
-    /// A submitted job's arrival fired: record it, append it to the
-    /// online queue and to the next-occurrence index (same order — the
-    /// index's segment deque mirrors `[current] + arrived` exactly).
-    /// The single admission path shared by the event dispatch and the
-    /// run loop's same-instant burst fast path, so per-arrival
-    /// bookkeeping can never diverge between the two.
+    /// A submitted job's arrival fired: record it and append it to the
+    /// online queue. It joins the next-occurrence index only while fewer
+    /// than `index_bound` jobs are live: the index then holds every live
+    /// job, and an arrival is last in service order until the next
+    /// activation re-plans it. The single admission path shared by the
+    /// event dispatch and the run loop's same-instant burst fast path,
+    /// so per-arrival bookkeeping can never diverge between the two.
     pub(crate) fn admit_arrival(&mut self, idx: usize, now: SimTime) {
         self.record(|| TraceEvent::JobArrival {
             job: idx as u32,
             at: now,
         });
+        let live = usize::from(self.current.is_some()) + self.suspended.len() + self.arrived.len();
+        if live < self.index_bound {
+            self.reuse_index
+                .push_job(Arc::clone(&self.job_templates[idx].cfg_seq));
+        }
         self.arrived.push_back(idx);
-        self.reuse_index
-            .push_job(Arc::clone(&self.job_templates[idx].cfg_seq));
+    }
+
+    /// A FIFO activation made the longest-waiting arrival current: the
+    /// index holds a prefix of `[current] + arrived` (one job short of
+    /// `index_bound` after the retire), so append the jobs that follow
+    /// it until it is full again — in steady state one job. An index that
+    /// already holds every live job costs no walk over the queue.
+    pub(crate) fn top_up_reuse_index(&mut self) {
+        if self.reuse_index.is_empty() {
+            let job = self
+                .current
+                .as_ref()
+                .expect("activation made a job current");
+            self.reuse_index.push_job(Arc::clone(&job.tpl.cfg_seq));
+        }
+        // The index holds the current job and `arrived[..held - 1]`.
+        let held = self.reuse_index.jobs();
+        for &i in self.arrived.range(held - 1..).take(self.index_bound - held) {
+            self.reuse_index
+                .push_job(Arc::clone(&self.job_templates[i].cfg_seq));
+        }
     }
 
     /// The current graph completed: drop its (fully consumed) segment
-    /// from the index so memory tracks the live backlog.
+    /// from the index. The activation at this instant refills it.
     pub(crate) fn retire_front_job(&mut self) {
         self.reuse_index.retire_front();
     }

@@ -166,6 +166,8 @@ impl Engine {
                 candidates: Vec::new(),
                 arrived: VecDeque::new(),
                 reuse_index: ReuseIndex::new(),
+                index_bound: cfg.lookahead.visible_graphs(usize::MAX).saturating_add(1),
+                lane_order: Vec::new(),
                 pending_activation: None,
                 completed_jobs: 0,
                 trace: Trace::default(),
@@ -529,10 +531,14 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::FirstCandidatePolicy;
+    use crate::config::{Lookahead, PrefetchConfig};
+    use crate::policy::{DecisionContext, FirstCandidatePolicy};
+    use crate::qos::{PreemptionMode, QosClass};
     use crate::trace::TraceEvent;
+    use rtr_hw::RuId;
     use rtr_sim::SimDuration;
     use rtr_taskgraph::{benchmarks, ConfigId};
+    use std::cmp::Reverse;
 
     fn ms(x: u64) -> SimDuration {
         SimDuration::from_ms(x)
@@ -821,5 +827,124 @@ mod tests {
         engine.run(&mut FirstCandidatePolicy);
         assert!(engine.m.reuse_index.is_empty(), "retired on completion");
         assert_eq!(engine.completed_jobs(), 2);
+    }
+
+    #[test]
+    fn reuse_index_holds_only_what_the_lookahead_reaches() {
+        // A same-instant burst of N arrivals, then its activation: the
+        // index holds the current graph plus the w graphs a window can
+        // show, not the rest of the backlog.
+        const N: usize = 8;
+        let g = Arc::new(benchmarks::jpeg());
+        for (lookahead, held) in [
+            (Lookahead::None, 1),
+            (Lookahead::Graphs(2), 3),
+            (Lookahead::All, N),
+        ] {
+            let cfg = ManagerConfig::paper_default().with_lookahead(lookahead);
+            let mut engine = Engine::new(&cfg);
+            for _ in 0..N {
+                engine.submit(JobSpec::new(Arc::clone(&g)));
+            }
+            let m = &mut engine.m;
+            for idx in 0..N {
+                let ev = Event::JobArrival { idx };
+                m.handle(ev, SimTime::ZERO, &engine.jobs, &mut FirstCandidatePolicy);
+            }
+            assert_eq!(m.arrived.len(), N);
+            assert_eq!(m.reuse_index.jobs(), held, "after the burst, {lookahead:?}");
+            m.pending_activation = None;
+            m.handle(
+                Event::NewTaskGraph,
+                SimTime::ZERO,
+                &engine.jobs,
+                &mut FirstCandidatePolicy,
+            );
+            assert_eq!(
+                m.reuse_index.jobs(),
+                held,
+                "after activation, {lookahead:?}"
+            );
+        }
+    }
+
+    /// Evicts the candidate whose configuration is requested farthest
+    /// ahead in the window (absent counts as farthest; lowest RU on
+    /// ties): every choice depends on the index's answers.
+    struct FarthestNextUse;
+
+    impl ReplacementPolicy for FarthestNextUse {
+        fn name(&self) -> &str {
+            "farthest-next-use"
+        }
+
+        fn select_victim(&mut self, ctx: &DecisionContext<'_>) -> RuId {
+            let (_, victim) = ctx
+                .candidates
+                .iter()
+                .enumerate()
+                .max_by_key(|(i, c)| {
+                    let dist = ctx.distance_of(c.config).unwrap_or(usize::MAX);
+                    (dist, Reverse(*i))
+                })
+                .expect("decisions have candidates");
+            victim.ru
+        }
+    }
+
+    #[test]
+    fn bounded_reuse_index_leaves_every_run_unchanged() {
+        // Random lane workloads, each run twice: with the engine's bound
+        // of 1 + w indexed jobs and with every arrived job indexed. The
+        // stats and the trace must not differ by one event.
+        let suite: Vec<Arc<TaskGraph>> = benchmarks::multimedia_suite()
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |n: u64| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        for case in 0..300 {
+            let lookahead = match draw(4) {
+                0 => Lookahead::None,
+                n => Lookahead::Graphs(n as usize),
+            };
+            let cfg = ManagerConfig::paper_default()
+                .with_rus(2 + draw(5) as usize)
+                .with_lookahead(lookahead)
+                .with_preemption(PreemptionMode::ALL[draw(3) as usize])
+                .with_prefetch(PrefetchConfig::with_depth(draw(3) as usize));
+            let mut at = SimTime::ZERO;
+            let jobs: Vec<JobSpec> = (0..4 + draw(24))
+                .map(|_| {
+                    if draw(3) != 0 {
+                        at += SimDuration::from_us(draw(40_000));
+                    }
+                    let graph = Arc::clone(&suite[draw(3) as usize]);
+                    let priority = [0, 0, 3, 5][draw(4) as usize];
+                    JobSpec::new(graph)
+                        .with_arrival(at)
+                        .with_qos(QosClass::priority(priority))
+                })
+                .collect();
+            let [bounded, unbounded] = [false, true].map(|unbounded| {
+                let mut engine = Engine::new(&cfg);
+                if unbounded {
+                    engine.m.index_bound = usize::MAX;
+                }
+                for job in &jobs {
+                    engine.submit(job.clone());
+                }
+                engine.run(&mut FarthestNextUse);
+                engine.finish().map(|out| (out.stats, out.trace))
+            });
+            assert_eq!(bounded, unbounded, "case {case}: {cfg:?}");
+        }
     }
 }

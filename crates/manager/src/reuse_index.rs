@@ -9,25 +9,29 @@
 //! [`ReuseIndex`] instead maintains, incrementally as the engine runs,
 //!
 //! * a **global position space**: every configuration request of every
-//!   job gets a monotonically increasing position as the job *arrives*
-//!   (arrival order = activation order, so positions are stream order);
+//!   indexed job gets a monotonically increasing position as the job is
+//!   pushed, in service order, so positions are stream order;
 //! * **per-config occurrence lists**: for each [`ConfigId`], the sorted
 //!   list of its positions — sorted for free, because positions are
 //!   assigned monotonically;
-//! * a **segment deque** mirroring `[current job] + arrived backlog`,
-//!   so the visible Dynamic-List window of any decision is a single
-//!   *contiguous* position interval.
+//! * a **segment deque** holding the current job and the jobs queued
+//!   after it, in service order, so the visible Dynamic-List window of
+//!   any decision is a single *contiguous* position interval.
 //!
 //! That contiguity is the crux: the window the replacement module sees
 //! is always "the rest of the current graph's sequence, then the next
-//! `w` arrived graphs" — consecutive segments in activation order.
-//! A next-use query is therefore one binary search (`partition_point`)
-//! in the config's occurrence list against the window's lower bound,
-//! plus an upper-bound check. No per-decision rebuild, and the index is
-//! shared across consecutive decisions.
+//! `w` graphs" — consecutive segments in service order. A next-use
+//! query is therefore one binary search (`partition_point`) in the
+//! config's occurrence list against the window's lower bound, plus an
+//! upper-bound check. No per-decision rebuild, and the index is shared
+//! across consecutive decisions.
 //!
-//! Retired jobs are pruned front-first ([`ReuseIndex::retire_front`]),
-//! so memory tracks the live backlog, not the whole run history.
+//! A window ends `w` segments past the front, so the index need not
+//! hold more than `1 + w` jobs: the engine pushes a job only when it
+//! enters that prefix of the service order, and jobs further back are
+//! never indexed. Retired jobs are pruned front-first
+//! ([`ReuseIndex::retire_front`]). Memory therefore scales with
+//! `1 + w` jobs, not with the backlog or the run history.
 
 use rtr_sim::DenseIdMap;
 use rtr_taskgraph::ConfigId;
@@ -39,7 +43,7 @@ use std::sync::Arc;
 /// (`partition_point` per replacement decision) runs on a plain slice —
 /// no ring-wrap masking per probe. Front pops advance the cursor; the
 /// dead prefix is compacted away once it outgrows the live tail, so
-/// memory stays proportional to the live backlog (amortised O(1) per
+/// memory stays proportional to the indexed jobs (amortised O(1) per
 /// pop).
 #[derive(Debug, Clone, Default)]
 struct OccurrenceList {
@@ -174,8 +178,8 @@ impl ReuseWindow {
 
 /// Per-config next-occurrence index over the future request stream.
 ///
-/// Maintained by the engine as jobs arrive ([`push_job`]), as the
-/// current graph's sequence is consumed (positional, via the `consumed`
+/// Maintained by the engine as jobs enter the indexed prefix of the
+/// service order ([`push_job`]), as the current graph's sequence is consumed (positional, via the `consumed`
 /// argument of [`window`]), and as graphs retire ([`retire_front`]).
 /// Policies query it through
 /// [`DecisionContext`](crate::DecisionContext).
@@ -192,7 +196,7 @@ pub struct ReuseIndex {
     /// a long run reuses their allocations instead of churning the
     /// table — the config universe is bounded by the template set.
     occurrences: OccurrenceTable,
-    /// `[current job] + arrived backlog`, in activation order.
+    /// The indexed jobs, current job first, in service order.
     segments: VecDeque<IndexSegment>,
     /// Next global position to assign.
     next_pos: u64,
@@ -205,8 +209,8 @@ impl ReuseIndex {
     }
 
     /// Appends a job's configuration sequence to the stream, assigning
-    /// it the next contiguous position range. Call in *arrival* order —
-    /// the engine's activation order — so positions are stream order.
+    /// it the next contiguous position range. Call in service order, so
+    /// positions are stream order.
     pub fn push_job(&mut self, cfgs: Arc<Vec<ConfigId>>) {
         let base = self.next_pos;
         for (k, &c) in cfgs.iter().enumerate() {
@@ -245,7 +249,7 @@ impl ReuseIndex {
         self.next_pos = 0;
     }
 
-    /// Number of live jobs (current + backlog) in the index.
+    /// Number of jobs in the index (the current job included).
     pub fn jobs(&self) -> usize {
         self.segments.len()
     }
@@ -263,8 +267,8 @@ impl ReuseIndex {
     /// The visible window of one decision: the front job's sequence
     /// with its first `consumed` entries dropped (the entries already
     /// placed, plus the one being placed now), followed by the next
-    /// `visible_jobs` backlog jobs — one contiguous interval, because
-    /// segments are contiguous in activation order.
+    /// `visible_jobs` indexed jobs — one contiguous interval, because
+    /// segments are contiguous in service order.
     ///
     /// # Panics
     /// Panics if the index holds no jobs (decisions only happen while a
@@ -329,15 +333,21 @@ impl ReuseIndex {
 
     /// Iterates the window's requests in stream order — the legacy
     /// iterator view, reconstructed from the segment deque without
-    /// copying (each item is a slice walk).
+    /// copying (each item is a slice walk). Only the segments that
+    /// overlap the window are visited: the first is found by binary
+    /// search, and the walk stops at the first segment past `hi`.
     pub fn iter_window(&self, window: ReuseWindow) -> impl Iterator<Item = ConfigId> + '_ {
-        self.segments.iter().flat_map(move |seg| {
-            let lo = window.lo.max(seg.base).min(seg.end());
-            let hi = window.hi.max(seg.base).min(seg.end());
-            seg.cfgs[(lo - seg.base) as usize..(hi - seg.base) as usize]
-                .iter()
-                .copied()
-        })
+        let first = self.segments.partition_point(|seg| seg.end() <= window.lo);
+        self.segments
+            .range(first..)
+            .take_while(move |seg| seg.base < window.hi)
+            .flat_map(move |seg| {
+                let lo = window.lo.max(seg.base);
+                let hi = window.hi.min(seg.end());
+                seg.cfgs[(lo - seg.base) as usize..(hi - seg.base) as usize]
+                    .iter()
+                    .copied()
+            })
     }
 }
 
@@ -393,10 +403,22 @@ mod tests {
         let mut idx = ReuseIndex::new();
         idx.push_job(seq(&[1]));
         idx.push_job(seq(&[1, 5]));
+        idx.push_job(seq(&[9]));
         // The current job is fully consumed; only the backlog remains.
         let w = idx.window(7, 1);
         assert_eq!(idx.distance_of(c(1), w), Some(1));
         assert_eq!(idx.distance_of(c(5), w), Some(2));
+        let got: Vec<u32> = idx.iter_window(w).map(|c| c.0).collect();
+        assert_eq!(
+            got,
+            vec![1, 5],
+            "starts past the consumed front, stops at hi"
+        );
+        let got: Vec<u32> = idx.iter_window(idx.window(7, 2)).map(|c| c.0).collect();
+        assert_eq!(got, vec![1, 5, 9]);
+        let w = idx.window(7, 0);
+        assert!(w.is_empty());
+        assert!(idx.iter_window(w).next().is_none());
     }
 
     #[test]

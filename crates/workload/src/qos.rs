@@ -11,7 +11,7 @@
 
 use rtr_manager::ideal::ideal_graph_makespan;
 use rtr_manager::QosClass;
-use rtr_sim::SimTime;
+use rtr_sim::{FxHashMap, SimDuration, SimTime};
 use rtr_taskgraph::TaskGraph;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -67,6 +67,9 @@ impl QosSpec {
             return None;
         }
         debug_assert_eq!(sequence.len(), arrivals.len());
+        // One ideal makespan per template: `sequence` keeps every graph
+        // alive for this call, so an address identifies its graph.
+        let mut ideals: FxHashMap<*const TaskGraph, SimDuration> = FxHashMap::default();
         Some(
             sequence
                 .iter()
@@ -78,9 +81,11 @@ impl QosSpec {
                     }
                     let mut q = QosClass::priority(self.priority);
                     if let Some(pct) = self.deadline_stretch_pct {
-                        let ideal = ideal_graph_makespan(g, rus);
+                        let ideal = *ideals
+                            .entry(Arc::as_ptr(g))
+                            .or_insert_with(|| ideal_graph_makespan(g, rus));
                         let slack_us = ideal.as_us().saturating_mul(pct) / 100;
-                        q = q.with_deadline(arrival + rtr_sim::SimDuration::from_us(slack_us));
+                        q = q.with_deadline(arrival + SimDuration::from_us(slack_us));
                     }
                     q
                 })
@@ -146,11 +151,30 @@ mod tests {
             if (i + 1) % 3 == 0 {
                 assert_eq!(c.priority, 7);
                 // jpeg ideal on 4 RUs is 79 ms; 150% = 118.5 ms slack.
-                let expected = arrivals[i] + rtr_sim::SimDuration::from_us(118_500);
+                let expected = arrivals[i] + SimDuration::from_us(118_500);
                 assert_eq!(c.deadline, Some(expected));
             } else {
                 assert!(c.is_default());
             }
+        }
+        // Stride 1 over interleaved templates: each deadline comes from
+        // its own graph's ideal makespan, not from another template's.
+        let jpeg = Arc::new(benchmarks::jpeg());
+        let mpeg1 = Arc::new(benchmarks::mpeg1());
+        assert_ne!(
+            ideal_graph_makespan(&jpeg, 4),
+            ideal_graph_makespan(&mpeg1, 4)
+        );
+        let mixed: Vec<Arc<TaskGraph>> = (0..6)
+            .map(|i| Arc::clone(if i % 2 == 0 { &jpeg } else { &mpeg1 }))
+            .collect();
+        let classes = QosSpec::strided(1, 7, 150)
+            .assign(&mixed, &arrivals, 4)
+            .expect("non-uniform");
+        for ((g, c), &at) in mixed.iter().zip(&classes).zip(&arrivals) {
+            let slack_us = ideal_graph_makespan(g, 4).as_us() * 150 / 100;
+            assert_eq!(c.priority, 7);
+            assert_eq!(c.deadline, Some(at + SimDuration::from_us(slack_us)));
         }
     }
 
