@@ -62,7 +62,9 @@ use rtr_sim::SimDuration;
 use rtr_taskgraph::ConfigId;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::sync::{Arc, Mutex};
+use std::thread;
 
 /// Typed submission failures of the fleet ingress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,6 +257,10 @@ struct Pending {
 /// the aggregate [`FleetStats`]. `run` drains implicitly, so callers
 /// only invoke `drain` when they want quota windows narrower than a
 /// full run (e.g. wave-based soaks).
+///
+/// Ingress, placement and roll-up run on the calling thread; `run`
+/// executes the devices in parallel, which is why
+/// [`ReplacementPolicy`] requires `Send`.
 pub struct Fleet {
     cfg: FleetConfig,
     engines: Vec<Engine>,
@@ -423,6 +429,14 @@ impl Fleet {
     /// Drains the ingress and runs every device to completion of its
     /// currently scheduled events, one policy per device.
     ///
+    /// Once `drain` has placed the jobs the devices share nothing: each
+    /// engine consumes only its own jobs and its own policy. So the
+    /// engines run in parallel on `min(available_parallelism, devices)`
+    /// workers, the calling thread among them, each taking the next
+    /// `(engine, policy)` pair in device order from one shared cursor.
+    /// On one core the caller runs every device in order and spawns
+    /// nothing. Results do not depend on the scheduling.
+    ///
     /// On the first call each policy's `reset` is invoked before its
     /// device runs — the exact call sequence of
     /// [`simulate`](crate::simulate), which is what makes the
@@ -430,7 +444,9 @@ impl Fleet {
     /// calls continue incrementally, mirroring [`Engine::run`].
     ///
     /// # Panics
-    /// Panics unless exactly one policy per device is supplied.
+    /// Panics unless exactly one policy per device is supplied. A panic
+    /// inside one device's run (a policy choosing a foreign RU, say) is
+    /// re-raised on the calling thread once every worker has stopped.
     pub fn run(&mut self, policies: &mut [Box<dyn ReplacementPolicy>]) {
         assert_eq!(
             policies.len(),
@@ -440,18 +456,47 @@ impl Fleet {
         self.drain();
         let first = !self.started;
         self.started = true;
-        for (engine, policy) in self.engines.iter_mut().zip(policies) {
+        // Memory that lands in a worker's malloc arena stays mapped after
+        // the worker exits, so the backlog-sized run state is allocated
+        // here, on the calling thread.
+        for engine in &mut self.engines {
+            engine.reserve_backlog();
+        }
+        let workers = thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(self.engines.len());
+        let cursor = Mutex::new(self.engines.iter_mut().zip(policies));
+        let drive = || loop {
+            let next = cursor
+                .lock()
+                .expect("no worker panics while holding the cursor")
+                .next();
+            let Some((engine, policy)) = next else { break };
             if first {
                 policy.reset();
             }
             engine.run(policy.as_mut());
-        }
+        };
+        thread::scope(|s| {
+            let helpers: Vec<_> = (1..workers).map(|_| s.spawn(drive)).collect();
+            drive();
+            for helper in helpers {
+                if let Err(payload) = helper.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
     }
 
     /// Finishes every device's engine and rolls the outcomes up into
     /// [`FleetStats`], consuming the fleet. Fails with the first
     /// device's [`SimError`] if any device stalled or lost its whole RU
     /// pool.
+    ///
+    /// The engines finish one after another on the calling thread: a
+    /// parallel `finish` would allocate every device's sojourn samples
+    /// in worker threads' malloc arenas, which stay mapped after the
+    /// workers exit, to save a few milliseconds.
     pub fn outcome(self) -> Result<FleetOutcome, SimError> {
         let mut devices = Vec::with_capacity(self.engines.len());
         for engine in self.engines {

@@ -63,9 +63,10 @@ pub use validate::{
     CheckContext, CheckOutput, Checker, CheckerOutcome, CheckerRegistry, RegistryReport, Violation,
 };
 
-// A parallel `Fleet::run` would hand each device engine to a worker
-// thread, so a field that is not `Send` (a raw-pointer map key, say)
-// must fail the build here rather than at that call site.
+// `Fleet::run` hands each device engine, with its policy, to a worker
+// thread. A field that is not `Send` (a raw-pointer map key, say) would
+// fail the build at that call site with a long trait-bound chain; this
+// names the type that lost `Send` instead.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Engine>();

@@ -362,6 +362,23 @@ impl Engine {
         }
     }
 
+    /// Reserves the run state that grows by one entry per job — the
+    /// arrived queue and the per-completion ledgers — for every
+    /// unfinished job. [`Fleet::run`](crate::Fleet::run) calls it before
+    /// handing the engine to a worker thread: glibc gives each thread
+    /// its own malloc arena, and memory that lands in a worker's arena
+    /// stays mapped after the worker exits. In a batch run the whole
+    /// backlog lands in `arrived` at t = 0.
+    pub(crate) fn reserve_backlog(&mut self) {
+        let unfinished = self.jobs.len() - self.m.completed_jobs;
+        let m = &mut self.m;
+        // Every arrived job is unfinished.
+        m.arrived.reserve(unfinished - m.arrived.len());
+        m.graph_arrivals.reserve(unfinished);
+        m.graph_completions.reserve(unfinished);
+        m.qos_records.reserve(unfinished);
+    }
+
     /// The simulation clock: time of the last processed event.
     pub fn now(&self) -> SimTime {
         self.m.queue.now()

@@ -240,7 +240,11 @@ impl<'a> DecisionContext<'a> {
 /// candidates; the manager asserts this. The notification callbacks give
 /// history-based policies (LRU, LFU, FIFO…) the usage signal they need;
 /// all have empty default bodies.
-pub trait ReplacementPolicy {
+///
+/// Policies are `Send`: [`Fleet::run`](crate::Fleet::run) hands each
+/// device's policy, with its engine, to a worker thread. A policy is
+/// only ever driven by one thread at a time, so it need not be `Sync`.
+pub trait ReplacementPolicy: Send {
     /// Short display name, e.g. `"LRU"` or `"Local LFD (2)"`.
     ///
     /// Returns a borrow (typically `&'static str`, or a field for

@@ -41,7 +41,7 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// Instantiates the policy object.
-    pub fn build(&self) -> Box<dyn ReplacementPolicy + Send> {
+    pub fn build(&self) -> Box<dyn ReplacementPolicy> {
         match *self {
             PolicyKind::Lru => Box::new(LruPolicy::new()),
             PolicyKind::Fifo => Box::new(FifoPolicy::new()),

@@ -13,20 +13,29 @@
 //!   less resident-configuration overlap than the best available;
 //! * per-tenant quota backpressure is pure filtering — dropping the
 //!   rejected submissions up front and running without a quota yields
-//!   the byte-identical fleet outcome.
+//!   the byte-identical fleet outcome;
+//! * [`Fleet::run`] drives the devices on parallel workers, yet every
+//!   device of an uneven fleet equals [`simulate`] on the jobs placement
+//!   routed to it, with its own policy; a second `run` continues each
+//!   device without resetting its policy; and a policy panic on any
+//!   device reaches the caller.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reconfig_reuse::taskgraph::generate::{self, GenConfig};
 use rtr_core::{FifoPolicy, LfdPolicy, LfuPolicy, LruPolicy, MruPolicy, RandomPolicy};
+use rtr_hw::RuId;
 use rtr_manager::fleet::ResidencyModel;
 use rtr_manager::{
-    simulate, simulate_fleet, FirstCandidatePolicy, Fleet, FleetConfig, JobSpec, Lookahead,
-    ManagerConfig, PlacementKind, ReplacementPolicy, SimulationOutcome, TenantId,
+    simulate, simulate_fleet, DecisionContext, Engine, FirstCandidatePolicy, Fleet, FleetConfig,
+    FleetOutcome, JobSpec, Lookahead, ManagerConfig, PlacementKind, ReplacementPolicy,
+    SimulationOutcome, TenantId,
 };
-use rtr_taskgraph::TaskGraph;
+use rtr_sim::SimTime;
+use rtr_taskgraph::{benchmarks, TaskGraph};
 use rtr_workload::ArrivalProcess;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn arrival_process(kind: u8) -> ArrivalProcess {
@@ -119,6 +128,23 @@ fn fingerprint(outcome: &SimulationOutcome) -> (String, String) {
         serde_json::to_string(&outcome.stats).expect("stats serialise"),
         serde_json::to_string(&outcome.trace).expect("trace serialises"),
     )
+}
+
+/// The jobs of `submitted[range]` that the recorded placement decisions
+/// routed to `device`, in submission order (`submitted[i]` is the
+/// fleet's submission `i`).
+fn routed(
+    outcome: &FleetOutcome,
+    submitted: &[JobSpec],
+    range: std::ops::Range<usize>,
+    device: usize,
+) -> Vec<JobSpec> {
+    outcome
+        .decisions
+        .iter()
+        .filter(|d| d.device == device && range.contains(&d.submit_index))
+        .map(|d| submitted[d.submit_index].clone())
+        .collect()
 }
 
 proptest! {
@@ -300,5 +326,194 @@ proptest! {
                 d
             );
         }
+    }
+
+    /// Every device of an uneven fleet (2–5 devices of 1–6 RUs, each
+    /// with its own policy) is byte-identical to `simulate` on the jobs
+    /// the recorded decisions routed to it, in submission order — under
+    /// reuse-affinity and least-loaded placement, with or without a
+    /// quota, drained midway. `run` drives the devices on parallel
+    /// workers; this pins that each engine still runs exactly its own
+    /// jobs under its own policy.
+    #[test]
+    fn every_device_equals_simulate_on_its_routed_jobs(
+        seed in any::<u64>(),
+        apps in 2usize..24,
+        arrivals in 0u8..4,
+        policy in 0u8..8,
+        devices in 2usize..6,
+        rus_draw in any::<u64>(),
+        affinity in any::<bool>(),
+        quota in 0usize..6,
+        tenants in 1usize..4,
+    ) {
+        let s = build_scenario(seed, apps, 1, arrivals, policy, tenants);
+        // Device `d` runs policy `policy + d`, with the lookahead it needs.
+        let policy_of = |d: usize| policy.wrapping_add(d as u8);
+        let device_cfgs: Vec<ManagerConfig> = (0..devices)
+            .map(|d| {
+                s.cfg
+                    .clone()
+                    .with_rus(1 + ((rus_draw >> (8 * d)) % 6) as usize)
+                    .with_lookahead(lookahead_for(policy_of(d), seed))
+            })
+            .collect();
+        let placement = if affinity {
+            PlacementKind::ReuseAffinity
+        } else {
+            PlacementKind::LeastLoaded
+        };
+        let mut cfg = FleetConfig::new(device_cfgs.clone(), placement);
+        if quota > 0 {
+            cfg = cfg.with_quota(quota);
+        }
+        let mut fleet = Fleet::new(cfg);
+        let half = s.jobs.len() / 2;
+        for (i, job) in s.jobs.iter().enumerate() {
+            if i == half {
+                fleet.drain();
+            }
+            // Quota rejections land in the ledger; the decisions below
+            // name the admitted jobs.
+            let _ = fleet.submit(job.clone());
+        }
+        let mut policies: Vec<Box<dyn ReplacementPolicy>> =
+            (0..devices).map(|d| build_policy(policy_of(d), seed)).collect();
+        fleet.run(&mut policies);
+        let outcome = fleet.outcome().expect("fleet completes");
+        prop_assert_eq!(outcome.decisions.len() as u64, outcome.stats.admitted);
+        prop_assert!(outcome.stats.balanced());
+        for (d, dev_cfg) in device_cfgs.iter().enumerate() {
+            let jobs = routed(&outcome, &s.jobs, 0..s.jobs.len(), d);
+            let mut p = build_policy(policy_of(d), seed);
+            let alone = simulate(dev_cfg, &jobs, p.as_mut()).expect("device alone completes");
+            prop_assert_eq!(
+                fingerprint(&outcome.devices[d]),
+                fingerprint(&alone),
+                "device {} diverged from simulate on its {} routed jobs",
+                d,
+                jobs.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn a_second_run_continues_every_device_without_a_reset() {
+    // Two submit + run rounds on an uneven three-device fleet, the
+    // second batch arriving long after the first has finished. Each
+    // device runs a policy whose history a reset would erase (LRU's
+    // recency, Random's draw stream, LFU's counts) and must equal one
+    // engine driven the same way: reset once, then submit, run,
+    // submit, run.
+    let suite: Vec<Arc<TaskGraph>> = benchmarks::multimedia_suite()
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+    let policy_ids = [1u8, 5, 4];
+    let device_cfgs: Vec<ManagerConfig> = [1, 2, 3]
+        .iter()
+        .map(|&rus| {
+            ManagerConfig::paper_default()
+                .with_rus(rus)
+                .with_trace(true)
+        })
+        .collect();
+    let batch = |at: SimTime, offset: usize| -> Vec<JobSpec> {
+        (0..18)
+            .map(|i| {
+                JobSpec::new(Arc::clone(&suite[(i * 7 + offset) % suite.len()])).with_arrival(at)
+            })
+            .collect()
+    };
+    let first = batch(SimTime::ZERO, 0);
+    let second = batch(SimTime::from_ms(600_000), 1);
+    let submitted: Vec<JobSpec> = first.iter().chain(&second).cloned().collect();
+
+    let mut fleet = Fleet::new(FleetConfig::new(
+        device_cfgs.clone(),
+        PlacementKind::ReuseAffinity,
+    ));
+    let mut policies: Vec<Box<dyn ReplacementPolicy>> =
+        policy_ids.iter().map(|&id| build_policy(id, 7)).collect();
+    for job in &first {
+        fleet.submit(job.clone()).expect("no quota configured");
+    }
+    fleet.run(&mut policies);
+    for job in &second {
+        fleet.submit(job.clone()).expect("no quota configured");
+    }
+    fleet.run(&mut policies);
+    let outcome = fleet.outcome().expect("fleet completes");
+
+    let rounds = [0..first.len(), first.len()..submitted.len()];
+    for (d, dev_cfg) in device_cfgs.iter().enumerate() {
+        let mut policy = build_policy(policy_ids[d], 7);
+        policy.reset();
+        let mut engine = Engine::new(dev_cfg);
+        for round in &rounds {
+            for job in routed(&outcome, &submitted, round.clone(), d) {
+                engine.submit(job);
+            }
+            engine.run(policy.as_mut());
+        }
+        let alone = engine.finish().expect("device alone completes");
+        assert!(alone.stats.executed > 0, "device {d} ran nothing");
+        assert_eq!(
+            fingerprint(&outcome.devices[d]),
+            fingerprint(&alone),
+            "device {d} diverged from one engine run twice"
+        );
+    }
+}
+
+/// Panics on its first eviction decision.
+struct PanicsOnEviction;
+
+impl ReplacementPolicy for PanicsOnEviction {
+    fn name(&self) -> &str {
+        "panics-on-eviction"
+    }
+
+    fn select_victim(&mut self, _ctx: &DecisionContext<'_>) -> RuId {
+        panic!("no victim today")
+    }
+}
+
+#[test]
+fn a_policy_panic_on_any_device_reaches_the_caller() {
+    // Three 1-RU devices running JPEG, so every device must evict. With
+    // 200 jobs per device the caller is still busy with device 0 when a
+    // second worker starts, so on more than one core a culprit on
+    // device 1 panics on that worker. Whichever thread runs the
+    // culprit, `run` re-raises its panic, payload intact, on the caller.
+    let g = Arc::new(benchmarks::jpeg());
+    for culprit in 0..3 {
+        let cfg = FleetConfig::new(
+            vec![ManagerConfig::paper_default().with_rus(1); 3],
+            PlacementKind::RoundRobin,
+        );
+        let mut fleet = Fleet::new(cfg);
+        for _ in 0..600 {
+            fleet
+                .submit(JobSpec::new(Arc::clone(&g)))
+                .expect("no quota configured");
+        }
+        let mut policies: Vec<Box<dyn ReplacementPolicy>> = (0..3)
+            .map(|d| -> Box<dyn ReplacementPolicy> {
+                if d == culprit {
+                    Box::new(PanicsOnEviction)
+                } else {
+                    Box::new(FirstCandidatePolicy)
+                }
+            })
+            .collect();
+        let payload = catch_unwind(AssertUnwindSafe(|| fleet.run(&mut policies)))
+            .expect_err("the culprit's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"no victim today"),
+            "culprit device {culprit}"
+        );
     }
 }
