@@ -3,9 +3,9 @@
 //! LRU is the paper's primary baseline ("the scheduler uses LRU, the
 //! reuse rate is very low"). FIFO, MRU, LFU and Random widen the policy
 //! mix the vopr fuzzer, the property tests and
-//! `examples/multimedia_station.rs` run; no figure or ablation uses
-//! them. All of them key their state by *configuration* (not RU): the
-//! quantity being cached is the bitstream.
+//! `examples/multimedia_station.rs` run; no figure uses them. All of
+//! them key their state by *configuration* (not RU): the quantity being
+//! cached is the bitstream.
 //!
 //! A configuration counts as "used" when it is loaded, reused, or when
 //! a task running it starts or finishes — i.e. recency reflects the

@@ -38,13 +38,6 @@ impl DeviceSpec {
             energy_per_load_uj: 20_000,
         }
     }
-
-    /// Same device with a different reconfiguration latency — used by
-    /// the latency-sweep ablation.
-    pub fn with_latency(mut self, latency: SimDuration) -> Self {
-        self.reconfig_latency = latency;
-        self
-    }
 }
 
 impl Default for DeviceSpec {
@@ -66,15 +59,11 @@ mod tests {
     }
 
     #[test]
-    fn with_latency_overrides() {
-        let d = DeviceSpec::paper_default().with_latency(SimDuration::from_ms(8));
-        assert_eq!(d.reconfig_latency, SimDuration::from_ms(8));
-        assert_eq!(d.bitstream_bytes, 350 * 1024);
-    }
-
-    #[test]
     fn serde_round_trip() {
-        let d = DeviceSpec::paper_default().with_latency(SimDuration::from_ms(2));
+        let d = DeviceSpec {
+            reconfig_latency: SimDuration::from_ms(2),
+            ..DeviceSpec::paper_default()
+        };
         let json = serde_json::to_string(&d).unwrap();
         let back: DeviceSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, d);

@@ -27,7 +27,9 @@ pub(crate) const PRIO_RU_HEAL: u8 = 4;
 pub(crate) enum Event {
     /// Job `idx` enters the online queue.
     JobArrival { idx: usize },
-    /// The longest-waiting arrived job becomes current.
+    /// The top of the suspended stack resumes, or the next waiting job
+    /// in service order (the head of the highest non-empty lane) becomes
+    /// current.
     NewTaskGraph,
     /// The port's in-flight reconfiguration finished, on either lane
     /// (the port's [`InFlight`](rtr_hw::InFlight) record says which).
@@ -57,7 +59,7 @@ impl ManagerState {
     ) {
         match ev {
             Event::JobArrival { idx } => {
-                self.admit_arrival(idx, now);
+                self.admit_arrival(idx, jobs[idx].qos.priority, now);
                 if self.current.is_none() {
                     // Idle manager: resume by activating at this instant
                     // (unless a same-instant activation is already
@@ -75,7 +77,7 @@ impl ManagerState {
                     // running graph (immediately, or once the in-flight
                     // demand load lands); the activation slot then picks
                     // the highest-priority waiter at this same instant.
-                    self.request_preemption(now, jobs);
+                    self.request_preemption(now);
                     if self.current.is_some() {
                         self.try_advance(now, policy);
                     }
@@ -93,21 +95,19 @@ impl ManagerState {
                     "no cross-graph demand reconfigurations can be in flight \
                      (a speculative prefetch may span the boundary)"
                 );
-                let best = self.best_arrived(jobs);
+                let best = self.arrived.best();
                 let resume = self
                     .suspended
                     .last()
                     .is_some_and(|s| best.is_none_or(|(_, p)| s.priority >= p));
                 if resume {
                     self.resume_suspended(now, policy);
-                    self.rebuild_reuse_index(jobs);
+                    self.rebuild_reuse_index();
                 } else {
-                    let (pos, _) = best.expect("activation follows an arrival");
-                    let idx = if pos == 0 {
-                        self.arrived.pop_front().expect("best_arrived saw it")
-                    } else {
-                        self.arrived.remove(pos).expect("best_arrived saw it")
-                    };
+                    // Topping the index up is sound exactly while the
+                    // service order is one lane's arrival order.
+                    let fifo = self.suspended.is_empty() && self.arrived.fifo().is_some();
+                    let idx = self.arrived.pop().expect("activation follows an arrival");
                     let job = ActiveJob::new(
                         idx as u32,
                         &jobs[idx],
@@ -120,15 +120,10 @@ impl ManagerState {
                     });
                     self.current = Some(job);
                     policy.on_graph_start(idx as u32, now);
-                    // Topping the index up is only sound while the
-                    // service order is still plain arrival order and
-                    // nothing is suspended — i.e. on every
-                    // uniform-priority run.
-                    if self.index_fifo && pos == 0 && self.suspended.is_empty() {
+                    if fifo {
                         self.top_up_reuse_index();
                     } else {
-                        self.rebuild_reuse_index(jobs);
-                        self.index_fifo = false;
+                        self.rebuild_reuse_index();
                     }
                 }
                 self.try_advance(now, policy);
@@ -177,7 +172,7 @@ impl ManagerState {
                 // released and recovered on resume instead).
                 if self.pending_preempt {
                     self.pending_preempt = false;
-                    self.execute_preemption(now, jobs);
+                    self.execute_preemption(now);
                     if self.current.is_none() {
                         return;
                     }
@@ -246,8 +241,8 @@ impl ManagerState {
                 }
                 to_start.clear();
                 self.exec_ready = to_start;
-                // Graph completion → activate the longest-waiting
-                // arrived job, or go idle until the next arrival.
+                // Graph completion → resume or activate the next job in
+                // service order, or go idle until the next arrival.
                 if done == graph_len {
                     self.record(|| TraceEvent::GraphEnd {
                         job: job_idx,
@@ -277,7 +272,7 @@ impl ManagerState {
                     self.qos_records
                         .push((spec.qos.priority, sojourn, lateness));
                     self.pending_preempt = false;
-                    if !self.arrived.is_empty() || !self.suspended.is_empty() {
+                    if self.arrived.len() > 0 || !self.suspended.is_empty() {
                         debug_assert!(
                             self.pending_activation.is_none(),
                             "no activation can pend while a graph was current"

@@ -9,7 +9,7 @@
 //!   selection through [`DecisionContext`](crate::DecisionContext) and
 //!   the Skip Events rule;
 //! * [`prefetch`] — the speculative lane of the reconfiguration port;
-//! * [`qos`] — preemption, resume and the planned-order index rebuild;
+//! * [`qos`] — preemption, resume and the service-order index rebuild;
 //! * [`faults`] — fault injection, the corrupt-load retry and
 //!   quarantine.
 //!
@@ -29,8 +29,8 @@
 //! the buffers each activation needs are recycled rather than
 //! reallocated: the [`ActiveJob`] node records and recovery queue go
 //! back to [`JobScratch`] at graph completion (graphs run
-//! sequentially), and the eviction-candidate, ready-successor and
-//! lane-order scratch buffers keep their capacity from event to event.
+//! sequentially), and the eviction-candidate and ready-successor
+//! scratch buffers keep their capacity from event to event.
 //! Each engine computes the [`TemplateArtifacts`] of a template the
 //! first time a job of it is submitted, and shares them with every
 //! later job of that template; engines share no design-time state.
@@ -44,7 +44,6 @@ use crate::trace::{Trace, TraceEvent};
 use rtr_hw::{LoadLane, ReconfigController, RuId, RuPool};
 use rtr_sim::{EventQueue, SimDuration, SimTime};
 use rtr_taskgraph::{reconfiguration_sequence, ConfigId, NodeId, TaskGraph};
-use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -224,6 +223,74 @@ impl JobScratch {
     }
 }
 
+/// The online queue: one FIFO of waiting jobs per priority level,
+/// highest level first. Service order is the lanes walked in order, so
+/// the next job is the head of the highest non-empty lane and ties keep
+/// arrival order. [`Engine::submit`](crate::Engine::submit) opens a
+/// job's lane, and lanes are never dropped: nothing walks more than
+/// the number of levels.
+#[derive(Debug, Default)]
+pub(crate) struct Lanes {
+    /// `(priority, waiting jobs in arrival order)`, by descending priority.
+    lanes: Vec<(u8, VecDeque<usize>)>,
+    /// Waiting jobs over every lane.
+    len: usize,
+}
+
+impl Lanes {
+    /// Creates the lane of `priority` if absent.
+    pub(crate) fn open(&mut self, priority: u8) {
+        let at = self.lanes.partition_point(|&(p, _)| p > priority);
+        if self.lanes.get(at).is_none_or(|&(p, _)| p != priority) {
+            self.lanes.insert(at, (priority, VecDeque::new()));
+        }
+    }
+
+    /// Appends job `idx` to the tail of its lane, which
+    /// [`open`](Lanes::open) created at submission.
+    pub(crate) fn push(&mut self, priority: u8, idx: usize) {
+        let lane = self.lanes.iter_mut().find(|(p, _)| *p == priority);
+        lane.expect("submit opened the lane").1.push_back(idx);
+        self.len += 1;
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The next job in service order and its priority.
+    pub(crate) fn best(&self) -> Option<(usize, u8)> {
+        self.lanes
+            .iter()
+            .find_map(|(p, lane)| lane.front().map(|&i| (i, *p)))
+    }
+
+    /// Removes and returns the next job in service order.
+    pub(crate) fn pop(&mut self) -> Option<usize> {
+        let idx = self.lanes.iter_mut().find_map(|l| l.1.pop_front())?;
+        self.len -= 1;
+        Some(idx)
+    }
+
+    /// Every waiting job, in service order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lanes.iter().flat_map(|(_, lane)| lane.iter().copied())
+    }
+
+    /// The lane holding every waiting job, if exactly one lane is busy.
+    pub(crate) fn fifo(&self) -> Option<&VecDeque<usize>> {
+        let (_, lane) = self.lanes.iter().find(|(_, lane)| !lane.is_empty())?;
+        (lane.len() == self.len).then_some(lane)
+    }
+
+    /// Gives every lane room for `jobs` waiting jobs.
+    pub(crate) fn reserve(&mut self, jobs: usize) {
+        for (_, lane) in &mut self.lanes {
+            lane.reserve(jobs - lane.len());
+        }
+    }
+}
+
 /// The run's ledger: every per-run statistic, counted once. The event
 /// handlers increment it and [`Engine::finish`](crate::Engine::finish)
 /// turns it into [`RunStats`](crate::RunStats). The public stat
@@ -265,22 +332,20 @@ pub(crate) struct ManagerState {
     pub(crate) exec_ready: Vec<NodeId>,
     /// Reusable buffer for the legal eviction victims of one decision.
     pub(crate) candidates: Vec<VictimCandidate>,
-    /// Online queue: jobs that have arrived but not yet been activated,
-    /// in arrival order (ties broken by submission order). This is what
-    /// the replacement module's Dynamic List is built from.
-    pub(crate) arrived: VecDeque<usize>,
+    /// Online queue: the jobs that have arrived but not yet been
+    /// activated, one FIFO per priority level. This is what the
+    /// replacement module's Dynamic List is built from.
+    pub(crate) arrived: Lanes,
     /// The incremental next-occurrence index over the first
-    /// `index_bound` jobs of the service order — every job a decision
-    /// window can reach — shared across consecutive replacement
-    /// decisions instead of a per-decision stream rebuild.
+    /// `index_bound` jobs of the service order (the current graph, the
+    /// suspended stack top to bottom, then the lanes) — every job a
+    /// decision window can reach — shared across consecutive
+    /// replacement decisions instead of a per-decision stream rebuild.
     pub(crate) reuse_index: ReuseIndex,
     /// Most jobs the reuse index holds: the current graph plus the `w`
     /// graphs the lookahead can expose (`usize::MAX` under
     /// [`Lookahead::All`](crate::Lookahead::All)).
     pub(crate) index_bound: usize,
-    /// Reusable `(lane key, arrived position)` buffer of the planned-order
-    /// index rebuild.
-    pub(crate) lane_order: Vec<(Reverse<u8>, usize)>,
     /// The pending `NewTaskGraph` activation, if any. At most one can
     /// exist (graphs execute sequentially), so it lives in a slot the
     /// run loop merges at `PRIO_NEW_TASK_GRAPH` instead of paying
@@ -304,8 +369,8 @@ pub(crate) struct ManagerState {
     pub(crate) graph_completions: Vec<SimTime>,
     pub(crate) makespan_end: SimTime,
     /// LIFO stack of preempted graphs (priority increases toward the
-    /// top). A suspended graph resumes when it out-prioritises every
-    /// waiting arrival at an activation instant.
+    /// top). A suspended graph resumes at an activation instant when
+    /// no waiting arrival outranks it.
     pub(crate) suspended: Vec<ActiveJob>,
     /// Per-RU generation counter for `EndOfExecution` events. Revoking
     /// an in-flight execution bumps the RU's token, orphaning the
@@ -315,16 +380,6 @@ pub(crate) struct ManagerState {
     /// A preemption was requested while a demand load was in flight;
     /// executed (after re-checking the trigger) when that load lands.
     pub(crate) pending_preempt: bool,
-    /// True while the service order is plain arrival order, so the
-    /// reuse index holds `[current] + arrived` up to `index_bound` jobs
-    /// in that order. The first out-of-order activation, resume, or
-    /// preemption clears it; from then on every activation rebuilds the
-    /// index in planned order.
-    pub(crate) index_fifo: bool,
-    /// Any submitted job carries a non-default priority (gates the
-    /// priority-lane activation scan; uniform runs keep the O(1) FIFO
-    /// pop).
-    pub(crate) qos_lanes: bool,
     /// One `(priority, sojourn, lateness)` record per completed graph,
     /// in completion order — folded into per-class stats at `finish`.
     pub(crate) qos_records: Vec<(u8, SimDuration, SimDuration)>,

@@ -18,50 +18,27 @@
 //!
 //! Suspended graphs stack LIFO; because only a strictly higher priority
 //! preempts, priority increases toward the top of the stack, and the
-//! top resumes as soon as it out-prioritises every waiting arrival at
-//! an activation instant.
+//! top resumes at the first activation instant at which no waiting
+//! arrival outranks it.
 
 use super::{ManagerState, Placement};
-use crate::job::JobSpec;
 use crate::policy::ReplacementPolicy;
 use crate::qos::PreemptionMode;
 use crate::trace::TraceEvent;
 use rtr_sim::SimTime;
-use std::cmp::Reverse;
-use std::mem;
 use std::sync::Arc;
 
 impl ManagerState {
-    /// The waiting arrival with the highest lane priority: returns its
-    /// position in `arrived` and its priority. Ties keep the earliest
-    /// arrival, so uniform-priority runs always pick position 0 — the
-    /// legacy FIFO pop. The scan is gated on `qos_lanes` to keep the
-    /// default path O(1).
-    pub(crate) fn best_arrived(&self, jobs: &[JobSpec]) -> Option<(usize, u8)> {
-        let &front = self.arrived.front()?;
-        if !self.qos_lanes {
-            return Some((0, jobs[front].qos.priority));
-        }
-        let mut best = (0usize, jobs[front].qos.priority);
-        for (k, &i) in self.arrived.iter().enumerate().skip(1) {
-            let p = jobs[i].qos.priority;
-            if p > best.1 {
-                best = (k, p);
-            }
-        }
-        Some(best)
-    }
-
     /// Requests a preemption of the current graph. If a demand load is
     /// in flight the request is deferred until that load lands (the
     /// single port cannot abandon a demand reconfiguration mid-frame);
     /// otherwise it executes immediately.
-    pub(crate) fn request_preemption(&mut self, now: SimTime, jobs: &[JobSpec]) {
+    pub(crate) fn request_preemption(&mut self, now: SimTime) {
         if !self.demand_port_free() {
             self.pending_preempt = true;
             return;
         }
-        self.execute_preemption(now, jobs);
+        self.execute_preemption(now);
     }
 
     /// Suspends the current graph if the trigger still holds (a waiting
@@ -70,22 +47,19 @@ impl ManagerState {
     /// standard activation slot fires at the same instant and picks the
     /// highest-priority waiter, which also handles several same-instant
     /// arrivals correctly.
-    pub(crate) fn execute_preemption(&mut self, now: SimTime, jobs: &[JobSpec]) {
+    pub(crate) fn execute_preemption(&mut self, now: SimTime) {
         debug_assert!(self.cfg.preemption.enabled());
         debug_assert!(
             self.demand_port_free(),
             "preemption must not interrupt an in-flight demand load"
         );
-        let Some(best) = self.best_arrived(jobs) else {
+        let (Some((preemptor, p)), Some(job)) = (self.arrived.best(), self.current.as_ref()) else {
             return;
         };
-        let Some(job) = self.current.as_ref() else {
-            return;
-        };
-        if best.1 <= job.priority {
+        if p <= job.priority {
             return;
         }
-        let preemptor = self.arrived[best.0] as u32;
+        let preemptor = preemptor as u32;
         let mut job = self.current.take().expect("checked above");
         self.counters.qos.preemptions += 1;
         let victim = job.idx;
@@ -137,7 +111,6 @@ impl ManagerState {
             run.place = Placement::Unplaced;
         }
         self.suspended.push(job);
-        self.index_fifo = false;
         if self.pending_activation.is_none() {
             self.pending_activation = Some(now);
         }
@@ -169,45 +142,17 @@ impl ManagerState {
         idx
     }
 
-    /// Rebuilds the reuse index in planned service order — current
-    /// graph first, then the suspended stack top to bottom, then waiting
-    /// arrivals by priority lane (ties in arrival order) — keeping only
-    /// the first `index_bound` jobs. Called at every activation once the
-    /// FIFO invariant is lost; uniform-priority runs never get here.
-    pub(crate) fn rebuild_reuse_index(&mut self, jobs: &[JobSpec]) {
+    /// Rebuilds the reuse index in service order — current graph first,
+    /// then the suspended stack top to bottom, then the lanes — keeping
+    /// only the first `index_bound` jobs. Called at every activation
+    /// unless nothing is suspended and one lane holds every waiting job.
+    pub(crate) fn rebuild_reuse_index(&mut self) {
         self.reuse_index.clear();
-        for job in self
-            .current
-            .iter()
-            .chain(self.suspended.iter().rev())
-            .take(self.index_bound)
-        {
-            self.reuse_index.push_job(Arc::clone(&job.tpl.cfg_seq));
+        let held = self.current.iter().chain(self.suspended.iter().rev());
+        let waiting = self.arrived.iter().map(|i| &self.job_templates[i]);
+        let tpls = held.map(|job| &job.tpl).chain(waiting);
+        for tpl in tpls.take(self.index_bound) {
+            self.reuse_index.push_job(Arc::clone(&tpl.cfg_seq));
         }
-        let room = (self.index_bound - self.reuse_index.jobs()).min(self.arrived.len());
-        if room == 0 {
-            return;
-        }
-        // The keys are unique, so selecting the `room` smallest and
-        // sorting only those gives the same prefix as sorting them all.
-        let mut order = mem::take(&mut self.lane_order);
-        order.clear();
-        order.extend(
-            self.arrived
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| (Reverse(jobs[i].qos.priority), k)),
-        );
-        if room < order.len() {
-            order.select_nth_unstable(room);
-            order.truncate(room);
-        }
-        order.sort_unstable();
-        for &(_, k) in &order {
-            let i = self.arrived[k];
-            self.reuse_index
-                .push_job(Arc::clone(&self.job_templates[i].cfg_seq));
-        }
-        self.lane_order = order;
     }
 }

@@ -28,7 +28,7 @@ impl ManagerState {
     /// activation re-plans it. The single admission path shared by the
     /// event dispatch and the run loop's same-instant burst fast path,
     /// so per-arrival bookkeeping can never diverge between the two.
-    pub(crate) fn admit_arrival(&mut self, idx: usize, now: SimTime) {
+    pub(crate) fn admit_arrival(&mut self, idx: usize, priority: u8, now: SimTime) {
         self.record(|| TraceEvent::JobArrival {
             job: idx as u32,
             at: now,
@@ -38,14 +38,15 @@ impl ManagerState {
             self.reuse_index
                 .push_job(Arc::clone(&self.job_templates[idx].cfg_seq));
         }
-        self.arrived.push_back(idx);
+        self.arrived.push(priority, idx);
     }
 
-    /// A FIFO activation made the longest-waiting arrival current: the
-    /// index holds a prefix of `[current] + arrived` (one job short of
-    /// `index_bound` after the retire), so append the jobs that follow
-    /// it until it is full again — in steady state one job. An index that
-    /// already holds every live job costs no walk over the queue.
+    /// An activation made the head of the one busy lane current, with
+    /// nothing suspended: the index holds a prefix of `[current] + lane`
+    /// (one job short of `index_bound` after the retire), so append the
+    /// jobs that follow it until it is full again — in steady state one
+    /// job. An index that already holds every live job costs no walk
+    /// over the lane.
     pub(crate) fn top_up_reuse_index(&mut self) {
         if self.reuse_index.is_empty() {
             let job = self
@@ -54,11 +55,23 @@ impl ManagerState {
                 .expect("activation made a job current");
             self.reuse_index.push_job(Arc::clone(&job.tpl.cfg_seq));
         }
-        // The index holds the current job and `arrived[..held - 1]`.
+        // The index holds the current job and `lane[..held - 1]`.
         let held = self.reuse_index.jobs();
-        for &i in self.arrived.range(held - 1..).take(self.index_bound - held) {
-            self.reuse_index
-                .push_job(Arc::clone(&self.job_templates[i].cfg_seq));
+        if let Some(lane) = self.arrived.fifo() {
+            for &i in lane.range(held - 1..).take(self.index_bound - held) {
+                self.reuse_index
+                    .push_job(Arc::clone(&self.job_templates[i].cfg_seq));
+            }
+        }
+        #[cfg(test)]
+        {
+            let topped = self.reuse_index.clone();
+            self.rebuild_reuse_index();
+            assert!(
+                topped.sequences().eq(self.reuse_index.sequences()),
+                "a top-up must index exactly what a rebuild does"
+            );
+            self.reuse_index = topped;
         }
     }
 

@@ -10,7 +10,9 @@
 //! `reused_task` or `end_of_execution` events. Semantics (validated
 //! against the paper's Figs. 2, 3 and 7 — see `tests/paper_examples.rs`):
 //!
-//! * Graphs execute strictly sequentially in arrival order; a graph's
+//! * Graphs execute strictly sequentially in service order: the
+//!   highest QoS priority first, each priority in arrival order (so a
+//!   run without priorities runs in arrival order); a graph's
 //!   reconfigurations start when it becomes current. When no arrived
 //!   job is waiting the manager idles with RU residency intact and
 //!   resumes on the next arrival.

@@ -16,7 +16,7 @@
 
 use crate::config::ManagerConfig;
 use crate::engine::faults::FaultRuntime;
-use crate::engine::{Counters, Event, JobScratch, ManagerState, TemplateArtifacts};
+use crate::engine::{Counters, Event, JobScratch, Lanes, ManagerState, TemplateArtifacts};
 use crate::engine::{
     PRIO_END_OF_EXECUTION, PRIO_END_OF_RECONFIGURATION, PRIO_JOB_ARRIVAL, PRIO_NEW_TASK_GRAPH,
     PRIO_RU_HEAL,
@@ -30,7 +30,6 @@ use crate::trace::Trace;
 use rtr_hw::{ReconfigController, RuPool, TrafficStats};
 use rtr_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use rtr_taskgraph::TaskGraph;
-use std::collections::VecDeque;
 use std::fmt;
 use std::mem;
 use std::sync::Arc;
@@ -164,10 +163,9 @@ impl Engine {
                 scratch: JobScratch::default(),
                 exec_ready: Vec::new(),
                 candidates: Vec::new(),
-                arrived: VecDeque::new(),
+                arrived: Lanes::default(),
                 reuse_index: ReuseIndex::new(),
                 index_bound: cfg.lookahead.visible_graphs(usize::MAX).saturating_add(1),
-                lane_order: Vec::new(),
                 pending_activation: None,
                 completed_jobs: 0,
                 trace: Trace::default(),
@@ -180,8 +178,6 @@ impl Engine {
                 suspended: Vec::new(),
                 exec_token: vec![0; cfg.rus],
                 pending_preempt: false,
-                index_fifo: true,
-                qos_lanes: false,
                 qos_records: Vec::new(),
                 faults: FaultRuntime::seeded(cfg.faults.seed),
                 cfg: cfg.clone(),
@@ -198,7 +194,7 @@ impl Engine {
 
     /// Submits a job; its arrival event fires at `job.arrival`. Returns
     /// the job's index (activation order may differ — jobs activate in
-    /// arrival order).
+    /// service order: by priority lane, each lane in arrival order).
     ///
     /// The design-time phase (reconfiguration sequence, configuration
     /// projection, predecessor counts) runs here, once per distinct
@@ -220,7 +216,9 @@ impl Engine {
             .or_insert_with(|| TemplateArtifacts::compute(&job.graph));
         self.m.job_templates.push(Arc::clone(tpl));
         let idx = self.jobs.len();
-        self.m.qos_lanes |= job.qos.priority != 0;
+        // The job's lane is created here, on the calling thread (see
+        // `reserve_backlog`).
+        self.m.arrived.open(job.qos.priority);
         if self
             .arrival_lane
             .last()
@@ -362,18 +360,17 @@ impl Engine {
         }
     }
 
-    /// Reserves the run state that grows by one entry per job — the
-    /// arrived queue and the per-completion ledgers — for every
+    /// Reserves the run state that grows by one entry per job — every
+    /// priority lane and the per-completion ledgers — for every
     /// unfinished job. [`Fleet::run`](crate::Fleet::run) calls it before
     /// handing the engine to a worker thread: glibc gives each thread
     /// its own malloc arena, and memory that lands in a worker's arena
     /// stays mapped after the worker exits. In a batch run the whole
-    /// backlog lands in `arrived` at t = 0.
+    /// backlog lands in the lanes at t = 0.
     pub(crate) fn reserve_backlog(&mut self) {
         let unfinished = self.jobs.len() - self.m.completed_jobs;
         let m = &mut self.m;
-        // Every arrived job is unfinished.
-        m.arrived.reserve(unfinished - m.arrived.len());
+        m.arrived.reserve(unfinished);
         m.graph_arrivals.reserve(unfinished);
         m.graph_completions.reserve(unfinished);
         m.qos_records.reserve(unfinished);
@@ -907,6 +904,47 @@ mod tests {
                 .expect("decisions have candidates");
             victim.ru
         }
+    }
+
+    /// Keeps the visible window of the run's first decision.
+    #[derive(Default)]
+    struct FirstWindow(Vec<ConfigId>);
+
+    impl ReplacementPolicy for FirstWindow {
+        fn name(&self) -> &str {
+            "first-window"
+        }
+
+        fn select_victim(&mut self, ctx: &DecisionContext<'_>) -> RuId {
+            if self.0.is_empty() {
+                self.0.extend(ctx.future_iter());
+            }
+            ctx.candidates[0].ru
+        }
+    }
+
+    #[test]
+    fn reuse_index_follows_service_order_not_arrival_order() {
+        // Priorities 5, 0, 5 at t = 0, preemption off: job 2 runs after
+        // job 0, so job 0's eviction (a 3-chain on 2 RUs) must see job
+        // 2's configurations through `Graphs(1)`, not job 1's.
+        let jobs: Vec<JobSpec> = [(0, 5), (10, 0), (20, 5)]
+            .into_iter()
+            .map(|(base, p)| {
+                let mut b = rtr_taskgraph::TaskGraphBuilder::new("chain");
+                let t: Vec<_> = (1..=3)
+                    .map(|k| b.node("t", ConfigId(base + k), ms(10)))
+                    .collect();
+                b.edge(t[0], t[1]).edge(t[1], t[2]);
+                JobSpec::new(Arc::new(b.build().unwrap())).with_qos(QosClass::priority(p))
+            })
+            .collect();
+        let cfg = ManagerConfig::paper_default()
+            .with_rus(2)
+            .with_lookahead(Lookahead::Graphs(1));
+        let mut policy = FirstWindow::default();
+        simulate(&cfg, &jobs, &mut policy).expect("simulation completes");
+        assert_eq!(policy.0, [ConfigId(21), ConfigId(22), ConfigId(23)]);
     }
 
     #[test]

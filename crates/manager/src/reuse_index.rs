@@ -249,6 +249,12 @@ impl ReuseIndex {
         self.next_pos = 0;
     }
 
+    /// The indexed jobs' configuration sequences, in service order.
+    #[cfg(test)]
+    pub(crate) fn sequences(&self) -> impl Iterator<Item = *const Vec<ConfigId>> + '_ {
+        self.segments.iter().map(|s| Arc::as_ptr(&s.cfgs))
+    }
+
     /// Number of jobs in the index (the current job included).
     pub fn jobs(&self) -> usize {
         self.segments.len()

@@ -14,7 +14,8 @@ use crate::job::JobSpec;
 use crate::trace::{FaultKind, TraceEvent};
 use rtr_sim::{SimDuration, SimTime};
 use rtr_taskgraph::{reconfiguration_sequence, ConfigId, NodeId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 /// Every checker this crate defines, in canonical order.
@@ -88,10 +89,14 @@ fn config_sequences(jobs: &[JobSpec]) -> Vec<Vec<ConfigId>> {
 }
 
 /// Graph executions are sequential, never before the job's arrival,
-/// and every started graph ends. On strict-FIFO runs (no priority
-/// lanes, no preemptions) activations additionally follow arrival
-/// order; under QoS the activation order is priority-driven and the
-/// `preemption-order` checker owns the ordering assertions instead.
+/// and every started graph ends. Activations follow the lane rule,
+/// derived from the job specs alone. The *best waiter* is the arrived,
+/// not yet started job of highest priority, ties broken by (arrival,
+/// index). Every `GraphStart` starts the best waiter and strictly
+/// outranks the top of a non-empty suspended stack; every `Preempt`
+/// names the best waiter as its preemptor; a `GraphResume` happens only
+/// when no waiter outranks the top of the stack. With one priority
+/// level the rule is arrival order.
 struct ArrivalOrder;
 
 impl Checker for ArrivalOrder {
@@ -99,12 +104,15 @@ impl Checker for ArrivalOrder {
         "arrival-order"
     }
     fn description(&self) -> &'static str {
-        "graphs activate sequentially in arrival order and all complete"
+        "graphs activate sequentially in priority-lane order and all complete"
     }
     fn check(&self, cx: &CheckContext<'_>, out: &mut CheckOutput) {
         let jobs = cx.jobs;
-        let fifo = !qos_active(cx);
-        let expected_order = activation_order(jobs);
+        let prio = |j: u32| jobs.get(j as usize).map(|s| s.qos.priority);
+        // A job's service rank: the best waiter has the smallest key.
+        let key = |j: u32| Some((Reverse(prio(j)?), jobs[j as usize].arrival, j));
+        let mut waiting: BTreeSet<(Reverse<u8>, SimTime, u32)> = BTreeSet::new();
+        let mut suspended: Vec<u32> = Vec::new();
         let mut graph_started: Vec<u32> = Vec::new();
         let mut last_ended: Option<(u32, SimTime)> = None;
         let mut ended = 0usize;
@@ -121,6 +129,7 @@ impl Checker for ArrivalOrder {
                             )
                         },
                     );
+                    waiting.extend(key(job));
                 }
                 TraceEvent::GraphStart { job, at } => {
                     out.probe(current_graph.is_none(), || {
@@ -144,24 +153,40 @@ impl Checker for ArrivalOrder {
                             )
                         },
                     );
-                    if fifo {
-                        out.probe(
-                            expected_order.get(graph_started.len()) == Some(&job),
-                            || {
-                                format!(
-                                    "graphs must start in arrival order {expected_order:?}; \
-                             got {job} after {graph_started:?}"
-                                )
-                            },
-                        );
+                    let best = waiting.first().map(|k| k.2);
+                    out.probe(best == Some(job), || {
+                        format!("graph {job} started at {at}, but the best waiter is {best:?}")
+                    });
+                    if let Some(k) = key(job) {
+                        waiting.remove(&k);
+                    }
+                    if let Some(&top) = suspended.last() {
+                        out.probe(prio(job) > prio(top), || {
+                            format!(
+                                "graph {job} started at {at} without outranking suspended \
+                                 graph {top}"
+                            )
+                        });
                     }
                     graph_started.push(job);
                     current_graph = Some(job);
                 }
-                TraceEvent::Preempt { victim, at, .. } => {
+                TraceEvent::Preempt {
+                    victim,
+                    preemptor,
+                    at,
+                } => {
                     out.probe(current_graph == Some(victim), || {
                         format!("graph {victim} preempted at {at} but is not current")
                     });
+                    let best = waiting.first().map(|k| k.2);
+                    out.probe(best == Some(preemptor), || {
+                        format!(
+                            "graph {victim} preempted at {at} by {preemptor}, but the best \
+                             waiter is {best:?}"
+                        )
+                    });
+                    suspended.push(victim);
                     current_graph = None;
                 }
                 TraceEvent::GraphResume { job, at } => {
@@ -172,6 +197,14 @@ impl Checker for ArrivalOrder {
                     });
                     out.probe(graph_started.contains(&job), || {
                         format!("graph {job} resumed at {at} but never started")
+                    });
+                    let top = suspended.pop().and_then(prio);
+                    let best = waiting.first().map(|k| k.0 .0);
+                    out.probe(best.is_none_or(|p| top.is_some_and(|t| t >= p)), || {
+                        format!(
+                            "graph {job} resumed at {at} while a waiter of priority {best:?} \
+                             outranks the suspended top ({top:?})"
+                        )
                     });
                     current_graph = Some(job);
                 }

@@ -1,7 +1,7 @@
 //! Seeded random task-graph generators.
 //!
-//! Used by stress tests, property tests and the ablation experiments to
-//! exercise the system far beyond the paper's three benchmark graphs.
+//! Used by stress tests, property tests and the vopr fuzzer to exercise
+//! the system far beyond the paper's three benchmark graphs.
 //! All generators are deterministic given the caller's RNG, and every
 //! produced graph satisfies the [`crate::TaskGraph`] invariants by
 //! construction.

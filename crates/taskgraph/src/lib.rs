@@ -14,7 +14,7 @@
 //!   motivational examples (validated against the paper's numbers) and
 //!   reconstructions of the JPEG / MPEG-1 / Hough multimedia applications.
 //! * [`generate`] — seeded random DAG generators (layered, chain,
-//!   fork-join, series-parallel) for stress tests and ablations.
+//!   fork-join, series-parallel) for stress tests and the fuzzer.
 //! * [`serialize`] — JSON import/export.
 
 pub mod analysis;

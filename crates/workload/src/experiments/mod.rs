@@ -2,8 +2,8 @@
 //!
 //! Each module regenerates one artefact of the paper's evaluation
 //! section (Fig. 9, Tables I and II) or of the extensions beyond it
-//! (the ablations and the `fig_*` sweeps). Every sweep runs its grid
-//! through one crate-private helper, `sweep`. Each `fig_*` sweep module
+//! (the `fig_*` sweeps). Every sweep runs its grid through one
+//! crate-private helper, `sweep`. Each `fig_*` sweep module
 //! has exactly one grid, the one whose CSV is committed under
 //! `results/`, one `run` entry point and one acceptance `check` over
 //! the table `run` returns.
@@ -14,7 +14,6 @@ use rtr_core::TemplateRegistry;
 use rtr_manager::SimError;
 use std::sync::Arc;
 
-pub mod ablations;
 pub mod faults;
 pub mod fig9;
 pub mod fleet;

@@ -1,7 +1,7 @@
 //! Experiment substrate: workload generation, policy grids, parallel
 //! parameter sweeps and result tables for the paper's evaluation
-//! (Fig. 9a/b/c, Tables I and II) plus the extended ablations and the
-//! streaming-arrival experiments.
+//! (Fig. 9a/b/c, Tables I and II) plus the streaming-arrival, QoS,
+//! fault and fleet experiments.
 //!
 //! * [`sequence`] — seeded application-sequence models (the paper's
 //!   "sequence of 500 applications randomly selected from our set of

@@ -3,8 +3,8 @@
 //! §VI of the paper: "we have executed a sequence of 500 applications
 //! randomly selected from our set of benchmarks". [`SequenceModel`]
 //! reproduces that (uniform) selection and adds weighted, bursty and
-//! round-robin variants for the ablation experiments. All models are
-//! deterministic given a seed.
+//! round-robin variants, which `Scenario` JSON and the tests select.
+//! All models are deterministic given a seed.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

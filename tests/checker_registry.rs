@@ -2,17 +2,19 @@
 //! scenario suite must make **every** registered checker actually
 //! evaluate something (`fired > 0`). A checker that never fires is a
 //! silent hole — the campaign-level twin of this gate is the `vopr`
-//! smoke run's coverage gate. The tamper table checks the converse for
-//! the `ledger` checker: corrupting any one `RunStats` field it
-//! re-derives must trip it.
+//! smoke run's coverage gate. The tamper tables check the converse: for
+//! the `ledger` checker, corrupting any one `RunStats` field it
+//! re-derives must trip it; for `arrival-order`, an activation out of
+//! priority-lane order must.
 
 use rtr_core::LfdPolicy;
+use rtr_manager::trace::{Trace, TraceEvent};
 use rtr_manager::{
     simulate, simulate_fleet, CheckContext, CheckerRegistry, FleetConfig, FleetOutcome, JobSpec,
-    Lookahead, ManagerConfig, PlacementKind, PrefetchConfig, ReplacementPolicy, RunStats,
+    Lookahead, ManagerConfig, PlacementKind, PrefetchConfig, QosClass, ReplacementPolicy, RunStats,
     SimulationOutcome, TenantId,
 };
-use rtr_sim::SimDuration;
+use rtr_sim::{SimDuration, SimTime};
 use rtr_taskgraph::{benchmarks, TaskGraph};
 use rtr_workload::vopr::{build_case, build_policy, Fingerprint};
 use rtr_workload::{ArrivalProcess, SequenceModel};
@@ -352,4 +354,67 @@ fn ledger_catches_every_tampered_field() {
         }
     }
     assert!(completed >= 32, "only {completed} of 64 cases completed");
+}
+
+/// The `arrival-order` violations of a hand-written activation trace
+/// over jobs of the given priorities. Each event is `(kind, job, ms)`:
+/// `A` arrival (which also sets the job's specified arrival), `S`
+/// start, `E` end, `R` resume, and `P` a preemption of the running
+/// graph by `job`.
+fn arrival_order_violations(priorities: &[u8], parts: &[&[(char, u32, u64)]]) -> usize {
+    let g = Arc::new(benchmarks::jpeg());
+    let mut jobs: Vec<JobSpec> = priorities
+        .iter()
+        .map(|&p| JobSpec::new(Arc::clone(&g)).with_qos(QosClass::priority(p)))
+        .collect();
+    let mut trace = Trace::default();
+    let mut running = None;
+    for &(kind, job, ms) in parts.concat().iter() {
+        let at = SimTime::from_ms(ms);
+        trace.push(match kind {
+            'A' => {
+                jobs[job as usize].arrival = at;
+                TraceEvent::JobArrival { job, at }
+            }
+            'S' | 'R' => {
+                running = Some(job);
+                if kind == 'S' {
+                    TraceEvent::GraphStart { job, at }
+                } else {
+                    TraceEvent::GraphResume { job, at }
+                }
+            }
+            'E' => TraceEvent::GraphEnd { job, at },
+            _ => TraceEvent::Preempt {
+                victim: running.take().expect("a graph runs"),
+                preemptor: job,
+                at,
+            },
+        });
+    }
+    let cx = CheckContext::new(&trace, &jobs, SimDuration::from_ms(4), None);
+    let report = CheckerRegistry::standard().run(&cx);
+    let outcome = report.outcome("arrival-order").expect("registered");
+    outcome.violations.len()
+}
+
+#[test]
+fn arrival_order_catches_activations_out_of_lane_order() {
+    // Job 1 (priority 5) waits behind job 0 (priority 0).
+    let burst = [('A', 0, 0), ('A', 1, 0)];
+    let lanes = [('S', 1, 0), ('E', 1, 9), ('S', 0, 9), ('E', 0, 18)];
+    assert_eq!(arrival_order_violations(&[0, 5], &[&burst, &lanes]), 0);
+    let low_first = [('S', 0, 0), ('E', 0, 9), ('S', 1, 9), ('E', 1, 18)];
+    assert!(arrival_order_violations(&[0, 5], &[&burst, &low_first]) > 0);
+    // Job 1 preempts job 0; job 2 (priority 5) arrives while job 1
+    // runs, so it outranks the suspended job 0 when job 1 ends.
+    let head = [('A', 0, 0), ('S', 0, 0), ('A', 1, 1), ('P', 1, 1)];
+    let mid = [('S', 1, 1), ('A', 2, 2), ('E', 1, 5)];
+    let lanes = [('S', 2, 5), ('E', 2, 9), ('R', 0, 9), ('E', 0, 12)];
+    assert_eq!(
+        arrival_order_violations(&[1, 5, 5], &[&head, &mid, &lanes]),
+        0
+    );
+    let resume_first = [('R', 0, 5), ('E', 0, 8), ('S', 2, 8), ('E', 2, 12)];
+    assert!(arrival_order_violations(&[1, 5, 5], &[&head, &mid, &resume_first]) > 0);
 }
