@@ -53,6 +53,8 @@ pub use placement::{
 };
 pub use stats::{AdmissionEvent, FleetCheckInfo, FleetStats, TenantStats};
 
+use placement::{intern, DenseResidency};
+
 use crate::config::ManagerConfig;
 use crate::job::{JobSpec, TenantId};
 use crate::manager::{Engine, SimError, SimulationOutcome};
@@ -246,6 +248,18 @@ struct Pending {
     submit_index: usize,
 }
 
+/// The placement inputs of one template, computed on its first
+/// dispatch.
+struct Template {
+    /// The distinct-configuration sequence, shared by recorded
+    /// decisions.
+    cfg_seq: Arc<Vec<ConfigId>>,
+    /// `cfg_seq` interned to the fleet's dense configuration indices.
+    dense: Box<[u32]>,
+    /// The graph's total execution time.
+    work: SimDuration,
+}
+
 /// The virtualized device pool: one deterministic submission front-end
 /// over N pooled [`Engine`]s.
 ///
@@ -265,14 +279,17 @@ pub struct Fleet {
     cfg: FleetConfig,
     engines: Vec<Engine>,
     policy: Box<dyn PlacementPolicy>,
-    residency: Vec<ResidencyModel>,
-    queued_jobs: Vec<usize>,
+    residency: Vec<DenseResidency>,
     queued_work: Vec<SimDuration>,
+    /// The router's input, refilled for every job.
+    views: Vec<DeviceView>,
     ingress: Vec<Pending>,
     pending_by_tenant: BTreeMap<u32, usize>,
-    /// Cache of per-template configuration sequences, keyed by the
-    /// `Arc<TaskGraph>` pointer (templates are shared across jobs).
-    cfg_seqs: BTreeMap<usize, Arc<Vec<ConfigId>>>,
+    /// Placement inputs per template, keyed by the `Arc<TaskGraph>`
+    /// pointer (templates are shared across jobs).
+    templates: BTreeMap<usize, Template>,
+    /// Dense index of every configuration the templates use.
+    config_ids: BTreeMap<ConfigId, u32>,
     tenants: BTreeMap<u32, TenantStats>,
     decisions: Vec<PlacementDecision>,
     admissions: Vec<AdmissionEvent>,
@@ -293,17 +310,18 @@ impl Fleet {
         let residency = cfg
             .devices
             .iter()
-            .map(|c| ResidencyModel::new(c.rus))
+            .map(|c| DenseResidency::new(c.rus))
             .collect();
         let n = cfg.devices.len();
         Fleet {
             policy: cfg.placement.build(),
             residency,
-            queued_jobs: vec![0; n],
             queued_work: vec![SimDuration::ZERO; n],
+            views: Vec::with_capacity(n),
             ingress: Vec::new(),
             pending_by_tenant: BTreeMap::new(),
-            cfg_seqs: BTreeMap::new(),
+            templates: BTreeMap::new(),
+            config_ids: BTreeMap::new(),
             tenants: BTreeMap::new(),
             decisions: Vec::new(),
             admissions: Vec::new(),
@@ -379,51 +397,55 @@ impl Fleet {
     }
 
     /// Places one admitted job on a device and updates the dispatch
-    /// plane's bookkeeping.
+    /// plane's bookkeeping, which allocates nothing per job unless the
+    /// job's template is new or decisions are recorded.
     fn dispatch(&mut self, pending: Pending) {
         let Pending { job, submit_index } = pending;
-        let seq = self.cfg_seq(&job);
-        let views: Vec<DeviceView> = (0..self.engines.len())
-            .map(|i| DeviceView {
-                index: i,
-                rus: self.cfg.devices[i].rus,
-                queued_jobs: self.queued_jobs[i],
-                queued_work: self.queued_work[i],
-                overlap: self.residency[i].overlap(&seq),
-            })
-            .collect();
-        let device = self.policy.place(&job, &views);
+        let config_ids = &mut self.config_ids;
+        let template = self
+            .templates
+            .entry(Arc::as_ptr(&job.graph) as usize)
+            .or_insert_with(|| {
+                let cfg_seq = job_cfg_seq(&job);
+                Template {
+                    dense: intern(config_ids, &cfg_seq),
+                    cfg_seq: Arc::new(cfg_seq),
+                    work: job.graph.total_exec_time(),
+                }
+            });
+        let views = self
+            .residency
+            .iter()
+            .zip(&self.queued_work)
+            .map(|(model, &queued_work)| DeviceView {
+                queued_work,
+                overlap: model.overlap(&template.dense),
+            });
+        self.views.clear();
+        self.views.extend(views);
+        let device = self.policy.place(&job, &self.views);
         assert!(device < self.engines.len(), "placement out of range");
         if self.cfg.record_decisions {
             self.decisions.push(PlacementDecision {
                 submit_index,
                 tenant: job.tenant,
                 device,
-                cfg_seq: Arc::clone(&seq),
-                overlaps: views.iter().map(|v| v.overlap).collect(),
-                queued_work: views.iter().map(|v| v.queued_work).collect(),
+                cfg_seq: Arc::clone(&template.cfg_seq),
+                overlaps: self.views.iter().map(|v| v.overlap).collect(),
+                queued_work: self.views.iter().map(|v| v.queued_work).collect(),
             });
         }
-        self.residency[device].admit(&seq);
-        self.queued_jobs[device] += 1;
-        self.queued_work[device] += job.graph.total_exec_time();
+        self.residency[device].admit(&template.dense);
+        self.queued_work[device] += template.work;
         let ledger = self
             .tenants
             .get_mut(&job.tenant.0)
             .expect("admitted job has a ledger");
+        // A dispatched job completes or `outcome` fails, so it counts as
+        // completed here; jobs still in the ingress never do.
+        ledger.completed += 1;
         ledger.executed += job.graph.len() as u64;
         self.engines[device].submit(job);
-    }
-
-    /// The cached distinct-configuration sequence of the job's
-    /// template.
-    fn cfg_seq(&mut self, job: &JobSpec) -> Arc<Vec<ConfigId>> {
-        let key = Arc::as_ptr(&job.graph) as usize;
-        Arc::clone(
-            self.cfg_seqs
-                .entry(key)
-                .or_insert_with(|| Arc::new(job_cfg_seq(job))),
-        )
     }
 
     /// Drains the ingress and runs every device to completion of its
@@ -502,13 +524,7 @@ impl Fleet {
         for engine in self.engines {
             devices.push(engine.finish()?);
         }
-        // Every admitted job completed (a device outcome errors
-        // otherwise), so the per-tenant completion ledger is the
-        // admission ledger.
-        let mut per_tenant: Vec<TenantStats> = self.tenants.values().cloned().collect();
-        for t in &mut per_tenant {
-            t.completed = t.admitted;
-        }
+        let per_tenant: Vec<TenantStats> = self.tenants.into_values().collect();
         let stats = FleetStats {
             devices: devices.len(),
             placement: self.cfg.placement.label().to_string(),
@@ -659,6 +675,29 @@ mod tests {
             err.to_string(),
             "tenant t0 over quota: 2 jobs pending, quota 2"
         );
+    }
+
+    #[test]
+    fn jobs_left_in_the_ingress_are_admitted_but_not_completed() {
+        let cfg = FleetConfig::new(
+            vec![ManagerConfig::paper_default(); 2],
+            PlacementKind::ReuseAffinity,
+        );
+        let mut fleet = Fleet::new(cfg);
+        for job in jobs(4) {
+            fleet.submit(job).unwrap();
+        }
+        let mut policies = fleet.fresh_policies(|| Box::new(FirstCandidatePolicy));
+        fleet.run(&mut policies);
+        for job in jobs(2) {
+            fleet.submit(job).unwrap();
+        }
+        let outcome = fleet.outcome().unwrap();
+        assert_eq!(outcome.stats.admitted, 6);
+        assert_eq!(outcome.stats.completed, 4);
+        let t0 = outcome.stats.tenant(TenantId(0)).unwrap();
+        assert_eq!((t0.admitted, t0.completed), (3, 2));
+        assert!(outcome.stats.balanced());
     }
 
     #[test]

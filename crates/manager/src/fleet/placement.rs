@@ -7,15 +7,24 @@
 //! capacity equal to the device's RU count. The model is the dispatch
 //! plane's view of "what will be resident" — the same design-time
 //! information the paper's replacement module exploits inside one
-//! device, lifted to cluster scope. Every decision is recorded (when
-//! enabled) with the *full* per-device score vector, so the
-//! `placement-residency` checker can replay the model independently
-//! and confirm the claimed overlap actually existed at decision time.
+//! device, lifted to cluster scope.
+//!
+//! The fleet routes on a dense model, [`DenseResidency`]: each
+//! template's configurations are interned once to dense indices, so a
+//! device's score is one membership lookup per configuration.
+//! [`ResidencyModel`] states the same LRU rule over raw
+//! [`ConfigId`]s and shares no code with it. Every decision is recorded
+//! (when enabled) with the *full* per-device score vector, and the
+//! `placement-residency` checker replays those decisions with
+//! [`ResidencyModel`] to confirm the claimed overlap actually existed
+//! at decision time.
 
 use crate::job::{JobSpec, TenantId};
 use rtr_sim::SimDuration;
 use rtr_taskgraph::{reconfiguration_sequence, ConfigId};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The pluggable placement policies the fleet knows by name.
@@ -82,15 +91,10 @@ impl Deserialize for PlacementKind {
 
 /// What one device looks like to the router at decision time. All
 /// fields derive from dispatch-plane bookkeeping only — no device has
-/// simulated anything yet when placement runs.
+/// simulated anything yet when placement runs. The router receives one
+/// view per device, in device order.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceView {
-    /// Device index within the fleet.
-    pub index: usize,
-    /// The device's RU count (its residency-model capacity).
-    pub rus: usize,
-    /// Jobs already routed to the device.
-    pub queued_jobs: usize,
     /// Summed design-time execution work already routed there.
     pub queued_work: SimDuration,
     /// Distinct configurations of the arriving job's cfg-sequence
@@ -104,7 +108,8 @@ pub struct DeviceView {
 pub trait PlacementPolicy: Send {
     /// Stable name (matches the [`PlacementKind`] label).
     fn name(&self) -> &'static str;
-    /// Picks the device index for `job` among `views` (never empty).
+    /// Picks the device for `job`: the position of its view in `views`
+    /// (never empty), which is the device index.
     fn place(&mut self, job: &JobSpec, views: &[DeviceView]) -> usize;
 }
 
@@ -134,7 +139,12 @@ impl PlacementPolicy for LeastLoaded {
         PlacementKind::LeastLoaded.label()
     }
     fn place(&mut self, _job: &JobSpec, views: &[DeviceView]) -> usize {
-        least_loaded(views)
+        // `min_by_key` keeps the first of equal keys: the lowest index.
+        views
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, v)| v.queued_work)
+            .map_or(0, |(i, _)| i)
     }
 }
 
@@ -148,32 +158,20 @@ impl PlacementPolicy for ReuseAffinity {
         PlacementKind::ReuseAffinity.label()
     }
     fn place(&mut self, _job: &JobSpec, views: &[DeviceView]) -> usize {
-        let best = views.iter().map(|v| v.overlap).max().unwrap_or(0);
-        let candidates: Vec<DeviceView> = views
+        // Highest overlap, then least queued work, then lowest index.
+        views
             .iter()
-            .copied()
-            .filter(|v| v.overlap == best)
-            .collect();
-        candidates[least_loaded(&candidates)].index
+            .enumerate()
+            .min_by_key(|(_, v)| (Reverse(v.overlap), v.queued_work))
+            .map_or(0, |(i, _)| i)
     }
 }
 
-/// Lowest-queued-work view (ties to the lowest device index, which is
-/// the iteration order).
-fn least_loaded(views: &[DeviceView]) -> usize {
-    let mut best = 0usize;
-    for (i, v) in views.iter().enumerate().skip(1) {
-        if v.queued_work < views[best].queued_work {
-            best = i;
-        }
-    }
-    best
-}
-
-/// The dispatch plane's deterministic model of one device's residency:
-/// an LRU set of configurations with capacity equal to the device's
-/// usable RU count. Public so the `placement-residency` checker can
-/// replay decisions independently of the fleet that made them.
+/// The reference model of one device's residency: an LRU set of
+/// configurations with capacity equal to the device's usable RU count.
+/// The fleet routes on a dense model of its own; the
+/// `placement-residency` checker replays recorded decisions with this
+/// model, independently of the fleet that made them.
 #[derive(Debug, Clone)]
 pub struct ResidencyModel {
     capacity: usize,
@@ -227,6 +225,83 @@ impl ResidencyModel {
     }
 }
 
+/// The fleet's residency model of one device: [`ResidencyModel`]'s LRU
+/// rule over dense configuration indices (see [`intern`]), with a
+/// membership table so that scoring a job costs one lookup per
+/// configuration instead of a scan of the resident list.
+#[derive(Debug)]
+pub(crate) struct DenseResidency {
+    capacity: usize,
+    /// LRU order, least recent first.
+    lru: Vec<u32>,
+    /// `member[c]` holds whether dense configuration `c` is resident;
+    /// indices past the end are not.
+    member: Vec<bool>,
+}
+
+impl DenseResidency {
+    /// An empty model for a device with `capacity` RUs.
+    pub(crate) fn new(capacity: usize) -> Self {
+        DenseResidency {
+            capacity,
+            lru: Vec::with_capacity(capacity),
+            member: Vec::new(),
+        }
+    }
+
+    /// Resident configurations of `seq`, which must hold distinct
+    /// indices.
+    pub(crate) fn overlap(&self, seq: &[u32]) -> u32 {
+        seq.iter()
+            .filter(|&&c| self.member.get(c as usize).copied().unwrap_or(false))
+            .count() as u32
+    }
+
+    /// Records that `seq` was routed here, exactly as
+    /// [`ResidencyModel::admit`] does: every configuration is touched in
+    /// sequence order (moved to most-recent, inserted with LRU eviction
+    /// when absent).
+    pub(crate) fn admit(&mut self, seq: &[u32]) {
+        if self.capacity == 0 {
+            return;
+        }
+        for &c in seq {
+            let i = c as usize;
+            if i >= self.member.len() {
+                self.member.resize(i + 1, false);
+            }
+            if self.member[i] {
+                let pos = self
+                    .lru
+                    .iter()
+                    .position(|&r| r == c)
+                    .expect("a member is on the LRU list");
+                self.lru.remove(pos);
+            } else {
+                if self.lru.len() == self.capacity {
+                    let victim = self.lru.remove(0);
+                    self.member[victim as usize] = false;
+                }
+                self.member[i] = true;
+            }
+            self.lru.push(c);
+        }
+    }
+}
+
+/// Maps `seq` to dense indices through `ids`, numbering each unseen
+/// configuration by the count of those seen before it. Configuration
+/// ids come from input files and may be anywhere in `u32`, so tables
+/// are indexed by the dense index, never by a raw [`ConfigId`].
+pub(crate) fn intern(ids: &mut BTreeMap<ConfigId, u32>, seq: &[ConfigId]) -> Box<[u32]> {
+    seq.iter()
+        .map(|&c| {
+            let next = u32::try_from(ids.len()).expect("fewer than 2^32 distinct configurations");
+            *ids.entry(c).or_insert(next)
+        })
+        .collect()
+}
+
 /// One recorded placement decision: everything the
 /// `placement-residency` checker needs to replay the router's view at
 /// the instant the decision was made.
@@ -268,11 +343,7 @@ mod tests {
     fn views(work: &[u64], overlap: &[u32]) -> Vec<DeviceView> {
         work.iter()
             .zip(overlap)
-            .enumerate()
-            .map(|(i, (&w, &o))| DeviceView {
-                index: i,
-                rus: 4,
-                queued_jobs: 0,
+            .map(|(&w, &o)| DeviceView {
                 queued_work: SimDuration::from_us(w),
                 overlap: o,
             })
@@ -317,6 +388,8 @@ mod tests {
         assert_eq!(ra.place(&job, &views(&[9, 1, 1], &[3, 1, 0])), 0);
         // Overlap ties fall back to least-loaded.
         assert_eq!(ra.place(&job, &views(&[9, 1, 4], &[2, 2, 0])), 1);
+        // Full ties go to the lowest index among the best.
+        assert_eq!(ra.place(&job, &views(&[1, 4, 4, 4], &[0, 2, 2, 2])), 1);
     }
 
     #[test]
@@ -332,6 +405,79 @@ mod tests {
         assert_eq!(m.overlap(&[c(2)]), 0);
         // Duplicates in a sequence count once.
         assert_eq!(m.overlap(&[c(1), c(1)]), 1);
+    }
+
+    #[test]
+    fn dense_model_matches_the_reference_model() {
+        // One device per capacity 1..=8, fed seeded streams of templates
+        // whose configurations come from a small sparse pool (ids near
+        // u32::MAX included), so templates share configurations. Before
+        // each admit every device's dense overlap must equal the
+        // reference's; after it, so must the resident order.
+        let pool = [0, 1, 7, 1000, 65_535, 65_536, 1 << 20, 1 << 31]
+            .into_iter()
+            .chain(u32::MAX - 3..=u32::MAX)
+            .map(ConfigId)
+            .collect::<Vec<_>>();
+        let mut state = 0x0dd5_eed5_u64;
+        let mut draw = |n: usize| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        for case in 0..40 {
+            let templates: Vec<Vec<ConfigId>> = (0..1 + draw(10))
+                .map(|_| {
+                    let mut seq = Vec::new();
+                    for _ in 0..1 + draw(6) {
+                        let c = pool[draw(pool.len())];
+                        if !seq.contains(&c) {
+                            seq.push(c);
+                        }
+                    }
+                    seq
+                })
+                .collect();
+            let mut ids = BTreeMap::new();
+            let mut interned: Vec<Option<Box<[u32]>>> = vec![None; templates.len()];
+            let mut dense: Vec<DenseResidency> = (1..=8).map(DenseResidency::new).collect();
+            let mut reference: Vec<ResidencyModel> = (1..=8).map(ResidencyModel::new).collect();
+            for job in 0..200 {
+                // Templates are interned on first use, as the fleet does,
+                // so new ids keep appearing after the models have grown.
+                let t = draw(templates.len());
+                let seq = interned[t].get_or_insert_with(|| intern(&mut ids, &templates[t]));
+                for (d, r) in dense.iter().zip(&reference) {
+                    assert_eq!(
+                        d.overlap(seq),
+                        r.overlap(&templates[t]),
+                        "case {case} job {job}: overlap, capacity {}",
+                        d.capacity
+                    );
+                }
+                let device = draw(dense.len());
+                dense[device].admit(seq);
+                reference[device].admit(&templates[t]);
+                let mut names = vec![ConfigId(0); ids.len()];
+                for (&c, &i) in &ids {
+                    names[i as usize] = c;
+                }
+                let order: Vec<ConfigId> = dense[device]
+                    .lru
+                    .iter()
+                    .map(|&i| names[i as usize])
+                    .collect();
+                assert_eq!(
+                    order,
+                    reference[device].resident(),
+                    "case {case} job {job}: resident order, capacity {}",
+                    device + 1
+                );
+            }
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl TenantStats {
 }
 
 /// One admission-control decision, in fleet submission order. Always
-/// recorded (two words per job) so the `tenant-isolation` checker can
+/// recorded (24 bytes per job) so the `tenant-isolation` checker can
 /// replay admission without re-running the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionEvent {

@@ -1817,9 +1817,11 @@ impl Checker for TenantIsolation {
 }
 
 /// Every recorded placement score existed at decision time: the
-/// checker replays the dispatch plane's residency models from scratch
-/// (same LRU rule, same capacities) and re-derives each decision's
-/// per-device overlap vector. For `ReuseAffinity` it additionally
+/// checker replays each device's residency from scratch with the
+/// reference [`ResidencyModel`](crate::fleet::ResidencyModel) (the LRU
+/// rule the fleet's dense model implements, same capacities; no code
+/// shared with the router) and re-derives each decision's per-device
+/// overlap vector. For `ReuseAffinity` it additionally
 /// asserts the routing claim itself — the chosen device had the
 /// maximal overlap, with ties broken toward the least queued work.
 struct PlacementResidency;
